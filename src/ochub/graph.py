@@ -11,6 +11,14 @@ same-timestamp snapshots whose relation is valid at that instant.
 Simultaneous events are serialized by (event_type_id, event_id), never
 modeled as parallel.
 
+The case graph comes from three scans of the store: event participations
+ordered by (object, timestamp, event type, event), attribute updates grouped
+per (object, timestamp), and object-to-object rows ordered by (source,
+target, qualifier, timestamp, id). One sweep along each object's merged
+entries draws its nodes and directly-follows edges; an O2O edge costs one
+binary search of the relation's history at each timestamp where both
+objects have a snapshot.
+
 The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
 START, set of updated attributes), and edge frequencies count the case-level
@@ -20,7 +28,10 @@ edges behind each overview edge.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -115,10 +126,10 @@ def _snapshot_id(object_id: str, timestamp: str) -> str:
 def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
     """Build the case-level graph for the selected objects (all by default)."""
     if object_ids is None:
-        selection = sorted(store.id_set("objects"))
+        selection = store.id_set("objects")
     else:
-        selection = sorted(set(object_ids))
-        for object_id in selection:
+        selection = set(object_ids)
+        for object_id in sorted(selection):
             if not store.has_id("objects", object_id):
                 raise UnknownIdError(f"unknown object id: {object_id}")
 
@@ -129,100 +140,79 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
         row["id"]: row["description"] or row["id"]
         for row in store.table_rows("relation_qualifiers")
     }
+    conn = store.connection()
+    events_of: dict = {}  # object id -> [(timestamp, type, event id)] in order
+    for object_id, *event in conn.execute(
+        "SELECT DISTINCT r.object_id, e.timestamp, e.event_type_id, e.id "
+        "FROM event_to_object r JOIN events e ON e.id = r.event_id "
+        "ORDER BY r.object_id, e.timestamp, e.event_type_id, e.id"
+    ):
+        events_of.setdefault(object_id, []).append(event)
+    updates_of: dict = {}  # object id -> {timestamp: updated attribute ids}
+    for object_id, timestamp, attribute_id in conn.execute(
+        "SELECT object_id, timestamp, object_attribute_id FROM object_attribute_values"
+    ):
+        updates_of.setdefault(object_id, {}).setdefault(timestamp, set()).add(attribute_id)
 
     event_nodes: dict = {}
     snapshot_nodes: dict = {}
     edges: set = set()
-    snapshots_by_ts: dict = {}
-
+    snapshot_times: dict = {}  # object id -> timestamps of its snapshots
     for object_id in selection:
-        timeline = store.object_timeline(object_id)
-        if not timeline:
-            continue
-        last_event_type = START
-        for position, entry in enumerate(timeline):
-            if entry.kind == "event":
-                last_event_type = entry.event_type_id
-                node_id = f"e:{entry.event_id}"
-                event_nodes.setdefault(
-                    node_id,
-                    EventNode(
-                        node_id=node_id,
-                        event_id=entry.event_id,
-                        event_type_id=entry.event_type_id,
-                        timestamp=entry.timestamp,
-                    ),
+        events = events_of.get(object_id, [])
+        updates = updates_of.get(object_id, {})
+        times = {timestamp for timestamp, _, _ in events}
+        # standalone updates splice in by timestamp; the stable sort keeps
+        # simultaneous events in (type, id) order
+        entries = events + [(ts, None, None) for ts in updates if ts not in times]
+        entries.sort(key=itemgetter(0))
+        prev_type, pending = START, []  # pending: snapshots awaiting the next event
+        for timestamp, type_id, event_id in entries:
+            snap_id = _snapshot_id(object_id, timestamp)
+            if event_id is not None:
+                node_id = f"e:{event_id}"
+                event_nodes[node_id] = EventNode(node_id, event_id, type_id, timestamp)
+                edges.update(
+                    GraphEdge(DF_SNAPSHOT_TO_EVENT, waiting, node_id, object_id)
+                    for waiting in pending
                 )
-            snap_id = _snapshot_id(object_id, entry.timestamp)
-            # later event entries at the same timestamp overwrite the
-            # snapshot's previous-event type (ties are serialized)
+                edges.add(GraphEdge(DF_EVENT_TO_SNAPSHOT, node_id, snap_id, object_id))
+                prev_type, pending = type_id, []
             snapshot_nodes[snap_id] = SnapshotNode(
-                node_id=snap_id,
-                object_id=object_id,
-                object_type_id=object_type_of[object_id],
-                timestamp=entry.timestamp,
-                updated_attributes=frozenset(entry.updated_attribute_ids),
-                prev_event_type_id=last_event_type,
+                snap_id, object_id, object_type_of[object_id], timestamp,
+                frozenset(updates.get(timestamp, ())), prev_type,
             )
-            snapshots_by_ts.setdefault(entry.timestamp, set()).add(object_id)
+            pending.append(snap_id)
+        snapshot_times[object_id] = times | set(updates)
 
-            if entry.kind == "event":
-                edges.add(
-                    GraphEdge(
-                        kind=DF_EVENT_TO_SNAPSHOT,
-                        start=f"e:{entry.event_id}",
-                        end=snap_id,
-                        object_id=object_id,
-                    )
-                )
-            next_event = next(
-                (e for e in timeline[position + 1 :] if e.kind == "event"),
-                None,
-            )
-            if next_event is not None:
-                edges.add(
-                    GraphEdge(
-                        kind=DF_SNAPSHOT_TO_EVENT,
-                        start=snap_id,
-                        end=f"e:{next_event.event_id}",
-                        object_id=object_id,
-                    )
-                )
-
-    # same-timestamp object-to-object edges, checked for validity then
-    triples = {
-        (
-            row["source_object_id"],
-            row["target_object_id"],
-            row["qualifier_id"],
-        )
-        for row in store.table_rows("object_to_object")
-    }
-    in_scope = set(selection)
-    for source_id, target_id, qualifier_id in sorted(triples):
-        if source_id not in in_scope or target_id not in in_scope:
+    # O2O edges between same-timestamp snapshots: the relation row with the
+    # greatest (timestamp, id) at or before the instant decides, and a NULL
+    # value (termination) draws none. Stored text is compared as is, so a
+    # timestamp kept verbatim because it did not parse orders like any text.
+    for (source_id, target_id, qualifier_id), rows in groupby(
+        conn.execute(
+            "SELECT source_object_id, target_object_id, qualifier_id, timestamp, "
+            "qualifier_value FROM object_to_object WHERE timestamp IS NOT NULL "
+            "ORDER BY source_object_id, target_object_id, qualifier_id, timestamp, id"
+        ),
+        key=itemgetter(0, 1, 2),
+    ):
+        shared = snapshot_times.get(source_id, set()) & snapshot_times.get(target_id, set())
+        # a dangling qualifier draws no edge; the transform checkpoint owns it
+        if not shared or qualifier_id not in qualifier_names:
             continue
-        for timestamp, present in snapshots_by_ts.items():
-            if source_id not in present or target_id not in present:
-                continue
-            try:
-                value = store.o2o_valid_at(
-                    source_id, target_id, qualifier_id, timestamp
-                )
-            except UnknownIdError:
-                continue  # dangling qualifier; the transform checkpoint owns it
-            if value is None:
-                continue
-            edges.add(
-                GraphEdge(
-                    kind=O2O,
-                    start=_snapshot_id(source_id, timestamp),
-                    end=_snapshot_id(target_id, timestamp),
-                    qualifier=qualifier_names.get(qualifier_id, qualifier_id),
-                )
-            )
+        rows = list(rows)
+        instants = [row[3] for row in rows]
+        for timestamp in shared:
+            position = bisect_right(instants, timestamp)
+            if position and rows[position - 1][4] is not None:
+                edges.add(GraphEdge(
+                    O2O, _snapshot_id(source_id, timestamp),
+                    _snapshot_id(target_id, timestamp),
+                    qualifier=qualifier_names[qualifier_id],
+                ))
 
-    graph = SnapshotGraph(
+    return SnapshotGraph(
         event_nodes=sorted(event_nodes.values(), key=lambda n: n.node_id),
         snapshot_nodes=sorted(snapshot_nodes.values(), key=lambda n: n.node_id),
         edges=sorted(
@@ -230,7 +220,6 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
             key=lambda e: (e.start, e.end, e.kind, e.object_id or "", e.qualifier or ""),
         ),
     )
-    return graph
 
 
 def _group_id(node: SnapshotNode) -> str:

@@ -423,10 +423,12 @@ def test_criterion_shop_scale_run(tmp_path):
         assert time.monotonic() - started < 180
 
 
-def tiny_log(seed):
-    """A randomized micro-log: ≤4 events, ≤3 objects, tie-prone timestamps."""
+def tiny_log(seed, n_objects=3, n_events=4, n_instants=3, ghosts=0):
+    """A randomized micro-log: ≤n_events events, ≤n_objects objects,
+    tie-prone timestamps, and event-to-object rows for `ghosts` objects that
+    are missing from `objects`."""
     rng = random.Random(seed)
-    instants = [f"2024-01-01T0{h}:00:00.000Z" for h in (1, 2, 3)]
+    instants = [f"2024-01-01T{h:02d}:00:00.000Z" for h in range(1, n_instants + 1)]
     b = Batch()
     b.add("event_types", id="et:a", description="a")
     b.add("event_types", id="et:b", description="b")
@@ -434,13 +436,14 @@ def tiny_log(seed):
     b.add("object_attributes", id="oa:x.state", object_type_id="ot:x",
           description="state", datatype="string")
     b.add("relation_qualifiers", id="q:r", description="r", datatype="string")
-    objects = [f"obj:{i}" for i in range(rng.randint(1, 3))]
+    objects = [f"obj:{i}" for i in range(rng.randint(1, n_objects))]
     for object_id in objects:
         b.add("objects", id=object_id, object_type_id="ot:x", description=None)
-    for i in range(rng.randint(0, 4)):
+    missing = [f"obj:ghost{i}" for i in range(ghosts)]
+    for i in range(rng.randint(0, n_events)):
         b.add("events", id=f"ev:{i}", event_type_id=rng.choice(["et:a", "et:b"]),
               timestamp=rng.choice(instants), description=None)
-        for object_id in objects:
+        for object_id in objects + missing:
             if rng.random() < 0.6:
                 b.add("event_to_object", id=f"e2o:{i}:{object_id}",
                       event_id=f"ev:{i}", object_id=object_id,
@@ -467,34 +470,45 @@ def tiny_log(seed):
 
 def test_criterion_graph_oracle_equivalence(tmp_path):
     """build_case_graph equals the brute-force constructor on ~200 tiny
-    randomized logs; overview frequencies conserve case counts."""
-    with criterion("graph oracle equivalence (200 micro-logs)"):
+    randomized logs and 30 larger ones, for all objects and for a random
+    subset; overview frequencies conserve case counts."""
+    logs = [(f"s{seed}", tiny_log(seed)) for seed in range(200)] + [
+        (f"l{seed}", tiny_log(seed, n_objects=8, n_events=16, n_instants=6,
+                              ghosts=2))
+        for seed in range(30)
+    ]
+    with criterion("graph oracle equivalence (230 micro-logs)"):
         started = time.monotonic()
-        for seed in range(200):
-            batch, objects = tiny_log(seed)
-            store = open_store(tmp_path / f"g{seed}.db", create_if_missing=True)
+        for name, (batch, objects) in logs:
+            store = open_store(tmp_path / f"g{name}.db", create_if_missing=True)
             store.append_batch(batch)
 
-            graph = build_case_graph(store)
-            event_ids, snapshots, edges = brute_case_graph(store, sorted(objects))
-            assert {node.node_id for node in graph.event_nodes} == event_ids, seed
-            assert {
-                node.node_id: (node.object_id, node.timestamp,
-                               node.updated_attributes,
-                               node.prev_event_type_id)
-                for node in graph.snapshot_nodes
-            } == snapshots, seed
-            got_edges = {
-                (e.kind, e.start, e.end,
-                 e.qualifier if e.kind == "O2O" else e.object_id)
-                for e in graph.edges
-            }
-            assert got_edges == edges, seed
+            rng = random.Random(name)
+            subset = rng.sample(objects, rng.randint(1, len(objects)))
+            for scope in (None, subset):
+                graph = build_case_graph(store, object_ids=scope)
+                event_ids, snapshots, edges = brute_case_graph(
+                    store, sorted(scope or objects))
+                assert {node.node_id for node in graph.event_nodes} == \
+                    event_ids, (name, scope)
+                assert {
+                    node.node_id: (node.object_id, node.timestamp,
+                                   node.updated_attributes,
+                                   node.prev_event_type_id)
+                    for node in graph.snapshot_nodes
+                } == snapshots, (name, scope)
+                got_edges = {
+                    (e.kind, e.start, e.end,
+                     e.qualifier if e.kind == "O2O" else e.object_id)
+                    for e in graph.edges
+                }
+                assert got_edges == edges, (name, scope)
 
-            overview = build_overview_graph(graph)
-            assert sum(e.frequency for e in overview.edges) == len(graph.edges)
-            assert sum(n.frequency for n in overview.nodes) == \
-                len(graph.event_nodes) + len(graph.snapshot_nodes)
+                overview = build_overview_graph(graph)
+                assert sum(e.frequency for e in overview.edges) == \
+                    len(graph.edges)
+                assert sum(n.frequency for n in overview.nodes) == \
+                    len(graph.event_nodes) + len(graph.snapshot_nodes)
             store.close()
         assert time.monotonic() - started < 120
 

@@ -147,6 +147,66 @@ class TestCaseGraph:
         graph = build_case_graph(store)
         assert not any(e.kind == O2O for e in graph.edges)
 
+    def test_unparseable_timestamp_still_builds(self, store):
+        # append_batch keeps an unparseable timestamp verbatim (the transform
+        # checkpoint flags it); the builder compares stored text as is
+        b = minimal_batch()
+        b.add("objects", id="obj:2", object_type_id="ot:x", description=None)
+        b.add("events", id="ev:3", event_type_id="et:a", timestamp="not-a-time",
+              description=None)
+        for object_id in ("obj:1", "obj:2"):
+            b.add("event_to_object", id=f"e2o:3:{object_id}", event_id="ev:3",
+                  object_id=object_id, qualifier_id="q:r", qualifier_value="r")
+        b.add("object_to_object", id="o2o:1", source_object_id="obj:1",
+              target_object_id="obj:2", timestamp="2024-01-01T10:30:00.000Z",
+              qualifier_id="q:r", qualifier_value="linked")
+        store.append_batch(b)
+        graph = build_case_graph(store)
+        event_ids, snapshots, edges = brute_case_graph(
+            store, sorted(store.id_set("objects")))
+        assert {n.node_id for n in graph.event_nodes} == event_ids
+        assert {
+            n.node_id: (n.object_id, n.timestamp, n.updated_attributes,
+                        n.prev_event_type_id)
+            for n in graph.snapshot_nodes
+        } == snapshots
+        assert edge_tuples(graph) == edges
+        assert (O2O, "s:obj:1@not-a-time", "s:obj:2@not-a-time", "r") in edges
+
+    def test_dangling_qualifier_draws_no_edge(self, store):
+        # a relation whose qualifier is not in relation_qualifiers is the
+        # transform checkpoint's violation; the graph skips it silently
+        b = minimal_batch()
+        b.add("objects", id="obj:2", object_type_id="ot:x", description=None)
+        b.add("event_to_object", id="e2o:3", event_id="ev:2", object_id="obj:2",
+              qualifier_id="q:r", qualifier_value="r")
+        b.add("object_to_object", id="o2o:1", source_object_id="obj:1",
+              target_object_id="obj:2", timestamp="2024-01-01T10:30:00.000Z",
+              qualifier_id="q:ghost", qualifier_value="linked")
+        b.add("object_to_object", id="o2o:2", source_object_id="obj:2",
+              target_object_id="obj:1", timestamp="2024-01-01T10:30:00.000Z",
+              qualifier_id="q:r", qualifier_value="linked")
+        store.append_batch(b)
+        graph = build_case_graph(store)
+        assert [(e.start, e.end, e.qualifier) for e in graph.edges
+                if e.kind == O2O] == [
+            ("s:obj:2@2024-01-01T11:00:00.000Z",
+             "s:obj:1@2024-01-01T11:00:00.000Z", "r"),
+        ]
+
+    def test_relation_row_without_timestamp_is_ignored(self, store):
+        # a NULL relation timestamp is never "at or before" an instant
+        b = minimal_batch()
+        b.add("objects", id="obj:2", object_type_id="ot:x", description=None)
+        b.add("event_to_object", id="e2o:3", event_id="ev:2", object_id="obj:2",
+              qualifier_id="q:r", qualifier_value="r")
+        b.add("object_to_object", id="o2o:1", source_object_id="obj:1",
+              target_object_id="obj:2", timestamp=None,
+              qualifier_id="q:r", qualifier_value="linked")
+        store.append_batch(b)
+        graph = build_case_graph(store)
+        assert not any(e.kind == O2O for e in graph.edges)
+
     def test_object_scope_selection(self, store):
         store.append_batch(clean_fixture_batch())
         graph = build_case_graph(store, object_ids=["obj:i2"])
