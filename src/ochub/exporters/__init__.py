@@ -21,6 +21,16 @@ class ExportSummary:
     notes: list = field(default_factory=list)
 
 
+def event_attribute_values(store) -> dict:
+    """{event id: {event attribute id: value}}; on a repeated (event,
+    attribute) pair the row with the greatest id wins."""
+    values: dict = {}
+    for row in store.table_rows("event_attribute_values"):
+        by_attribute = values.setdefault(row["event_id"], {})
+        by_attribute[row["event_attribute_id"]] = row["attribute_value"]
+    return values
+
+
 from ochub.exporters.ocel2 import export_ocel2
 from ochub.exporters.docel import export_docel
 from ochub.exporters.flatcsv import export_flat_csv

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from ochub.exporters import ExportSummary
+from ochub.exporters import ExportSummary, event_attribute_values
 from ochub.store import HubStore
 from ochub.util import dedupe_name, sanitize_name
 
@@ -50,11 +50,7 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
     for attr in event_attrs:
         name = attr["description"] or attr["id"]
         attr_columns.append((dedupe_name(name, seen), attr["id"]))
-    values_by_event: dict = {}
-    for row in store.table_rows("event_attribute_values"):
-        values_by_event.setdefault(row["event_id"], {})[
-            row["event_attribute_id"]
-        ] = row["attribute_value"]
+    values_by_event = event_attribute_values(store)
 
     events = sorted(
         store.table_rows("events"),

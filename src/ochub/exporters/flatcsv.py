@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from ochub.exporters import ExportError, ExportSummary
+from ochub.exporters import ExportError, ExportSummary, event_attribute_values
 from ochub.store import HubStore
 from ochub.util import dedupe_name
 
@@ -42,11 +42,7 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
         attr_columns.append(
             (dedupe_name(attr["description"] or attr["id"], seen), attr["id"])
         )
-    values_by_event: dict = {}
-    for row in store.table_rows("event_attribute_values"):
-        values_by_event.setdefault(row["event_id"], {})[
-            row["event_attribute_id"]
-        ] = row["attribute_value"]
+    values_by_event = event_attribute_values(store)
     events = {row["id"]: row for row in store.table_rows("events")}
 
     pairs = set()

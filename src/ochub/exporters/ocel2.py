@@ -16,7 +16,7 @@ import os
 import sqlite3
 from pathlib import Path
 
-from ochub.exporters import ExportError, ExportSummary
+from ochub.exporters import ExportError, ExportSummary, event_attribute_values
 from ochub.store import HubStore
 from ochub.util import dedupe_name, sanitize_name
 
@@ -124,11 +124,7 @@ def _export(store: HubStore, conn: sqlite3.Connection, summary: ExportSummary) -
     event_attrs: dict = {}
     for row in store.table_rows("event_attributes"):
         event_attrs.setdefault(row["event_type_id"], []).append(row)
-    values_by_event: dict = {}
-    for row in store.table_rows("event_attribute_values"):
-        values_by_event.setdefault(row["event_id"], {})[
-            row["event_attribute_id"]
-        ] = row["attribute_value"]
+    values_by_event = event_attribute_values(store)
 
     for type_id, map_name in sorted(event_maps.items()):
         attrs = sorted(

@@ -17,7 +17,8 @@ per (object, timestamp), and object-to-object rows ordered by (source,
 target, qualifier, timestamp, id). One sweep along each object's merged
 entries draws its nodes and directly-follows edges; an O2O edge costs one
 binary search of the relation's history at each timestamp where both
-objects have a snapshot.
+objects have a snapshot. Rows with a NULL timestamp have no place on a
+timeline and are left out; the transform checkpoint reports them.
 
 The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
@@ -145,12 +146,14 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
     for object_id, *event in conn.execute(
         "SELECT DISTINCT r.object_id, e.timestamp, e.event_type_id, e.id "
         "FROM event_to_object r JOIN events e ON e.id = r.event_id "
+        "WHERE e.timestamp IS NOT NULL "
         "ORDER BY r.object_id, e.timestamp, e.event_type_id, e.id"
     ):
         events_of.setdefault(object_id, []).append(event)
     updates_of: dict = {}  # object id -> {timestamp: updated attribute ids}
     for object_id, timestamp, attribute_id in conn.execute(
-        "SELECT object_id, timestamp, object_attribute_id FROM object_attribute_values"
+        "SELECT object_id, timestamp, object_attribute_id FROM object_attribute_values "
+        "WHERE timestamp IS NOT NULL"
     ):
         updates_of.setdefault(object_id, {}).setdefault(timestamp, set()).add(attribute_id)
 

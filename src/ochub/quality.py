@@ -6,6 +6,14 @@ more guard graph exports (node id uniqueness, edge endpoints). Checks are
 read-only and report every violation instead of failing fast. Repairing
 missing objects is a separate, explicit operation that produces a normal
 batch, so the audit trail stays append-only.
+
+The store checks are SQL, one statement per table, foreign key or timestamp
+column, generated from the schema: ``GROUP BY id HAVING`` for duplicate ids,
+an anti-join for referential integrity, and the registered
+``is_valid_timestamp`` function for timestamps. The staging checkpoint runs
+them over the batch staged in the store's TEMP tables (``HubStore.stage``),
+resolving references against staged union store; the transform checkpoint
+runs them over the store itself.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from ochub.schema import (
     TIMESTAMP_COLUMNS,
 )
 from ochub.store import HubStore
-from ochub.util import is_valid_timestamp
 
 CHECKPOINTS = ("staging", "transform", "graph")
 
@@ -97,136 +104,89 @@ class QualityReport:
         return "\n".join(lines)
 
 
-class _TableView:
-    """Uniform row access over a batch (with optional store context for
-    resolving references) or over a whole store."""
+def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
+    """The four store checks, one SQL statement per table, foreign key or
+    timestamp column.
 
-    def __init__(self, batch: Optional[Batch] = None, store: Optional[HubStore] = None):
-        if batch is None and store is None:
-            raise ValueError("need a batch, a store, or both")
-        self.batch = batch
-        self.store = store
+    Scans the batch staged by ``HubStore.stage`` in batch order (references
+    resolve against staged union store), or else the store in id order.
+    Every violation is reported; ids that are null or empty show as "".
+    """
+    conn = store.connection()
+    scan = "temp.staged_{}" if staged else "main.{}"
+    pos = "rowid" if staged else "id"  # the scan order
 
-    def rows(self, table: str):
-        """Rows to be scanned: the batch's if present, else the store's."""
-        if self.batch is not None:
-            return list(self.batch.rows.get(table) or [])
-        return list(self.store.table_rows(table))
+    def rows(sql):
+        return conn.execute(sql).fetchall()
 
-    def known_ids(self, table: str) -> set:
-        """Ids a reference may resolve against: batch union store."""
-        ids = set()
-        if self.batch is not None:
-            for row in self.batch.rows.get(table) or []:
-                if row.get("id"):
-                    ids.add(row["id"])
-        if self.store is not None:
-            ids |= self.store.id_set(table)
-        return ids
-
-
-def check_unique_primary_keys(view: _TableView) -> list:
-    """Ids must be non-null, non-empty, and unique within each table.
-
-    One violation per offending id (not per extra row)."""
-    violations = []
     for table in TABLES:
-        counts: dict = {}
-        for row in view.rows(table):
-            row_id = row.get("id")
-            if not row_id:
-                violations.append(
-                    Violation(
-                        check="unique_primary_keys",
-                        table=table,
-                        key="",
-                        detail="null or empty primary key",
-                    )
-                )
-                continue
-            counts[row_id] = counts.get(row_id, 0) + 1
-        for row_id, n in counts.items():
-            if n > 1:
-                violations.append(
-                    Violation(
-                        check="unique_primary_keys",
-                        table=table,
-                        key=row_id,
-                        detail=f"primary key appears {n} times",
-                    )
-                )
-    return violations
+        report.scanned[table] = rows(f"SELECT COUNT(*) FROM {scan.format(table)}")[0][0]
 
-
-def check_foreign_keys_not_null(view: _TableView) -> list:
-    violations = []
-    for (table, column), _ in FOREIGN_KEYS.items():
-        for row in view.rows(table):
-            value = row.get(column)
-            if value is None or value == "":
-                violations.append(
-                    Violation(
-                        check="foreign_keys_not_null",
-                        table=table,
-                        key=row.get("id") or "",
-                        detail=f"{column} is null",
-                    )
-                )
-    return violations
-
-
-def check_referential_integrity(view: _TableView) -> list:
-    """Every non-null foreign key must resolve against the union of the
-    scanned rows and the store context.
-
-    Grouped per missing id: N rows referencing the same absent id yield one
-    violation whose detail carries the reference count."""
-    violations = []
-    for (table, column), ref_table in sorted(FOREIGN_KEYS.items()):
-        rows = view.rows(table)
-        if not rows:
-            continue
-        known = view.known_ids(ref_table)
-        missing: dict = {}
-        for row in rows:
-            value = row.get(column)
-            if value in (None, ""):
-                continue  # nullness is a separate check
-            if value not in known:
-                missing.setdefault(value, []).append(row.get("id") or "")
-        for ref_id, row_ids in missing.items():
-            violations.append(
-                Violation(
-                    check="referential_integrity",
-                    table=table,
-                    key=ref_id,
-                    detail=(
-                        f"{column} -> {ref_table}.{ref_id} does not resolve "
-                        f"({len(row_ids)} row(s), e.g. {row_ids[0]})"
-                    ),
-                    ref_table=ref_table,
-                    ref_id=ref_id,
-                )
+    # ids must be non-null, non-empty and unique: one violation per
+    # null/empty-id row, then one per repeated id (not per extra row)
+    unique = []
+    for table in TABLES:
+        src = scan.format(table)
+        blank = rows(f"SELECT COUNT(*) FROM {src} WHERE id IS NULL OR id = ''")[0][0]
+        unique += [Violation(
+            "unique_primary_keys", table, "", "null or empty primary key"
+        )] * blank
+        unique += [
+            Violation("unique_primary_keys", table, row_id,
+                      f"primary key appears {n} times")
+            for row_id, n in rows(
+                f"SELECT id, COUNT(*) FROM {src} WHERE id <> '' GROUP BY id "
+                f"HAVING COUNT(*) > 1 ORDER BY MIN({pos})"
             )
-    return violations
+        ]
 
+    not_null = [
+        Violation("foreign_keys_not_null", table, key, f"{column} is null")
+        for table, column in FOREIGN_KEYS
+        for (key,) in rows(
+            f"SELECT coalesce(id, '') FROM {scan.format(table)} "
+            f"WHERE {column} IS NULL OR {column} = '' ORDER BY {pos}, rowid"
+        )
+    ]
 
-def check_timestamp_validity(view: _TableView) -> list:
-    """Timestamps must be non-null and parseable RFC 3339 text."""
-    violations = []
-    for table, column in TIMESTAMP_COLUMNS:
-        for row in view.rows(table):
-            value = row.get(column)
-            if value is None or value == "" or not is_valid_timestamp(value):
-                violations.append(
-                    Violation(
-                        check="timestamp_validity",
-                        table=table,
-                        key=row.get("id") or "",
-                        detail=f"invalid {column}: {value!r}",
-                    )
-                )
-    return violations
+    # every non-empty foreign key must resolve; grouped per missing id, in
+    # the order of the first row referencing it
+    integrity = []
+    for (table, column), ref_table in sorted(FOREIGN_KEYS.items()):
+        known = [scan.format(ref_table)] + ([f"main.{ref_table}"] if staged else [])
+        unresolved = " AND ".join(
+            f"NOT EXISTS (SELECT 1 FROM {src} r WHERE r.id = s.{column})"
+            for src in known
+        )
+        integrity += [
+            Violation(
+                "referential_integrity", table, ref_id,
+                f"{column} -> {ref_table}.{ref_id} does not resolve "
+                f"({n} row(s), e.g. {first_row})",
+                ref_table=ref_table, ref_id=ref_id,
+            )
+            # the bare first_row comes from the row holding MIN(seq)
+            for _, ref_id, n, first_row in rows(
+                f"SELECT MIN(seq), ref, COUNT(*), coalesce(id, '') FROM ("
+                f"SELECT s.{column} AS ref, s.id, "
+                f"ROW_NUMBER() OVER (ORDER BY s.{pos}, s.rowid) AS seq "
+                f"FROM {scan.format(table)} s WHERE s.{column} <> '' AND {unresolved}"
+                ") GROUP BY ref ORDER BY 1"
+            )
+        ]
+
+    timestamps = [
+        Violation("timestamp_validity", table, key, f"invalid {column}: {value!r}")
+        for table, column in TIMESTAMP_COLUMNS
+        for key, value in rows(
+            f"SELECT coalesce(id, ''), {column} FROM {scan.format(table)} "
+            f"WHERE NOT is_valid_timestamp({column}) ORDER BY {pos}, rowid"
+        )
+    ]
+
+    for check, found in zip(STORE_CHECKS, (unique, not_null, integrity, timestamps)):
+        report.check_status[check] = not found
+        report.violations.extend(found)
 
 
 def _graph_tables(target):
@@ -311,8 +271,9 @@ def check_graph_edge_endpoints(node_ids, edges) -> list:
 def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None) -> QualityReport:
     """Run every check applicable to a pipeline checkpoint.
 
-    staging   -- target is a Batch, validated against the union of the batch
-                 and the (optional) destination store.
+    staging   -- target is a Batch, staged in and validated against the
+                 destination store (required): references resolve against
+                 the union of the batch and the store.
     transform -- target is a HubStore; the four checks rerun store-wide.
     graph     -- target is a built graph or a directory with nodes.csv and
                  edges.csv.
@@ -321,26 +282,18 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None) ->
         raise ValueError(f"unknown checkpoint: {checkpoint}")
     report = QualityReport(checkpoint=checkpoint)
 
-    if checkpoint in ("staging", "transform"):
-        if checkpoint == "staging":
-            if not isinstance(target, Batch):
-                raise TypeError("staging checkpoint expects a Batch")
-            view = _TableView(batch=target, store=store)
-        else:
-            if not isinstance(target, HubStore):
-                raise TypeError("transform checkpoint expects a HubStore")
-            view = _TableView(store=target)
-        for table in TABLES:
-            report.scanned[table] = len(view.rows(table))
-        for check, fn in (
-            ("unique_primary_keys", check_unique_primary_keys),
-            ("foreign_keys_not_null", check_foreign_keys_not_null),
-            ("referential_integrity", check_referential_integrity),
-            ("timestamp_validity", check_timestamp_validity),
-        ):
-            found = fn(view)
-            report.check_status[check] = not found
-            report.violations.extend(found)
+    if checkpoint == "staging":
+        if not isinstance(target, Batch):
+            raise TypeError("staging checkpoint expects a Batch")
+        if not isinstance(store, HubStore):
+            raise TypeError("staging checkpoint needs the destination HubStore")
+        store.stage(target)
+        _store_checks(store, True, report)
+        return report
+    if checkpoint == "transform":
+        if not isinstance(target, HubStore):
+            raise TypeError("transform checkpoint expects a HubStore")
+        _store_checks(target, False, report)
         return report
 
     node_ids, edges = _graph_tables(target)

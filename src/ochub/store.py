@@ -4,6 +4,9 @@ Backed by a single SQLite file holding the twelve tables plus a small meta
 table (layout version, batch clock). All columns are text; referential
 integrity is deliberately NOT enforced at write time so that tables can be
 ingested in any order across batches. Rows are never updated or deleted.
+A batch is staged once in TEMP tables of the same layout
+(``temp.staged_<table>``); the quality checks and append_batch's conflict
+detection are SQL over those tables and the store.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMNS
-from ochub.util import TimestampError, normalize_timestamp
+from ochub.util import TimestampError, is_valid_timestamp, normalize_timestamp
 
 LAYOUT_VERSION = "1"
 
@@ -128,6 +131,10 @@ def open_store(path: str, create_if_missing: bool = True) -> "HubStore":
     except sqlite3.Error as exc:
         raise StoreError(f"cannot open store at {path}: {exc}") from exc
     conn.row_factory = sqlite3.Row
+    # the quality checkpoint's timestamp test, callable from its SQL
+    conn.create_function(
+        "is_valid_timestamp", 1, is_valid_timestamp, deterministic=True
+    )
     try:
         if exists:
             _check_layout(conn, db_file)
@@ -237,79 +244,92 @@ class HubStore:
 
     # -- append-only ingestion -------------------------------------------
 
+    def stage(self, batch) -> None:
+        """(Re)fill ``temp.staged_<table>`` with the batch's rows.
+
+        Rows keep batch order (the staged rowid) and get the timestamp
+        normalization ``append_batch`` applies; text that does not parse is
+        kept verbatim for the quality checks to flag. Commits before
+        returning, so a staged batch holds no lock on the store file.
+        """
+        with self._conn:
+            for table in TABLES:
+                cols = TABLE_COLUMNS[table]
+                ts = cols.index(_TS_COLS[table]) if table in _TS_COLS else None
+                rows = []
+                for raw in batch.rows.get(table) or []:
+                    row = list(map(raw.get, cols))
+                    if ts is not None and row[ts] is not None:
+                        try:
+                            row[ts] = normalize_timestamp(row[ts])
+                        except TimestampError:
+                            pass  # kept verbatim; the quality checkpoint flags it
+                    rows.append(row)
+                self._conn.execute(f"DROP TABLE IF EXISTS temp.staged_{table}")
+                self._conn.execute(
+                    f"CREATE TEMP TABLE staged_{table} "
+                    f"({', '.join(f'{col} TEXT' for col in cols)})"
+                )
+                self._conn.executemany(
+                    f"INSERT INTO temp.staged_{table} "
+                    f"VALUES ({', '.join('?' for _ in cols)})",
+                    rows,
+                )
+                self._conn.execute(
+                    f"CREATE INDEX temp.staged_{table}_id ON staged_{table} (id)"
+                )
+
     def append_batch(self, batch) -> dict:
         """Append a batch atomically; returns rows-added counts per table.
 
         Re-appending rows whose ids already exist with identical content is
-        a no-op. An id that exists (in the store or earlier in the batch)
-        with different content aborts the whole batch.
+        a no-op. A null or empty id, or an id that exists (in the store or
+        elsewhere in the batch) with different content, aborts the whole
+        batch.
         """
-        prepared = {}
+        self.stage(batch)
+        for table in TABLES:
+            bad = self._conn.execute(
+                f"SELECT COUNT(*) FROM temp.staged_{table} "
+                "WHERE id IS NULL OR id = ''"
+            ).fetchone()[0]
+            if bad:
+                raise StoreError(f"{bad} row(s) in {table} have a null or empty id")
         conflicts = []
         for table in TABLES:
-            rows = batch.rows.get(table) or []
-            if not rows:
-                continue
-            cols = TABLE_COLUMNS[table]
-            ts_col = _TS_COLS.get(table)
-            seen = {}
-            fresh = []
-            for raw in rows:
-                row = {col: raw.get(col) for col in cols}
-                if ts_col and row[ts_col] is not None:
-                    try:
-                        row[ts_col] = normalize_timestamp(row[ts_col])
-                    except TimestampError:
-                        pass  # kept verbatim; the quality checkpoint flags it
-                key = row["id"]
-                content = tuple(row[col] for col in cols)
-                if key in seen:
-                    if seen[key] != content:
-                        conflicts.append((table, key))
-                    continue
-                seen[key] = content
-                fresh.append(row)
-            if fresh:
-                existing = self._existing_rows(table, [r["id"] for r in fresh])
-                to_insert = []
-                for row in fresh:
-                    current = existing.get(row["id"])
-                    if current is None:
-                        to_insert.append(row)
-                    elif current != tuple(row[col] for col in cols):
-                        conflicts.append((table, row["id"]))
-                if to_insert:
-                    prepared[table] = to_insert
+            differs = " OR ".join(
+                f"s.{col} IS NOT o.{col}" for col in TABLE_COLUMNS[table][1:]
+            )
+            # the same id with different content: in a later row of the
+            # batch, then in the store
+            for other in (
+                f"temp.staged_{table} o ON o.id = s.id AND o.rowid > s.rowid",
+                f"main.{table} o ON o.id = s.id",
+            ):
+                conflicts += [(table, row_id) for row_id, _ in self._conn.execute(
+                    f"SELECT s.id, MIN(s.rowid) FROM temp.staged_{table} s "
+                    f"JOIN {other} WHERE {differs} GROUP BY s.id ORDER BY 2"
+                )]
         if conflicts:
             raise AppendConflictError(conflicts)
 
-        summary = {table: 0 for table in TABLES}
+        summary = {}
         with self._conn:
-            for table, rows in prepared.items():
-                cols = TABLE_COLUMNS[table]
-                placeholders = ", ".join("?" for _ in cols)
-                self._conn.executemany(
-                    f"INSERT INTO {table} ({', '.join(cols)}) VALUES ({placeholders})",
-                    [tuple(row[col] for col in cols) for row in rows],
-                )
-                summary[table] = len(rows)
+            for table in TABLES:
+                cols = ", ".join(TABLE_COLUMNS[table])
+                # the first of each id's (identical) rows, unless stored
+                summary[table] = self._conn.execute(
+                    f"INSERT INTO main.{table} ({cols}) SELECT {cols} "
+                    f"FROM temp.staged_{table} s WHERE rowid IN "
+                    f"(SELECT MIN(rowid) FROM temp.staged_{table} GROUP BY id) "
+                    f"AND NOT EXISTS (SELECT 1 FROM main.{table} m WHERE m.id = s.id) "
+                    "ORDER BY rowid"
+                ).rowcount
             self._conn.execute(
                 "UPDATE hub_meta SET value = CAST(value AS INTEGER) + 1 "
                 "WHERE key = 'batch_clock'"
             )
         return summary
-
-    def _existing_rows(self, table: str, ids: list) -> dict:
-        cols = TABLE_COLUMNS[table]
-        out = {}
-        for start in range(0, len(ids), 500):
-            chunk = ids[start : start + 500]
-            placeholders = ", ".join("?" for _ in chunk)
-            for row in self._conn.execute(
-                f"SELECT * FROM {table} WHERE id IN ({placeholders})", chunk
-            ):
-                out[row["id"]] = tuple(row[col] for col in cols)
-        return out
 
     # -- ordered queries --------------------------------------------------
 
@@ -321,18 +341,19 @@ class HubStore:
         type/id tie-break serializes simultaneous events. Attribute updates
         sharing a timestamp with a related event are merged into the event
         entries at that timestamp; the rest become standalone entries.
+        Rows with a NULL timestamp are left out.
         """
         if not self.has_id("objects", object_id):
             raise UnknownIdError(f"unknown object id: {object_id}")
         events = self._conn.execute(
             "SELECT DISTINCT e.id, e.event_type_id, e.timestamp "
             "FROM events e JOIN event_to_object r ON r.event_id = e.id "
-            "WHERE r.object_id = ?",
+            "WHERE r.object_id = ? AND e.timestamp IS NOT NULL",
             (object_id,),
         ).fetchall()
         updates = self._conn.execute(
-            "SELECT id, object_attribute_id, timestamp "
-            "FROM object_attribute_values WHERE object_id = ?",
+            "SELECT id, object_attribute_id, timestamp FROM object_attribute_values "
+            "WHERE object_id = ? AND timestamp IS NOT NULL",
             (object_id,),
         ).fetchall()
 

@@ -7,6 +7,9 @@ explicit sorts), so a bug in the optimized path cannot hide in the oracle.
 
 from __future__ import annotations
 
+from ochub.schema import FOREIGN_KEYS, TABLE_COLUMNS, TABLES, TIMESTAMP_COLUMNS
+from ochub.util import TimestampError, is_valid_timestamp, normalize_timestamp
+
 
 def _all(store, table):
     return list(store.table_rows(table))
@@ -19,6 +22,7 @@ def brute_timeline_events(store, object_id):
         events[r["event_id"]]
         for r in _all(store, "event_to_object")
         if r["object_id"] == object_id and r["event_id"] in events
+        and events[r["event_id"]]["timestamp"] is not None
     ]
     dedup = {e["id"]: e for e in related}
     ordered = sorted(
@@ -36,6 +40,7 @@ def brute_o2o_valid_at(store, source_id, target_id, qualifier_id, at):
         if r["source_object_id"] == source_id
         and r["target_object_id"] == target_id
         and r["qualifier_id"] == qualifier_id
+        and r["timestamp"] is not None
         and r["timestamp"] <= at
     ]
     if not rows:
@@ -52,9 +57,13 @@ def brute_case_graph(store, object_ids):
     attribute ids, previous event type or "START") and edges is a set of
     (kind, start, end, object_or_qualifier) tuples.
     """
-    events = {e["id"]: e for e in _all(store, "events")}
+    # a row without a timestamp has no place on a timeline
+    events = {
+        e["id"]: e for e in _all(store, "events") if e["timestamp"] is not None
+    }
     e2o = _all(store, "event_to_object")
-    oav = _all(store, "object_attribute_values")
+    oav = [v for v in _all(store, "object_attribute_values")
+           if v["timestamp"] is not None]
     qualifier_names = {
         q["id"]: q["description"] or q["id"]
         for q in _all(store, "relation_qualifiers")
@@ -159,3 +168,112 @@ def brute_case_graph(store, object_ids):
             )
 
     return event_nodes, snapshots, edges
+
+
+def _brute_rows(batch_or_store, store):
+    """(rows by table, ids a reference may resolve against by table).
+
+    A batch is read as append_batch would store it (timestamps normalized,
+    unparseable text kept verbatim) and resolves against batch union store;
+    a store is read in id order and resolves against itself.
+    """
+    rows, known = {}, {}
+    for table, cols in TABLE_COLUMNS.items():
+        known[table] = {r["id"] for r in _all(store, table)}
+        if batch_or_store is store:
+            rows[table] = _all(store, table)
+            continue
+        rows[table] = []
+        for raw in batch_or_store.rows.get(table) or []:
+            row = {col: raw.get(col) for col in cols}
+            for ts_table, ts_col in TIMESTAMP_COLUMNS:
+                if ts_table == table and row[ts_col] is not None:
+                    try:
+                        row[ts_col] = normalize_timestamp(row[ts_col])
+                    except TimestampError:
+                        pass
+            rows[table].append(row)
+            known[table].add(row["id"])
+    return rows, known
+
+
+def brute_checkpoint(batch_or_store, store):
+    """The staging (a batch against ``store``) or transform (``store``
+    itself) checkpoint by full scans and dicts.
+
+    Returns (violations, check_status, scanned); a violation is the tuple
+    (check, table, key, detail, ref_table, ref_id).
+    """
+    rows, known = _brute_rows(batch_or_store, store)
+    found = {
+        "unique_primary_keys": [],
+        "foreign_keys_not_null": [],
+        "referential_integrity": [],
+        "timestamp_validity": [],
+    }
+    for table in TABLES:
+        counts = {}
+        for row in rows[table]:
+            if not row["id"]:
+                found["unique_primary_keys"].append(
+                    ("unique_primary_keys", table, "",
+                     "null or empty primary key", None, None))
+            else:
+                counts[row["id"]] = counts.get(row["id"], 0) + 1
+        for row_id, n in counts.items():
+            if n > 1:
+                found["unique_primary_keys"].append(
+                    ("unique_primary_keys", table, row_id,
+                     f"primary key appears {n} times", None, None))
+    for table, column in FOREIGN_KEYS:
+        for row in rows[table]:
+            if not row[column]:
+                found["foreign_keys_not_null"].append(
+                    ("foreign_keys_not_null", table, row["id"] or "",
+                     f"{column} is null", None, None))
+    for (table, column), ref_table in sorted(FOREIGN_KEYS.items()):
+        missing = {}
+        for row in rows[table]:
+            if row[column] and row[column] not in known[ref_table]:
+                missing.setdefault(row[column], []).append(row["id"] or "")
+        for ref_id, row_ids in missing.items():
+            found["referential_integrity"].append(
+                ("referential_integrity", table, ref_id,
+                 f"{column} -> {ref_table}.{ref_id} does not resolve "
+                 f"({len(row_ids)} row(s), e.g. {row_ids[0]})",
+                 ref_table, ref_id))
+    for table, column in TIMESTAMP_COLUMNS:
+        for row in rows[table]:
+            if not is_valid_timestamp(row[column]):
+                found["timestamp_validity"].append(
+                    ("timestamp_validity", table, row["id"] or "",
+                     f"invalid {column}: {row[column]!r}", None, None))
+    violations = [v for check in found.values() for v in check]
+    status = {check: not hits for check, hits in found.items()}
+    scanned = {table: len(rows[table]) for table in TABLES}
+    return violations, status, scanned
+
+
+def brute_append(batch, store):
+    """What append_batch must do with a batch: (conflicts, contents).
+
+    conflicts is the set of (table, id) whose rows in the batch, or in the
+    batch and the store, differ; contents is the store dump after a
+    conflict-free append (the first row of each new id added).
+    """
+    rows, _ = _brute_rows(batch, store)
+    conflicts = set()
+    contents = {}
+    for table, batch_rows in rows.items():
+        stored = _all(store, table)
+        first = {r["id"]: r for r in stored}
+        added = []
+        for row in batch_rows:
+            if row["id"] not in first:
+                first[row["id"]] = row
+                added.append(row)
+            elif first[row["id"]] != row:
+                conflicts.add((table, row["id"]))
+        contents[table] = sorted(
+            stored + added, key=lambda r: (r["id"] is not None, r["id"] or ""))
+    return conflicts, contents

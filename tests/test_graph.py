@@ -15,6 +15,7 @@ from ochub.graph import (
     build_overview_graph,
     export_graph_csv,
 )
+from ochub.quality import run_checkpoint
 from ochub.schema import Batch
 from conftest import clean_fixture_batch
 from oracles import brute_case_graph
@@ -206,6 +207,38 @@ class TestCaseGraph:
         store.append_batch(b)
         graph = build_case_graph(store)
         assert not any(e.kind == O2O for e in graph.edges)
+
+    def test_rows_without_timestamp_are_left_out(self, store):
+        # an event and an attribute update with a NULL timestamp beside
+        # timestamped ones: no node, no timeline entry; the transform
+        # checkpoint reports both rows
+        b = minimal_batch()
+        b.add("events", id="ev:3", event_type_id="et:a", timestamp=None,
+              description=None)
+        b.add("event_to_object", id="e2o:3", event_id="ev:3", object_id="obj:1",
+              qualifier_id="q:r", qualifier_value="r")
+        b.add("object_attributes", id="oa:x.size", object_type_id="ot:x",
+              description="size", datatype="string")
+        b.add("object_attribute_values", id="oav:1", object_id="obj:1",
+              object_attribute_id="oa:x.size", timestamp=None,
+              attribute_value="L")
+        store.append_batch(b)
+        graph = build_case_graph(store)
+        event_ids, snapshots, edges = brute_case_graph(store, ["obj:1"])
+        assert {n.node_id for n in graph.event_nodes} == event_ids == \
+            {"e:ev:1", "e:ev:2"}
+        assert {
+            n.node_id: (n.object_id, n.timestamp, n.updated_attributes,
+                        n.prev_event_type_id)
+            for n in graph.snapshot_nodes
+        } == snapshots
+        assert edge_tuples(graph) == edges
+        assert [e.event_id for e in store.object_timeline("obj:1")] == \
+            ["ev:1", "ev:2"]
+        report = run_checkpoint(store, "transform")
+        assert {(v.table, v.key) for v in report.violations} == {
+            ("events", "ev:3"), ("object_attribute_values", "oav:1"),
+        }
 
     def test_object_scope_selection(self, store):
         store.append_batch(clean_fixture_batch())

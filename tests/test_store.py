@@ -3,6 +3,7 @@ import pytest
 from ochub.schema import Batch, TABLES, TABLE_COLUMNS
 from ochub.store import (
     AppendConflictError,
+    StoreError,
     StoreLayoutError,
     StoreNotFoundError,
     UnknownIdError,
@@ -91,6 +92,36 @@ class TestAppendBatch:
         with pytest.raises(AppendConflictError):
             store.append_batch(mixed)
         assert not store.has_id("events", "e9")
+
+    @pytest.mark.parametrize("bad_id", [None, ""])
+    def test_null_or_empty_id_rejected(self, store, bad_id):
+        store.append_batch(two_events_batch())
+        before = store.dump()
+        bad = Batch()
+        bad.add("events", id="e9", event_type_id="et:a",
+                timestamp="2024-01-02T00:00:00.000Z")
+        bad.add("objects", id=bad_id, object_type_id="ot:x")
+        bad.add("objects", id=bad_id, object_type_id="ot:y")
+        with pytest.raises(StoreError, match=r"2 row\(s\) in objects"):
+            store.append_batch(bad)
+        assert store.dump() == before
+        assert store.batch_clock() == 1
+
+    def test_staged_batch_holds_no_lock(self, store):
+        # the staging checkpoint stages the batch and reads the store; after
+        # it another connection can still write
+        import sqlite3
+        from ochub.quality import run_checkpoint
+        run_checkpoint(two_events_batch(), "staging", store=store)
+        other = sqlite3.connect(store.path, timeout=0)
+        try:
+            other.execute("BEGIN IMMEDIATE")
+            other.execute("INSERT INTO event_types VALUES ('et:b', 'b')")
+            other.commit()
+        finally:
+            other.close()
+        assert store.row_count("events") == 0
+        assert store.append_batch(two_events_batch())["events"] == 2
 
     def test_timestamps_normalized_on_ingest(self, store):
         b = Batch()
