@@ -52,9 +52,9 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
         attr_columns.append((dedupe_name(name, seen), attr["id"]))
     values_by_event = event_attribute_values(store)
 
-    events = sorted(
-        store.table_rows("events"),
-        key=lambda e: (e["timestamp"], e["event_type_id"], e["id"]),
+    events = store.connection().execute(
+        "SELECT id, event_type_id, timestamp FROM events "
+        "ORDER BY timestamp, event_type_id, id"
     )
     rows = [
         [
@@ -82,7 +82,10 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
     }
     values_by_attr: dict = {}
     per_object_counts: dict = {}
-    for row in store.table_rows("object_attribute_values"):
+    # in (object, timestamp, id) order, the row order of the dynamic files
+    for row in store.connection().execute(
+        "SELECT * FROM object_attribute_values ORDER BY object_id, timestamp, id"
+    ):
         values_by_attr.setdefault(row["object_attribute_id"], []).append(row)
         key = (row["object_attribute_id"], row["object_id"])
         per_object_counts[key] = per_object_counts.get(key, 0) + 1
@@ -147,10 +150,7 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
 
     for attr in dynamic_attrs:
         rows = []
-        for value in sorted(
-            values_by_attr.get(attr["id"], []),
-            key=lambda v: (v["object_id"], v["timestamp"], v["id"]),
-        ):
+        for value in values_by_attr.get(attr["id"], []):
             event_ids = sorted(e2oav_by_value.get(value["id"], [])) or [None]
             for event_id in event_ids:
                 rows.append(

@@ -24,11 +24,6 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
     out_path.parent.mkdir(parents=True, exist_ok=True)
     summary = ExportSummary(format="flat", path=str(out_path))
 
-    case_objects = {
-        row["id"]
-        for row in store.table_rows("objects")
-        if row["object_type_id"] == case_object_type
-    }
     event_type_names = {
         row["id"]: row["description"] or row["id"]
         for row in store.table_rows("event_types")
@@ -43,36 +38,30 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
             (dedupe_name(attr["description"] or attr["id"], seen), attr["id"])
         )
     values_by_event = event_attribute_values(store)
-    events = {row["id"]: row for row in store.table_rows("events")}
-
-    pairs = set()
-    for relation in store.table_rows("event_to_object"):
-        if relation["object_id"] in case_objects:
-            pairs.add((relation["object_id"], relation["event_id"]))
-
-    def sort_key(pair):
-        case_id, event_id = pair
-        event = events.get(event_id)
-        if event is None:
-            return (case_id, "", "", event_id)
-        return (case_id, event["timestamp"], event["event_type_id"], event_id)
-
-    rows = []
-    for case_id, event_id in sorted(pairs, key=sort_key):
-        event = events.get(event_id)
-        if event is None:
-            continue  # dangling relation; the transform checkpoint owns this
-        rows.append(
-            [
-                case_id,
-                event_type_names.get(event["event_type_id"], event["event_type_id"]),
-                event["timestamp"],
-            ]
-            + [
-                values_by_event.get(event_id, {}).get(attr_id)
-                for _, attr_id in attr_columns
-            ]
-        )
+    # one row per (case, event) pair in event order; a pair whose event is
+    # missing (a dangling relation, owned by the transform checkpoint) gets
+    # no row but still counts towards the convergence note
+    pairs = store.connection().execute(
+        "SELECT p.object_id, p.event_id, e.id, e.event_type_id, e.timestamp "
+        "FROM (SELECT DISTINCT r.object_id, r.event_id FROM event_to_object r "
+        "JOIN objects o ON o.id = r.object_id WHERE o.object_type_id = ?) p "
+        "LEFT JOIN events e ON e.id = p.event_id "
+        "ORDER BY p.object_id, e.timestamp, e.event_type_id, p.event_id",
+        (case_object_type,),
+    ).fetchall()
+    rows = [
+        [
+            case_id,
+            event_type_names.get(type_id, type_id),
+            timestamp,
+        ]
+        + [
+            values_by_event.get(event_id, {}).get(attr_id)
+            for _, attr_id in attr_columns
+        ]
+        for case_id, event_id, found, type_id, timestamp in pairs
+        if found is not None
+    ]
 
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -84,7 +73,7 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
             writer.writerow(["" if cell is None else cell for cell in row])
 
     summary.counts[out_path.name] = len(rows)
-    distinct_events = len({event_id for _, event_id in pairs})
+    distinct_events = len({pair[1] for pair in pairs})
     if distinct_events:
         factor = len(rows) / distinct_events
         summary.notes.append(

@@ -11,10 +11,10 @@ same-timestamp snapshots whose relation is valid at that instant.
 Simultaneous events are serialized by (event_type_id, event_id), never
 modeled as parallel.
 
-The case graph comes from three scans of the store: event participations
-ordered by (object, timestamp, event type, event), attribute updates grouped
-per (object, timestamp), and object-to-object rows ordered by (source,
-target, qualifier, timestamp, id). One sweep along each object's merged
+The case graph comes from two reads of the store: the store's timeline
+sweep (``HubStore.timelines``, the entries ``object_timeline`` returns, for
+every object at once) and one scan of object-to-object rows ordered by
+(source, target, qualifier, timestamp, id). One pass along each object's
 entries draws its nodes and directly-follows edges; an O2O edge costs one
 binary search of the relation's history at each timestamp where both
 objects have a snapshot. Rows with a NULL timestamp have no place on a
@@ -141,59 +141,40 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
         row["id"]: row["description"] or row["id"]
         for row in store.table_rows("relation_qualifiers")
     }
-    conn = store.connection()
-    events_of: dict = {}  # object id -> [(timestamp, type, event id)] in order
-    for object_id, *event in conn.execute(
-        "SELECT DISTINCT r.object_id, e.timestamp, e.event_type_id, e.id "
-        "FROM event_to_object r JOIN events e ON e.id = r.event_id "
-        "WHERE e.timestamp IS NOT NULL "
-        "ORDER BY r.object_id, e.timestamp, e.event_type_id, e.id"
-    ):
-        events_of.setdefault(object_id, []).append(event)
-    updates_of: dict = {}  # object id -> {timestamp: updated attribute ids}
-    for object_id, timestamp, attribute_id in conn.execute(
-        "SELECT object_id, timestamp, object_attribute_id FROM object_attribute_values "
-        "WHERE timestamp IS NOT NULL"
-    ):
-        updates_of.setdefault(object_id, {}).setdefault(timestamp, set()).add(attribute_id)
-
     event_nodes: dict = {}
     snapshot_nodes: dict = {}
     edges: set = set()
     snapshot_times: dict = {}  # object id -> timestamps of its snapshots
-    for object_id in selection:
-        events = events_of.get(object_id, [])
-        updates = updates_of.get(object_id, {})
-        times = {timestamp for timestamp, _, _ in events}
-        # standalone updates splice in by timestamp; the stable sort keeps
-        # simultaneous events in (type, id) order
-        entries = events + [(ts, None, None) for ts in updates if ts not in times]
-        entries.sort(key=itemgetter(0))
+    for object_id, entries in store.timelines():
+        if object_id not in selection:
+            continue
         prev_type, pending = START, []  # pending: snapshots awaiting the next event
-        for timestamp, type_id, event_id in entries:
-            snap_id = _snapshot_id(object_id, timestamp)
-            if event_id is not None:
-                node_id = f"e:{event_id}"
-                event_nodes[node_id] = EventNode(node_id, event_id, type_id, timestamp)
+        for entry in entries:
+            snap_id = _snapshot_id(object_id, entry.timestamp)
+            if entry.kind == "event":
+                node_id = f"e:{entry.event_id}"
+                event_nodes[node_id] = EventNode(
+                    node_id, entry.event_id, entry.event_type_id, entry.timestamp
+                )
                 edges.update(
                     GraphEdge(DF_SNAPSHOT_TO_EVENT, waiting, node_id, object_id)
                     for waiting in pending
                 )
                 edges.add(GraphEdge(DF_EVENT_TO_SNAPSHOT, node_id, snap_id, object_id))
-                prev_type, pending = type_id, []
+                prev_type, pending = entry.event_type_id, []
             snapshot_nodes[snap_id] = SnapshotNode(
-                snap_id, object_id, object_type_of[object_id], timestamp,
-                frozenset(updates.get(timestamp, ())), prev_type,
+                snap_id, object_id, object_type_of[object_id], entry.timestamp,
+                frozenset(entry.updated_attribute_ids), prev_type,
             )
             pending.append(snap_id)
-        snapshot_times[object_id] = times | set(updates)
+        snapshot_times[object_id] = {entry.timestamp for entry in entries}
 
     # O2O edges between same-timestamp snapshots: the relation row with the
     # greatest (timestamp, id) at or before the instant decides, and a NULL
     # value (termination) draws none. Stored text is compared as is, so a
     # timestamp kept verbatim because it did not parse orders like any text.
     for (source_id, target_id, qualifier_id), rows in groupby(
-        conn.execute(
+        store.connection().execute(
             "SELECT source_object_id, target_object_id, qualifier_id, timestamp, "
             "qualifier_value FROM object_to_object WHERE timestamp IS NOT NULL "
             "ORDER BY source_object_id, target_object_id, qualifier_id, timestamp, id"

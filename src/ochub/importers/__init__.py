@@ -8,7 +8,6 @@ namespaced so re-importing (and re-appending) is a no-op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ochub.schema import Batch
 
@@ -29,7 +28,6 @@ class AppendableBatch:
     batch: Batch
     format: str
     source: str
-    imported_at: Optional[str] = None
     provenance: dict = field(default_factory=dict)
     skipped: list = field(default_factory=list)
 

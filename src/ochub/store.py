@@ -6,7 +6,9 @@ integrity is deliberately NOT enforced at write time so that tables can be
 ingested in any order across batches. Rows are never updated or deleted.
 A batch is staged once in TEMP tables of the same layout
 (``temp.staged_<table>``); the quality checks and append_batch's conflict
-detection are SQL over those tables and the store.
+detection are SQL over those tables and the store. Object histories come
+from one ordered scan, ``timelines``, which both ``object_timeline`` and the
+case graph read; event order (timestamp, event_type_id, id) is SQL's.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import os
 import sqlite3
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMNS
@@ -333,67 +337,55 @@ class HubStore:
 
     # -- ordered queries --------------------------------------------------
 
-    def object_timeline(self, object_id: str) -> list:
-        """Ordered history of one object: event participations plus
-        attribute-value updates.
+    def timelines(self, object_id: Optional[str] = None) -> Iterator[tuple]:
+        """Yield (object id, [TimelineEntry, ...]) in object-id order for
+        every object with a timestamped event participation or attribute
+        update; only ``object_id``'s when given.
 
-        Events are sorted by (timestamp, event_type_id, event_id); the
-        type/id tie-break serializes simultaneous events. Attribute updates
-        sharing a timestamp with a related event are merged into the event
-        entries at that timestamp; the rest become standalone entries.
-        Rows with a NULL timestamp are left out.
+        One ordered scan over both sources: participations by (timestamp,
+        event_type_id, event_id), each event once, then the attribute
+        updates at the same timestamp. Updates sharing a timestamp with a
+        related event are merged into every event entry at that timestamp;
+        the rest become one standalone entry per timestamp. SQLite's order
+        puts NULL types and attribute ids first. Rows with a NULL timestamp
+        are left out.
         """
+        only = "" if object_id is None else " AND {} = :object_id"
+        rows = self._conn.execute(
+            "SELECT r.object_id, e.timestamp, 0, e.event_type_id, e.id "
+            "FROM event_to_object r JOIN events e ON e.id = r.event_id "
+            "WHERE e.timestamp IS NOT NULL" + only.format("r.object_id") +
+            " UNION ALL SELECT object_id, timestamp, 1, object_attribute_id, id "
+            "FROM object_attribute_values WHERE timestamp IS NOT NULL"
+            + only.format("object_id") + " ORDER BY 1, 2, 3, 4, 5",
+            {"object_id": object_id},
+        )
+        for owner, owned in groupby(rows, key=itemgetter(0)):
+            entries = []
+            for timestamp, rows_at in groupby(owned, key=itemgetter(1)):
+                # dicts keep SQL's order and drop repeats: an event linked
+                # to the object by several rows, an attribute updated twice
+                events, attributes, value_ids = {}, {}, []
+                for _, _, is_update, type_or_attribute, row_id in rows_at:
+                    if is_update:
+                        attributes[type_or_attribute] = None
+                        value_ids.append(row_id)
+                    else:
+                        events[type_or_attribute, row_id] = None
+                updated = (tuple(attributes), tuple(sorted(value_ids)))
+                entries += [
+                    TimelineEntry("event", timestamp, event_id, type_id, *updated)
+                    for type_id, event_id in events
+                ] or [TimelineEntry("update", timestamp, None, None, *updated)]
+            yield owner, entries
+
+    def object_timeline(self, object_id: str) -> list:
+        """Ordered history of one object: its entries from ``timelines``
+        (empty when it has none); UnknownIdError if it is not in
+        ``objects``."""
         if not self.has_id("objects", object_id):
             raise UnknownIdError(f"unknown object id: {object_id}")
-        events = self._conn.execute(
-            "SELECT DISTINCT e.id, e.event_type_id, e.timestamp "
-            "FROM events e JOIN event_to_object r ON r.event_id = e.id "
-            "WHERE r.object_id = ? AND e.timestamp IS NOT NULL",
-            (object_id,),
-        ).fetchall()
-        updates = self._conn.execute(
-            "SELECT id, object_attribute_id, timestamp FROM object_attribute_values "
-            "WHERE object_id = ? AND timestamp IS NOT NULL",
-            (object_id,),
-        ).fetchall()
-
-        by_ts: dict = {}
-        for row in updates:
-            slot = by_ts.setdefault(row["timestamp"], ([], []))
-            slot[0].append(row["object_attribute_id"])
-            slot[1].append(row["id"])
-
-        event_ts = {row["timestamp"] for row in events}
-        entries = []
-        for row in sorted(
-            events, key=lambda r: (r["timestamp"], r["event_type_id"], r["id"])
-        ):
-            attrs, value_ids = by_ts.get(row["timestamp"], ((), ()))
-            entries.append(
-                TimelineEntry(
-                    kind="event",
-                    timestamp=row["timestamp"],
-                    event_id=row["id"],
-                    event_type_id=row["event_type_id"],
-                    updated_attribute_ids=tuple(sorted(set(attrs))),
-                    value_ids=tuple(sorted(value_ids)),
-                )
-            )
-        for ts, (attrs, value_ids) in by_ts.items():
-            if ts in event_ts:
-                continue
-            entries.append(
-                TimelineEntry(
-                    kind="update",
-                    timestamp=ts,
-                    updated_attribute_ids=tuple(sorted(set(attrs))),
-                    value_ids=tuple(sorted(value_ids)),
-                )
-            )
-        entries.sort(
-            key=lambda e: (e.timestamp, e.event_type_id or "", e.event_id or "")
-        )
-        return entries
+        return [entry for _, entries in self.timelines(object_id) for entry in entries]
 
     def o2o_valid_at(
         self,

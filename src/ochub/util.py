@@ -44,16 +44,19 @@ def parse_timestamp(value) -> datetime:
         )
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError as exc:  # the UTC instant falls outside years 1-9999
+        raise TimestampError(f"timestamp out of range: {value!r}") from exc
 
 
 def normalize_timestamp(value) -> str:
-    """Render a timestamp as canonical RFC 3339 UTC text (ms precision)."""
+    """Render a timestamp as canonical RFC 3339 UTC text (ms precision,
+    four-digit year). Canonical-looking text is still checked to parse."""
+    dt = parse_timestamp(value)
     if isinstance(value, str) and _CANONICAL_RE.match(value):
         return value
-    dt = parse_timestamp(value)
-    ms = dt.microsecond // 1000
-    return dt.strftime("%Y-%m-%dT%H:%M:%S") + f".{ms:03d}Z"
+    return dt.isoformat(timespec="milliseconds").replace("+00:00", "Z")
 
 
 def is_valid_timestamp(value) -> bool:

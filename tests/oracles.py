@@ -8,6 +8,7 @@ explicit sorts), so a bug in the optimized path cannot hide in the oracle.
 from __future__ import annotations
 
 from ochub.schema import FOREIGN_KEYS, TABLE_COLUMNS, TABLES, TIMESTAMP_COLUMNS
+from ochub.store import TimelineEntry
 from ochub.util import TimestampError, is_valid_timestamp, normalize_timestamp
 
 
@@ -15,21 +16,54 @@ def _all(store, table):
     return list(store.table_rows(table))
 
 
-def brute_timeline_events(store, object_id):
-    """Event ids related to an object, in (timestamp, type, id) order."""
-    events = {e["id"]: e for e in _all(store, "events")}
-    related = [
-        events[r["event_id"]]
+def _none_first(value):
+    """Sort key that orders None before any text, as SQLite does."""
+    return (value is not None, value or "")
+
+
+def brute_timeline(store, object_id):
+    """Every timeline entry of an object, by full scans: its events in
+    (timestamp, type, id) order, each carrying the attribute updates at its
+    timestamp, plus one standalone entry per other update timestamp. Rows
+    without a timestamp are left out."""
+    events = {
+        e["id"]: e for e in _all(store, "events") if e["timestamp"] is not None
+    }
+    related = {
+        r["event_id"]
         for r in _all(store, "event_to_object")
         if r["object_id"] == object_id and r["event_id"] in events
-        and events[r["event_id"]]["timestamp"] is not None
-    ]
-    dedup = {e["id"]: e for e in related}
-    ordered = sorted(
-        dedup.values(),
-        key=lambda e: (e["timestamp"], e["event_type_id"], e["id"]),
-    )
-    return [e["id"] for e in ordered]
+    }
+    updates_at = {}
+    for value in _all(store, "object_attribute_values"):
+        if value["object_id"] == object_id and value["timestamp"] is not None:
+            updates_at.setdefault(value["timestamp"], []).append(value)
+
+    def updated(ts):
+        values = updates_at.get(ts, [])
+        attributes = {v["object_attribute_id"] for v in values}
+        return (tuple(sorted(attributes, key=_none_first)),
+                tuple(sorted((v["id"] for v in values), key=_none_first)))
+
+    entries = []
+    for event_id in related:
+        event = events[event_id]
+        entries.append(TimelineEntry("event", event["timestamp"], event_id,
+                                     event["event_type_id"],
+                                     *updated(event["timestamp"])))
+    event_ts = {entry.timestamp for entry in entries}
+    for ts in updates_at:
+        if ts not in event_ts:
+            entries.append(TimelineEntry("update", ts, None, None, *updated(ts)))
+    entries.sort(key=lambda e: (e.timestamp, _none_first(e.event_type_id),
+                                _none_first(e.event_id)))
+    return entries
+
+
+def brute_timeline_events(store, object_id):
+    """Event ids related to an object, in (timestamp, type, id) order."""
+    return [e.event_id for e in brute_timeline(store, object_id)
+            if e.kind == "event"]
 
 
 def brute_o2o_valid_at(store, source_id, target_id, qualifier_id, at):
@@ -83,7 +117,7 @@ def brute_case_graph(store, object_ids):
             },
             key=lambda eid: (
                 events[eid]["timestamp"],
-                events[eid]["event_type_id"],
+                _none_first(events[eid]["event_type_id"]),
                 eid,
             ),
         )
@@ -105,7 +139,7 @@ def brute_case_graph(store, object_ids):
         entries.sort(
             key=lambda e: (
                 e[1],
-                events[e[2]]["event_type_id"] if e[2] else "",
+                _none_first(events[e[2]]["event_type_id"] if e[2] else None),
                 e[2] or "",
             )
         )

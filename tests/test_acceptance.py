@@ -25,7 +25,7 @@ from ochub.quality import run_checkpoint, synthesize_missing_objects
 from ochub.schema import FOREIGN_KEYS, TABLES, TIMESTAMP_COLUMNS, Batch
 from ochub.store import open_store
 from conftest import build_ocel2_sqlite, clean_fixture_batch
-from oracles import brute_case_graph
+from oracles import brute_case_graph, brute_timeline
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -423,10 +423,12 @@ def test_criterion_shop_scale_run(tmp_path):
         assert time.monotonic() - started < 180
 
 
-def tiny_log(seed, n_objects=3, n_events=4, n_instants=3, ghosts=0):
+def tiny_log(seed, n_objects=3, n_events=4, n_instants=3, ghosts=0,
+             nulls=False):
     """A randomized micro-log: ≤n_events events, ≤n_objects objects,
     tie-prone timestamps, and event-to-object rows for `ghosts` objects that
-    are missing from `objects`."""
+    are missing from `objects`; with `nulls`, also events with a NULL type,
+    a NULL timestamp or both."""
     rng = random.Random(seed)
     instants = [f"2024-01-01T{h:02d}:00:00.000Z" for h in range(1, n_instants + 1)]
     b = Batch()
@@ -465,16 +467,30 @@ def tiny_log(seed, n_objects=3, n_events=4, n_instants=3, ghosts=0):
                       timestamp=ts, qualifier_id="q:r",
                       qualifier_value=rng.choice(["linked", None]))
                 n += 1
+    if nulls:
+        for i, (type_id, ts) in enumerate((
+            (None, rng.choice(instants)), (None, rng.choice(instants)),
+            ("et:a", None), (None, None),
+        )):
+            b.add("events", id=f"ev:null{i}", event_type_id=type_id,
+                  timestamp=ts, description=None)
+            for object_id in objects:
+                if rng.random() < 0.6:
+                    b.add("event_to_object", id=f"e2o:null{i}:{object_id}",
+                          event_id=f"ev:null{i}", object_id=object_id,
+                          qualifier_id="q:r", qualifier_value="r")
     return b, objects
 
 
 def test_criterion_graph_oracle_equivalence(tmp_path):
     """build_case_graph equals the brute-force constructor on ~200 tiny
-    randomized logs and 30 larger ones, for all objects and for a random
-    subset; overview frequencies conserve case counts."""
+    randomized logs and 30 larger ones (with NULL-type and NULL-timestamp
+    events), for all objects and for a random subset, and every object's
+    timeline equals the brute-force one; overview frequencies conserve case
+    counts."""
     logs = [(f"s{seed}", tiny_log(seed)) for seed in range(200)] + [
         (f"l{seed}", tiny_log(seed, n_objects=8, n_events=16, n_instants=6,
-                              ghosts=2))
+                              ghosts=2, nulls=True))
         for seed in range(30)
     ]
     with criterion("graph oracle equivalence (230 micro-logs)"):
@@ -482,6 +498,9 @@ def test_criterion_graph_oracle_equivalence(tmp_path):
         for name, (batch, objects) in logs:
             store = open_store(tmp_path / f"g{name}.db", create_if_missing=True)
             store.append_batch(batch)
+            for object_id in objects:
+                assert store.object_timeline(object_id) == \
+                    brute_timeline(store, object_id), (name, object_id)
 
             rng = random.Random(name)
             subset = rng.sample(objects, rng.randint(1, len(objects)))

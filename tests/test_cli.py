@@ -127,6 +127,20 @@ class TestIngest:
     def test_unreadable_input_exits_3(self, store_path, tmp_path):
         assert ingest(store_path, tmp_path / "missing-dir") == EXIT_IO
 
+    def test_out_of_range_timestamp_exits_3(self, store_path, batch_dir,
+                                            capsys):
+        # the UTC instant of 0001-01-01T00:00:00+01:00 is before year 1
+        path = batch_dir / "events.csv"
+        rows = list(csv.DictReader(path.open()))
+        rows[0]["timestamp"] = "0001-01-01T00:00:00+01:00"
+        with path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert ingest(store_path, batch_dir) == EXIT_IO
+        assert "events.csv line 2: timestamp out of range" in \
+            capsys.readouterr().err
+
 
 class TestCheck:
     def test_staging_check_pass(self, store_path, batch_dir):

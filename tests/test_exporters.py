@@ -12,11 +12,22 @@ from ochub.exporters import (
 from ochub.importers import import_ocel2
 from ochub.schema import Batch
 from conftest import clean_fixture_batch
+from test_graph import minimal_batch
 
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def null_timestamp_batch():
+    """minimal_batch() plus ev:3 with a NULL timestamp, linked to obj:1."""
+    b = minimal_batch()
+    b.add("events", id="ev:3", event_type_id="et:b", timestamp=None,
+          description=None)
+    b.add("event_to_object", id="e2o:3", event_id="ev:3", object_id="obj:1",
+          qualifier_id="q:r", qualifier_value="r")
+    return b
 
 
 class TestOcel2Export:
@@ -175,6 +186,31 @@ class TestDocelExport:
         rows = read_csv(tmp_path / "docel" / "dynamic_color.csv")
         assert all(r["event_id"] == "" for r in rows)
 
+    def test_null_timestamp_event_comes_first(self, store, tmp_path):
+        store.append_batch(null_timestamp_batch())
+        export_docel(store, tmp_path / "docel")
+        events = read_csv(tmp_path / "docel" / "events.csv")
+        assert [(r["id"], r["timestamp"]) for r in events] == [
+            ("ev:3", ""),
+            ("ev:1", "2024-01-01T10:00:00.000Z"),
+            ("ev:2", "2024-01-01T11:00:00.000Z"),
+        ]
+
+    def test_null_timestamp_value_comes_first(self, store, tmp_path):
+        batch = minimal_batch()
+        batch.add("object_attributes", id="oa:x.size", object_type_id="ot:x",
+                  description="size", datatype="string")
+        for n, ts in ((1, "2024-01-01T10:00:00.000Z"), (2, None)):
+            batch.add("object_attribute_values", id=f"oav:{n}",
+                      object_id="obj:1", object_attribute_id="oa:x.size",
+                      timestamp=ts, attribute_value=f"v{n}")
+        store.append_batch(batch)
+        export_docel(store, tmp_path / "docel")
+        rows = read_csv(tmp_path / "docel" / "dynamic_size.csv")
+        assert [(r["value_id"], r["timestamp"]) for r in rows] == [
+            ("oav:2", ""), ("oav:1", "2024-01-01T10:00:00.000Z"),
+        ]
+
     def test_events_csv_has_attribute_columns(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())
         export_docel(store, tmp_path / "docel")
@@ -233,6 +269,23 @@ class TestFlatCsvExport:
         rows = read_csv(tmp_path / "flat.csv")
         # same timestamp: event_type_id first, then event_id
         assert [r["activity"] for r in rows] == ["a", "a", "b"]
+
+    def test_null_timestamp_event_comes_first(self, store, tmp_path):
+        batch = null_timestamp_batch()
+        # a relation to a missing event: no row, but counted by the note
+        batch.add("event_to_object", id="e2o:4", event_id="ev:ghost",
+                  object_id="obj:1", qualifier_id="q:r", qualifier_value="r")
+        store.append_batch(batch)
+        summary = export_flat_csv(store, "ot:x", tmp_path / "flat.csv")
+        rows = read_csv(tmp_path / "flat.csv")
+        assert [(r["activity"], r["timestamp"]) for r in rows] == [
+            ("b", ""),
+            ("a", "2024-01-01T10:00:00.000Z"),
+            ("b", "2024-01-01T11:00:00.000Z"),
+        ]
+        assert summary.notes == [
+            "convergence duplication factor: 0.750 (3 rows from 4 events)"
+        ]
 
     def test_unknown_case_type_errors(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())

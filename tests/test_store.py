@@ -1,5 +1,6 @@
 import pytest
 
+from ochub.graph import DF_SNAPSHOT_TO_EVENT, build_case_graph
 from ochub.schema import Batch, TABLES, TABLE_COLUMNS
 from ochub.store import (
     AppendConflictError,
@@ -9,7 +10,7 @@ from ochub.store import (
     UnknownIdError,
     open_store,
 )
-from oracles import brute_o2o_valid_at, brute_timeline_events
+from oracles import brute_o2o_valid_at, brute_timeline, brute_timeline_events
 from conftest import clean_fixture_batch
 
 
@@ -168,6 +169,26 @@ class TestObjectTimeline:
         entries = store.object_timeline("o1")
         assert [e.event_id for e in entries] == ["eA", "eB"]
 
+    def test_null_type_event_comes_first_as_in_case_graph(self, store):
+        b = Batch()
+        b.add("event_types", id="et:a", description="a")
+        b.add("object_types", id="ot:x", description="x")
+        b.add("objects", id="o1", object_type_id="ot:x")
+        b.add("relation_qualifiers", id="q:r", description="r", datatype="string")
+        t = "2024-01-01T10:00:00.000Z"
+        b.add("events", id="eA", event_type_id="et:a", timestamp=t)
+        b.add("events", id="eN", event_type_id=None, timestamp=t)
+        for i, eid in enumerate(("eA", "eN")):
+            b.add("event_to_object", id=f"r{i}", event_id=eid, object_id="o1",
+                  qualifier_id="q:r", qualifier_value="r")
+        store.append_batch(b)
+        assert [e.event_id for e in store.object_timeline("o1")] == ["eN", "eA"]
+        # the graph serializes the tie the same way: eA comes last
+        graph = build_case_graph(store)
+        assert [n.prev_event_type_id for n in graph.snapshot_nodes] == ["et:a"]
+        assert {(e.start, e.end) for e in graph.edges
+                if e.kind == DF_SNAPSHOT_TO_EVENT} == {(f"s:o1@{t}", "e:eA")}
+
     def test_update_between_events_is_standalone_entry(self, store):
         store.append_batch(clean_fixture_batch())
         extra = Batch()
@@ -188,14 +209,29 @@ class TestObjectTimeline:
         assert all(e.kind == "event" for e in entries)
 
     def test_event_order_matches_brute_force(self, store):
-        store.append_batch(clean_fixture_batch())
+        b = clean_fixture_batch()
+        # a second relation row for (ev:1, obj:i1), and two updates of obj:b1
+        # at ev:3's timestamp whose id order differs from attribute order
+        b.add("event_to_object", id="e2o:9", event_id="ev:1", object_id="obj:i1",
+              qualifier_id="q:contains", qualifier_value="contains")
+        b.add("object_attributes", id="oa:box.a", object_type_id="ot:box",
+              description="a", datatype="string")
+        b.add("object_attribute_values", id="oav:0", object_id="obj:b1",
+              object_attribute_id="oa:box.size",
+              timestamp="2024-03-01T10:00:00.000Z", attribute_value="M")
+        b.add("object_attribute_values", id="oav:9", object_id="obj:b1",
+              object_attribute_id="oa:box.a",
+              timestamp="2024-03-01T10:00:00.000Z", attribute_value="x")
+        store.append_batch(b)
         for object_id in ("obj:i1", "obj:i2", "obj:b1"):
-            got = [
-                e.event_id
-                for e in store.object_timeline(object_id)
-                if e.kind == "event"
-            ]
-            assert got == brute_timeline_events(store, object_id)
+            timeline = store.object_timeline(object_id)
+            assert timeline == brute_timeline(store, object_id)
+            assert [e.event_id for e in timeline if e.kind == "event"] == \
+                brute_timeline_events(store, object_id)
+        assert [e.event_id for e in store.object_timeline("obj:i1")] == \
+            ["ev:1", "ev:3"]
+        assert store.object_timeline("obj:b1")[0].value_ids == \
+            ("oav:0", "oav:2", "oav:9")
 
     def test_unknown_object_errors(self, store):
         with pytest.raises(UnknownIdError):
