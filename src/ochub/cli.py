@@ -4,13 +4,14 @@ Commands: init, ingest, check, stats, export. Ingest runs the staging
 checkpoint before appending and the transform checkpoint after, printing the
 quality report on failure.
 
-Exit codes: 0 success, 1 quality-check failure, 2 usage error, 3 I/O error,
-4 append conflict.
+Exit codes: 0 success, 1 quality-check failure, 2 usage error, 3 I/O error
+(including an unreadable or corrupt store file), 4 append conflict.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import sys
 
 import click
@@ -253,7 +254,7 @@ def run(argv) -> int:
     except StoreNotFoundError as exc:
         click.echo(str(exc), err=True)
         return EXIT_IO
-    except (StoreError, ImportError_, ExportError, OSError) as exc:
+    except (StoreError, ImportError_, ExportError, OSError, sqlite3.Error) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_IO
 

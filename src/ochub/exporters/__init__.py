@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ochub.util import dedupe_name
+
 
 class ExportError(Exception):
     """Output cannot be produced (bad target, name collision, ...)."""
@@ -29,6 +31,20 @@ def event_attribute_values(store) -> dict:
         by_attribute = values.setdefault(row["event_id"], {})
         by_attribute[row["event_attribute_id"]] = row["attribute_value"]
     return values
+
+
+def event_attribute_columns(store, reserved) -> list:
+    """[(column name, event attribute id)] over all event types in (name,
+    id) order, a name being the description, else the id; a name already
+    taken (``reserved`` or an earlier column) gets a numeric suffix."""
+    taken = set(reserved)
+    return [
+        (dedupe_name(name, taken), attr_id)
+        for attr_id, name in store.connection().execute(
+            "SELECT id, coalesce(nullif(description, ''), id) AS name "
+            "FROM event_attributes ORDER BY name, id"
+        )
+    ]
 
 
 from ochub.exporters.ocel2 import export_ocel2

@@ -12,9 +12,13 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from ochub.exporters import ExportError, ExportSummary, event_attribute_values
+from ochub.exporters import (
+    ExportError,
+    ExportSummary,
+    event_attribute_columns,
+    event_attribute_values,
+)
 from ochub.store import HubStore
-from ochub.util import dedupe_name
 
 
 def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummary:
@@ -24,42 +28,28 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
     out_path.parent.mkdir(parents=True, exist_ok=True)
     summary = ExportSummary(format="flat", path=str(out_path))
 
-    event_type_names = {
-        row["id"]: row["description"] or row["id"]
-        for row in store.table_rows("event_types")
-    }
-    attr_columns = []
-    seen = {"case_id", "activity", "timestamp"}
-    for attr in sorted(
-        store.table_rows("event_attributes"),
-        key=lambda a: (a["description"] or a["id"], a["id"]),
-    ):
-        attr_columns.append(
-            (dedupe_name(attr["description"] or attr["id"], seen), attr["id"])
-        )
+    attr_columns = event_attribute_columns(store, ("case_id", "activity", "timestamp"))
     values_by_event = event_attribute_values(store)
     # one row per (case, event) pair in event order; a pair whose event is
     # missing (a dangling relation, owned by the transform checkpoint) gets
     # no row but still counts towards the convergence note
     pairs = store.connection().execute(
-        "SELECT p.object_id, p.event_id, e.id, e.event_type_id, e.timestamp "
+        "SELECT p.object_id, p.event_id, e.id, "
+        "coalesce(nullif(t.description, ''), e.event_type_id), e.timestamp "
         "FROM (SELECT DISTINCT r.object_id, r.event_id FROM event_to_object r "
         "JOIN objects o ON o.id = r.object_id WHERE o.object_type_id = ?) p "
         "LEFT JOIN events e ON e.id = p.event_id "
+        "LEFT JOIN event_types t ON t.id = e.event_type_id "
         "ORDER BY p.object_id, e.timestamp, e.event_type_id, p.event_id",
         (case_object_type,),
     ).fetchall()
     rows = [
-        [
-            case_id,
-            event_type_names.get(type_id, type_id),
-            timestamp,
-        ]
+        [case_id, activity, timestamp]
         + [
             values_by_event.get(event_id, {}).get(attr_id)
             for _, attr_id in attr_columns
         ]
-        for case_id, event_id, found, type_id, timestamp in pairs
+        for case_id, event_id, found, activity, timestamp in pairs
         if found is not None
     ]
 

@@ -5,6 +5,12 @@ event type with one column per event attribute (a pivot of the row-based
 attribute values), and one ``object_<type>`` table per object type with one
 row per attribute-value update (``ocel_changed_field`` names the attribute).
 
+Every output table gets its rows from one ``SELECT`` against the store in
+output order, with the ``ev:``/``obj:`` id prefixes stripped and display
+names (description, else id) resolved in SQL; SQLite sorts NULLs first, so
+rows with NULL columns take their place like any other. Only the naming of
+tables and columns and the event attribute pivot are Python.
+
 Two deliberate losses, inherent to the target format: event-to-object-
 attribute-value relations are dropped, and object-to-object relations are
 flattened to static rows labeled with the qualifier description.
@@ -29,8 +35,17 @@ _DECL = {
 }
 
 
-def _strip(prefix: str, value: str) -> str:
-    return value[len(prefix):] if value.startswith(prefix) else value
+def _strip(prefix: str, column: str) -> str:
+    """SQL for ``column`` without a leading ``prefix``."""
+    return (
+        f"CASE WHEN substr({column}, 1, {len(prefix)}) = '{prefix}' "
+        f"THEN substr({column}, {len(prefix) + 1}) ELSE {column} END"
+    )
+
+
+def _name(alias: str, fallback: str) -> str:
+    """SQL for a display name: the row's description, else ``fallback``."""
+    return f"coalesce(nullif({alias}.description, ''), {fallback})"
 
 
 def _quote(identifier: str) -> str:
@@ -58,29 +73,36 @@ def export_ocel2(store: HubStore, out) -> ExportSummary:
     return summary
 
 
+def _columns(store: HubStore, kind: str, type_id: str, type_name: str,
+             reserved: tuple) -> list:
+    """[(attribute id, column declaration)] of one event or object type, in
+    (name, id) order; a name taken twice is an ExportError."""
+    columns, seen = [], set(reserved)
+    for attr_id, name, datatype in store.connection().execute(
+        f"SELECT id, {_name('a', 'id')} AS name, datatype "
+        f"FROM {kind}_attributes a WHERE {kind}_type_id = ? ORDER BY name, id",
+        (type_id,),
+    ):
+        if name in seen:
+            raise ExportError(
+                f"{kind} attribute name collision in type {type_name!r}: {name!r}"
+            )
+        seen.add(name)
+        columns.append((attr_id, f"{_quote(name)} {_DECL.get(datatype, 'TEXT')}"))
+    return columns
+
+
+def _fill(conn: sqlite3.Connection, table: str, decls: list, rows) -> int:
+    """Create ``table`` with ``decls`` and insert ``rows``; returns the count."""
+    conn.execute(f"CREATE TABLE {_quote(table)} ({', '.join(decls)})")
+    marks = ", ".join("?" for _ in decls)
+    return conn.executemany(
+        f"INSERT INTO {_quote(table)} VALUES ({marks})", rows
+    ).rowcount
+
+
 def _export(store: HubStore, conn: sqlite3.Connection, summary: ExportSummary) -> None:
-    event_types = list(store.table_rows("event_types"))
-    object_types = list(store.table_rows("object_types"))
-    qualifiers = {
-        row["id"]: row["description"] or row["id"]
-        for row in store.table_rows("relation_qualifiers")
-    }
-
-    taken: set = set()
-    event_maps = {
-        row["id"]: dedupe_name(sanitize_name(row["description"] or row["id"]), taken)
-        for row in event_types
-    }
-    taken = set()
-    object_maps = {
-        row["id"]: dedupe_name(sanitize_name(row["description"] or row["id"]), taken)
-        for row in object_types
-    }
-    type_names = {
-        row["id"]: row["description"] or row["id"]
-        for row in event_types + object_types
-    }
-
+    read = store.connection().execute
     conn.execute("CREATE TABLE event (ocel_id TEXT, ocel_type TEXT)")
     conn.execute("CREATE TABLE object (ocel_id TEXT, ocel_type TEXT)")
     conn.execute("CREATE TABLE event_map_type (ocel_type TEXT, ocel_type_map TEXT)")
@@ -94,164 +116,94 @@ def _export(store: HubStore, conn: sqlite3.Connection, summary: ExportSummary) -
         "(ocel_source_id TEXT, ocel_target_id TEXT, ocel_qualifier TEXT)"
     )
 
-    for type_id, map_name in sorted(event_maps.items()):
-        conn.execute(
-            "INSERT INTO event_map_type VALUES (?, ?)",
-            (type_names[type_id], map_name),
-        )
-    for type_id, map_name in sorted(object_maps.items()):
-        conn.execute(
-            "INSERT INTO object_map_type VALUES (?, ?)",
-            (type_names[type_id], map_name),
-        )
-
-    events = list(store.table_rows("events"))
-    for row in events:
-        conn.execute(
-            "INSERT INTO event VALUES (?, ?)",
-            (_strip("ev:", row["id"]), type_names.get(row["event_type_id"], row["event_type_id"])),
-        )
-    objects = list(store.table_rows("objects"))
-    for row in objects:
-        conn.execute(
-            "INSERT INTO object VALUES (?, ?)",
-            (_strip("obj:", row["id"]), type_names.get(row["object_type_id"], row["object_type_id"])),
-        )
-    summary.counts["event"] = len(events)
-    summary.counts["object"] = len(objects)
-
-    # event attribute pivot, one table per event type
-    event_attrs: dict = {}
-    for row in store.table_rows("event_attributes"):
-        event_attrs.setdefault(row["event_type_id"], []).append(row)
-    values_by_event = event_attribute_values(store)
-
-    for type_id, map_name in sorted(event_maps.items()):
-        attrs = sorted(
-            event_attrs.get(type_id, []),
-            key=lambda a: (a["description"] or a["id"], a["id"]),
-        )
-        columns = []
-        seen_cols = {"ocel_id", "ocel_time"}
-        for attr in attrs:
-            name = attr["description"] or attr["id"]
-            if name in seen_cols:
-                raise ExportError(
-                    f"event attribute name collision in type "
-                    f"{type_names[type_id]!r}: {name!r}"
-                )
-            seen_cols.add(name)
-            columns.append((name, attr["id"], _DECL.get(attr["datatype"], "TEXT")))
-        decl = ", ".join(
-            ["ocel_id TEXT", "ocel_time TIMESTAMP"]
-            + [f"{_quote(name)} {sql_type}" for name, _, sql_type in columns]
-        )
-        table = f"event_{map_name}"
-        conn.execute(f"CREATE TABLE {_quote(table)} ({decl})")
-        placeholders = ", ".join("?" for _ in range(2 + len(columns)))
-        rows = [
-            tuple(
-                [_strip("ev:", e["id"]), e["timestamp"]]
-                + [
-                    values_by_event.get(e["id"], {}).get(attr_id)
-                    for _, attr_id, _ in columns
-                ]
+    maps = {}  # kind -> [(type id, display name, table name suffix)]
+    for kind in ("event", "object"):
+        taken: set = set()
+        maps[kind] = [
+            (type_id, name, dedupe_name(sanitize_name(name), taken))
+            for type_id, name in read(
+                f"SELECT id, {_name('t', 'id')} FROM {kind}_types t ORDER BY id"
             )
-            for e in events
-            if e["event_type_id"] == type_id
         ]
         conn.executemany(
-            f"INSERT INTO {_quote(table)} VALUES ({placeholders})", rows
+            f"INSERT INTO {kind}_map_type VALUES (?, ?)",
+            [(name, map_name) for _, name, map_name in maps[kind]],
         )
-        summary.counts[table] = len(rows)
+    for kind, prefix in (("event", "ev:"), ("object", "obj:")):
+        summary.counts[kind] = conn.executemany(
+            f"INSERT INTO {kind} VALUES (?, ?)",
+            read(
+                f"SELECT {_strip(prefix, 'r.id')}, {_name('t', f'r.{kind}_type_id')} "
+                f"FROM {kind}s r LEFT JOIN {kind}_types t ON t.id = r.{kind}_type_id "
+                "ORDER BY r.id"
+            ),
+        ).rowcount
 
-    # object attribute history, one row per attribute value
-    object_attrs: dict = {}
-    attr_names: dict = {}
-    for row in store.table_rows("object_attributes"):
-        object_attrs.setdefault(row["object_type_id"], []).append(row)
-        attr_names[row["id"]] = row["description"] or row["id"]
-    object_type_of = {row["id"]: row["object_type_id"] for row in objects}
-    oav_by_type: dict = {}
-    for row in store.table_rows("object_attribute_values"):
-        type_id = object_type_of.get(row["object_id"])
-        oav_by_type.setdefault(type_id, []).append(row)
-
-    for type_id, map_name in sorted(object_maps.items()):
-        attrs = sorted(
-            object_attrs.get(type_id, []),
-            key=lambda a: (a["description"] or a["id"], a["id"]),
+    # event attribute pivot, one table per event type
+    values_by_event = event_attribute_values(store)
+    for type_id, type_name, map_name in maps["event"]:
+        columns = _columns(store, "event", type_id, type_name, ("ocel_id", "ocel_time"))
+        rows = (
+            [ocel_id, timestamp]
+            + [values_by_event.get(event_id, {}).get(attr_id) for attr_id, _ in columns]
+            for ocel_id, timestamp, event_id in read(
+                f"SELECT {_strip('ev:', 'id')}, timestamp, id FROM events "
+                "WHERE event_type_id = ? ORDER BY id",
+                (type_id,),
+            )
         )
-        columns = []
-        seen_cols = {"ocel_id", "ocel_time", "ocel_changed_field"}
-        for attr in attrs:
-            name = attr["description"] or attr["id"]
-            if name in seen_cols:
-                raise ExportError(
-                    f"object attribute name collision in type "
-                    f"{type_names[type_id]!r}: {name!r}"
-                )
-            seen_cols.add(name)
-            columns.append((name, attr["id"], _DECL.get(attr["datatype"], "TEXT")))
-        decl = ", ".join(
-            ["ocel_id TEXT", "ocel_time TIMESTAMP", "ocel_changed_field TEXT"]
-            + [f"{_quote(name)} {sql_type}" for name, _, sql_type in columns]
+        table = f"event_{map_name}"
+        summary.counts[table] = _fill(
+            conn, table,
+            ["ocel_id TEXT", "ocel_time TIMESTAMP"] + [decl for _, decl in columns],
+            rows,
+        )
+
+    # object attribute history, one row per attribute value; the value
+    # lands in its attribute's column when the type declares it
+    for type_id, type_name, map_name in maps["object"]:
+        columns = _columns(
+            store, "object", type_id, type_name,
+            ("ocel_id", "ocel_time", "ocel_changed_field"),
+        )
+        cells = "".join(
+            ", CASE v.object_attribute_id WHEN ? THEN v.attribute_value END"
+            for _ in columns
+        )
+        rows = read(
+            f"SELECT {_strip('obj:', 'v.object_id')}, v.timestamp, "
+            f"{_name('a', 'v.object_attribute_id')}{cells} "
+            "FROM object_attribute_values v JOIN objects o ON o.id = v.object_id "
+            "LEFT JOIN object_attributes a ON a.id = v.object_attribute_id "
+            "WHERE o.object_type_id = ? ORDER BY v.object_id, v.timestamp, v.id",
+            [attr_id for attr_id, _ in columns] + [type_id],
         )
         table = f"object_{map_name}"
-        conn.execute(f"CREATE TABLE {_quote(table)} ({decl})")
-        col_index = {attr_id: i for i, (_, attr_id, _) in enumerate(columns)}
-        rows = []
-        for value in sorted(
-            oav_by_type.get(type_id, []),
-            key=lambda v: (v["object_id"], v["timestamp"], v["id"]),
-        ):
-            cells = [None] * len(columns)
-            idx = col_index.get(value["object_attribute_id"])
-            if idx is not None:
-                cells[idx] = value["attribute_value"]
-            rows.append(
-                tuple(
-                    [
-                        _strip("obj:", value["object_id"]),
-                        value["timestamp"],
-                        attr_names.get(
-                            value["object_attribute_id"],
-                            value["object_attribute_id"],
-                        ),
-                    ]
-                    + cells
-                )
-            )
-        placeholders = ", ".join("?" for _ in range(3 + len(columns)))
-        conn.executemany(
-            f"INSERT INTO {_quote(table)} VALUES ({placeholders})", rows
+        summary.counts[table] = _fill(
+            conn, table,
+            ["ocel_id TEXT", "ocel_time TIMESTAMP", "ocel_changed_field TEXT"]
+            + [decl for _, decl in columns],
+            rows,
         )
-        summary.counts[table] = len(rows)
 
-    e2o_rows = [
-        (
-            _strip("ev:", row["event_id"]),
-            _strip("obj:", row["object_id"]),
-            row["qualifier_value"],
-        )
-        for row in store.table_rows("event_to_object")
-    ]
-    conn.executemany("INSERT INTO event_object VALUES (?, ?, ?)", e2o_rows)
-    summary.counts["event_object"] = len(e2o_rows)
+    summary.counts["event_object"] = conn.executemany(
+        "INSERT INTO event_object VALUES (?, ?, ?)",
+        read(
+            f"SELECT {_strip('ev:', 'event_id')}, {_strip('obj:', 'object_id')}, "
+            "qualifier_value FROM event_to_object ORDER BY id"
+        ),
+    ).rowcount
 
     # flatten temporal relations to static rows, qualifier description wins
-    static = sorted(
-        {
-            (
-                _strip("obj:", row["source_object_id"]),
-                _strip("obj:", row["target_object_id"]),
-                qualifiers.get(row["qualifier_id"], row["qualifier_id"]),
-            )
-            for row in store.table_rows("object_to_object")
-        }
-    )
-    conn.executemany("INSERT INTO object_object VALUES (?, ?, ?)", static)
-    summary.counts["object_object"] = len(static)
+    summary.counts["object_object"] = conn.executemany(
+        "INSERT INTO object_object VALUES (?, ?, ?)",
+        read(
+            f"SELECT DISTINCT {_strip('obj:', 'r.source_object_id')}, "
+            f"{_strip('obj:', 'r.target_object_id')}, {_name('q', 'r.qualifier_id')} "
+            "FROM object_to_object r "
+            "LEFT JOIN relation_qualifiers q ON q.id = r.qualifier_id ORDER BY 1, 2, 3"
+        ),
+    ).rowcount
 
     dropped = store.row_count("event_to_object_attribute_value")
     if dropped:
@@ -259,7 +211,7 @@ def _export(store: HubStore, conn: sqlite3.Connection, summary: ExportSummary) -
             f"dropped {dropped} event-to-object-attribute-value relation(s): "
             "not representable in the target format"
         )
-    flattened = store.row_count("object_to_object") - len(static)
+    flattened = store.row_count("object_to_object") - summary.counts["object_object"]
     if flattened:
         summary.notes.append(
             f"flattened {flattened} temporal object-to-object row(s) "

@@ -206,9 +206,10 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
     )
 
 
-def _group_id(node: SnapshotNode) -> str:
-    attrs = ",".join(sorted(node.updated_attributes))
-    return f"g:{node.object_type_id}|{node.prev_event_type_id}|{attrs}"
+def _attribute_list(attribute_ids) -> str:
+    """Updated attribute ids as sorted, comma-separated text; a NULL id
+    renders empty and sorts first, as SQL orders it."""
+    return ",".join(sorted(attribute_id or "" for attribute_id in attribute_ids))
 
 
 def build_overview_graph(case_graph: SnapshotGraph) -> OverviewGraph:
@@ -223,14 +224,14 @@ def build_overview_graph(case_graph: SnapshotGraph) -> OverviewGraph:
         node_freq[target] = node_freq.get(target, 0) + 1
         node_meta[target] = ("event_type", node.event_type_id)
     for node in case_graph.snapshot_nodes:
-        target = _group_id(node)
+        detail = (
+            f"{node.object_type_id}|{node.prev_event_type_id}|"
+            f"{_attribute_list(node.updated_attributes)}"
+        )
+        target = f"g:{detail}"
         mapping[node.node_id] = target
         node_freq[target] = node_freq.get(target, 0) + 1
-        attrs = ",".join(sorted(node.updated_attributes))
-        node_meta[target] = (
-            "snapshot_group",
-            f"{node.object_type_id}|{node.prev_event_type_id}|{attrs}",
-        )
+        node_meta[target] = ("snapshot_group", detail)
 
     edge_freq: dict = {}
     for edge in case_graph.edges:
@@ -281,7 +282,7 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
                 "snapshot",
                 "Snapshot",
                 n.timestamp,
-                ",".join(sorted(n.updated_attributes)),
+                _attribute_list(n.updated_attributes),
             )
             for n in graph.snapshot_nodes
         ]

@@ -35,6 +35,11 @@ def batch_dir(tmp_path):
     return directory
 
 
+def read_rows(path, reader=csv.reader):
+    with path.open() as handle:
+        return list(reader(handle))
+
+
 def ingest(store_path, batch_dir, *extra):
     return run([
         "ingest", "--store", str(store_path), "--format", "hubcsv",
@@ -49,6 +54,34 @@ class TestBasics:
 
     def test_missing_store_is_io_error(self, tmp_path):
         assert run(["stats", "--store", str(tmp_path / "nope.db")]) == EXIT_IO
+
+    def test_corrupt_store_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "hub.db"
+        store = open_store(path)
+        store.append_batch(clean_fixture_batch())
+        store.close()
+        # overwrite every page but the header and hub_meta's: the store
+        # opens, and the first read of a data page fails
+        conn = sqlite3.connect(path)
+        keep = {1} | {row[0] for row in conn.execute(
+            "SELECT rootpage FROM sqlite_master WHERE tbl_name = 'hub_meta'"
+        )}
+        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+        page_count = conn.execute("PRAGMA page_count").fetchone()[0]
+        conn.close()
+        with path.open("r+b") as handle:
+            for page in set(range(1, page_count + 1)) - keep:
+                handle.seek((page - 1) * page_size)
+                handle.write(b"\xff" * page_size)
+        capsys.readouterr()
+        for args in (
+            ["stats"],
+            ["check", "--checkpoint", "transform"],
+            ["export", "--format", "ocel2", "--out", str(tmp_path / "o.sqlite")],
+        ):
+            assert run([*args, "--store", str(path)]) == EXIT_IO, args
+            assert "error: database disk image is malformed" in \
+                capsys.readouterr().err
 
     def test_bad_usage(self, store_path):
         assert run(["ingest", "--store", str(store_path)]) == EXIT_USAGE
@@ -72,7 +105,7 @@ class TestIngest:
 
     def test_missing_object_fails_quality(self, store_path, batch_dir, capsys):
         path = batch_dir / "event_to_object.csv"
-        rows = list(csv.reader(path.open()))
+        rows = read_rows(path)
         rows.append(["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
         with path.open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
@@ -86,7 +119,7 @@ class TestIngest:
 
     def test_repair_missing_objects(self, store_path, batch_dir, capsys):
         path = batch_dir / "event_to_object.csv"
-        rows = list(csv.reader(path.open()))
+        rows = read_rows(path)
         rows.append(["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
         with path.open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
@@ -98,12 +131,12 @@ class TestIngest:
 
     def test_repair_does_not_mask_other_failures(self, store_path, batch_dir):
         e2o = batch_dir / "event_to_object.csv"
-        rows = list(csv.reader(e2o.open()))
+        rows = read_rows(e2o)
         rows.append(["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
         with e2o.open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
         events = batch_dir / "events.csv"
-        rows = list(csv.reader(events.open()))
+        rows = read_rows(events)
         rows.append(["ev:9", "et:ghost", "2024-03-01T08:00:00.000Z", ""])
         with events.open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
@@ -113,7 +146,7 @@ class TestIngest:
     def test_conflicting_reingest_exits_4(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
         path = batch_dir / "events.csv"
-        rows = list(csv.reader(path.open()))
+        rows = read_rows(path)
         rows[1][2] = "2030-01-01T00:00:00.000Z"  # same id, new timestamp
         with path.open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
@@ -131,7 +164,7 @@ class TestIngest:
                                             capsys):
         # the UTC instant of 0001-01-01T00:00:00+01:00 is before year 1
         path = batch_dir / "events.csv"
-        rows = list(csv.DictReader(path.open()))
+        rows = read_rows(path, csv.DictReader)
         rows[0]["timestamp"] = "0001-01-01T00:00:00+01:00"
         with path.open("w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import sqlite3
 
 import pytest
@@ -9,9 +10,12 @@ from ochub.exporters import (
     export_flat_csv,
     export_ocel2,
 )
+from ochub.cli import EXIT_OK, run
 from ochub.importers import import_ocel2
 from ochub.schema import Batch
+from ochub.store import open_store
 from conftest import clean_fixture_batch
+from test_acceptance import tiny_log
 from test_graph import minimal_batch
 
 
@@ -28,6 +32,65 @@ def null_timestamp_batch():
     b.add("event_to_object", id="e2o:3", event_id="ev:3", object_id="obj:1",
           qualifier_id="q:r", qualifier_value="r")
     return b
+
+
+def add_null_column_rows(b):
+    """Rows append_batch stores although the transform checkpoint flags
+    them: an attribute value with a NULL timestamp, one with a NULL
+    attribute id, an event-to-object row with a NULL event, object-to-object
+    rows with a NULL source or qualifier, and a NULL-event link beside a
+    linked one."""
+    ts = "2024-01-01T01:00:00.000Z"
+    b.add("object_attribute_values", id="oav:nullts", object_id="obj:0",
+          object_attribute_id="oa:x.state", timestamp=None, attribute_value="n")
+    b.add("object_attribute_values", id="oav:nullattr", object_id="obj:0",
+          object_attribute_id=None, timestamp=ts, attribute_value="n")
+    b.add("event_to_object", id="e2o:nullev", event_id=None, object_id="obj:0",
+          qualifier_id="q:r", qualifier_value="r")
+    b.add("object_to_object", id="o2o:nullsrc", source_object_id=None,
+          target_object_id="obj:0", timestamp=ts, qualifier_id="q:r",
+          qualifier_value="linked")
+    b.add("object_to_object", id="o2o:nullq", source_object_id="obj:0",
+          target_object_id="obj:0", timestamp=ts, qualifier_id=None,
+          qualifier_value="linked")
+    for n, event_id in ((1, "ev:null0"), (2, None)):
+        b.add("event_to_object_attribute_value", id=f"e2oav:{n}",
+              event_id=event_id, object_attribute_value_id="oav:nullts",
+              qualifier_id="q:r", qualifier_value="r")
+
+
+def digest(path):
+    files = sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() \
+        else [path]
+    return [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in files]
+
+
+def test_hostile_null_columns_export_deterministically(tmp_path):
+    """Every export of the 30 larger randomized logs, plus rows with NULL
+    columns, exits 0 and is byte-identical when repeated."""
+    exports = (
+        ("ocel2", "log.sqlite"), ("docel", "docel"),
+        ("flat", "flat.csv", "--case-type", "ot:x"),
+        ("graph-case", "case"), ("graph-overview", "overview"),
+    )
+    for seed in range(30):
+        batch, _ = tiny_log(seed, n_objects=8, n_events=16, n_instants=6,
+                            ghosts=2, nulls=True)
+        add_null_column_rows(batch)
+        path = tmp_path / f"hub{seed}.db"
+        store = open_store(path)
+        store.append_batch(batch)
+        store.close()
+        for fmt, name, *extra in exports:
+            digests = []
+            for attempt in (1, 2):
+                out = tmp_path / f"{seed}-{attempt}" / name
+                assert run([
+                    "export", "--store", str(path), "--format", fmt,
+                    "--out", str(out), *extra,
+                ]) == EXIT_OK, (seed, fmt)
+                digests.append(digest(out))
+            assert digests[0] == digests[1], (seed, fmt)
 
 
 class TestOcel2Export:

@@ -15,6 +15,7 @@ from ochub.graph import (
     build_overview_graph,
     export_graph_csv,
 )
+from ochub.cli import EXIT_OK, run
 from ochub.quality import run_checkpoint
 from ochub.schema import Batch
 from conftest import clean_fixture_batch
@@ -329,6 +330,29 @@ class TestGraphCsvExport:
         with open(out / "edges.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert all(int(r["frequency"]) >= 1 for r in rows)
+
+    def test_null_attribute_id_renders_empty_and_first(self, store, tmp_path):
+        # two updates of obj:1 at ev:1's timestamp, one with a NULL
+        # attribute id: the id renders empty and sorts first, as in SQL
+        b = minimal_batch()
+        b.add("object_attributes", id="oa:x.size", object_type_id="ot:x",
+              description="size", datatype="string")
+        for n, attribute_id in ((1, "oa:x.size"), (2, None)):
+            b.add("object_attribute_values", id=f"oav:{n}", object_id="obj:1",
+                  object_attribute_id=attribute_id,
+                  timestamp="2024-01-01T10:00:00.000Z", attribute_value="L")
+        store.append_batch(b)
+        for fmt, node_id, detail in (
+            ("graph-case", "s:obj:1@2024-01-01T10:00:00.000Z", ",oa:x.size"),
+            ("graph-overview", "g:ot:x|et:a|,oa:x.size", "ot:x|et:a|,oa:x.size"),
+        ):
+            out = tmp_path / fmt
+            assert run([
+                "export", "--store", store.path, "--format", fmt, "--out", str(out),
+            ]) == EXIT_OK
+            with open(out / "nodes.csv", newline="") as handle:
+                details = {row["id:ID"]: row["detail"] for row in csv.DictReader(handle)}
+            assert details[node_id] == detail
 
     def test_checkpoint_aborts_before_writing(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())
