@@ -1,8 +1,10 @@
 """Command-line pipelines over the hub.
 
 Commands: init, ingest, check, stats, export. Ingest runs the staging
-checkpoint before appending and the transform checkpoint after, printing the
-quality report on failure.
+checkpoint before appending and the transform checkpoint after, over the
+rows added since the store's last clean check, printing the quality report
+on failure. ``check --checkpoint transform`` is the full, read-only audit.
+The graph module is imported only by the graph exports.
 
 Exit codes: 0 success, 1 quality-check failure, 2 usage error, 3 I/O error
 (including an unreadable or corrupt store file), 4 append conflict.
@@ -16,7 +18,6 @@ import sys
 
 import click
 
-from ochub import graph as graph_mod
 from ochub.exporters import ExportError, export_docel, export_flat_csv, export_ocel2
 from ochub.importers import (
     ImportError_,
@@ -113,7 +114,7 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
         click.echo(f"appended: {json.dumps(added) if added else 'nothing new'}")
         if imported.skipped:
             click.echo(f"skipped {len(imported.skipped)} source row(s)")
-        post = run_checkpoint(store, "transform")
+        post = run_checkpoint(store, "transform", since_clean=True)
         if not post.passed:
             click.echo(post.summary())
             raise QualityFailure(post)
@@ -216,13 +217,19 @@ def cmd_export(store_path, fmt, out, case_type):
                 raise click.UsageError("--case-type is required for --format flat")
             summary = export_flat_csv(store, case_type, out)
         else:
+            from ochub import graph as graph_mod
+
             case_graph = graph_mod.build_case_graph(store)
             graph = (
                 case_graph
                 if fmt == "graph-case"
                 else graph_mod.build_overview_graph(case_graph)
             )
-            summary = graph_mod.export_graph_csv(graph, out)
+            try:
+                summary = graph_mod.export_graph_csv(graph, out)
+            except graph_mod.GraphExportError as exc:
+                click.echo(exc.report.summary(), err=True)
+                raise QualityFailure(exc.report) from exc
     finally:
         store.close()
     click.echo(f"wrote {summary.path}: {json.dumps(summary.counts)}")
@@ -236,9 +243,6 @@ def run(argv) -> int:
         cli.main(args=list(argv), prog_name="ochub", standalone_mode=False)
         return EXIT_OK
     except QualityFailure:
-        return EXIT_QUALITY
-    except graph_mod.GraphExportError as exc:
-        click.echo(exc.report.summary(), err=True)
         return EXIT_QUALITY
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)

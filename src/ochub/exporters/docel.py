@@ -13,7 +13,8 @@ exporter serializes it as:
     value linked to none keeps an empty event_id.
 
 Every file gets its rows from one ``SELECT`` against the store in output
-order; SQLite sorts NULLs first, so rows with NULL columns take their place
+order, the dynamic files from one shared scan ordered by attribute first;
+SQLite sorts NULLs first, so rows with NULL columns take their place
 like any other. Only the naming of files and columns and the event
 attribute pivot are Python.
 """
@@ -21,6 +22,8 @@ attribute pivot are Python.
 from __future__ import annotations
 
 import csv
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from ochub.exporters import (
@@ -109,20 +112,29 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
             ),
         )
 
+    # every dynamic file's rows from one scan, ordered by attribute first
+    files, written = [], set()
     for attr_id, name in dynamic_attrs:
         file_name = dedupe_name(f"dynamic_{sanitize_name(name)}", taken_files)
-        summary.counts[f"{file_name}.csv"] = _write_csv(
-            root / f"{file_name}.csv",
-            ["value_id", "object_id", "event_id", "timestamp", "value"],
-            read(
-                "SELECT v.id, v.object_id, l.event_id, v.timestamp, v.attribute_value "
-                "FROM object_attribute_values v "
-                "LEFT JOIN event_to_object_attribute_value l "
-                "ON l.object_attribute_value_id = v.id "
-                "WHERE v.object_attribute_id = ? "
-                "ORDER BY v.object_id, v.timestamp, v.id, l.event_id",
-                (attr_id,),
-            ),
-        )
+        files.append((attr_id, f"{file_name}.csv"))
+        summary.counts[f"{file_name}.csv"] = 0
+    file_of = dict(files)
+    header = ["value_id", "object_id", "event_id", "timestamp", "value"]
+    values = read(
+        "SELECT v.object_attribute_id, v.id, v.object_id, l.event_id, "
+        "v.timestamp, v.attribute_value FROM object_attribute_values v "
+        "LEFT JOIN event_to_object_attribute_value l "
+        "ON l.object_attribute_value_id = v.id "
+        f"WHERE v.object_attribute_id IN ({_DYNAMIC}) ORDER BY "
+        "v.object_attribute_id, v.object_id, v.timestamp, v.id, l.event_id"
+    )
+    for attr_id, rows in groupby(values, key=itemgetter(0)):
+        if attr_id in file_of:
+            written.add(attr_id)
+            summary.counts[file_of[attr_id]] = _write_csv(
+                root / file_of[attr_id], header, (row[1:] for row in rows))
+    for attr_id, file_name in files:
+        if attr_id not in written:  # a NULL attribute id matches no value
+            _write_csv(root / file_name, header, ())
 
     return summary

@@ -18,8 +18,6 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from ochub.importers import AppendableBatch, ImportError_
 from ochub.schema import Batch, DATATYPES
 from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
@@ -117,6 +115,8 @@ class MappingConfig:
 
     @classmethod
     def from_file(cls, path) -> "MappingConfig":
+        import yaml  # only mapped ingests need it; keeps CLI start-up short
+
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(yaml.safe_load(handle))
 

@@ -14,6 +14,16 @@ an anti-join for referential integrity, and the registered
 them over the batch staged in the store's TEMP tables (``HubStore.stage``),
 resolving references against staged union store; the transform checkpoint
 runs them over the store itself.
+
+The store is append-only and no id is rewritten, so a row that once passed
+the store checks passes them for good: a later append can only resolve a
+dangling reference, and ``id`` is the primary key. An ingest's transform
+checkpoint (``since_clean=True``) therefore checks only the rows above the
+store's clean-row watermark (``HubStore.clean_watermark``), references still
+resolving against the whole store, and moves the watermark up when the
+report is clean. Its report equals a full scan's. A change that tightens a
+store check must drop the ``transform_clean`` key from ``hub_meta``, so the
+next ingest checks every row again under the new rule.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ class QualityReport:
     checkpoint: str
     check_status: dict = field(default_factory=dict)  # check -> bool (passed)
     violations: list = field(default_factory=list)
-    scanned: dict = field(default_factory=dict)  # table/file -> rows scanned
+    scanned: dict = field(default_factory=dict)  # table/file -> rows checked
 
     @property
     def passed(self) -> bool:
@@ -104,12 +114,15 @@ class QualityReport:
         return "\n".join(lines)
 
 
-def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
+def _store_checks(store: HubStore, staged: bool, report: QualityReport,
+                  window: Optional[dict] = None) -> None:
     """The four store checks, one SQL statement per table, foreign key or
     timestamp column.
 
     Scans the batch staged by ``HubStore.stage`` in batch order (references
-    resolve against staged union store), or else the store in id order.
+    resolve against staged union store), or else the store in id order:
+    with ``window`` ({table: (after, upto)}) only its rows with ``after <
+    rowid <= upto``, references resolving against the whole store.
     Every violation is reported; ids that are null or empty show as "".
     """
     conn = store.connection()
@@ -119,15 +132,28 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
     def rows(sql):
         return conn.execute(sql).fetchall()
 
+    def where(table, *conditions):
+        """WHERE clause of the conditions and the window's rowid range;
+        none when both are missing, so a bare COUNT(*) stays cheap."""
+        if window is not None:
+            after, upto = window[table]
+            conditions += (f"rowid > {int(after)} AND rowid <= {int(upto)}",)
+        return f" WHERE {' AND '.join(conditions)}" if conditions else ""
+
     for table in TABLES:
-        report.scanned[table] = rows(f"SELECT COUNT(*) FROM {scan.format(table)}")[0][0]
+        report.scanned[table] = rows(
+            f"SELECT COUNT(*) FROM {scan.format(table)}{where(table)}"
+        )[0][0]
 
     # ids must be non-null, non-empty and unique: one violation per
     # null/empty-id row, then one per repeated id (not per extra row)
     unique = []
     for table in TABLES:
         src = scan.format(table)
-        blank = rows(f"SELECT COUNT(*) FROM {src} WHERE id IS NULL OR id = ''")[0][0]
+        blank = rows(
+            f"SELECT COUNT(*) FROM {src}"
+            + where(table, "(id IS NULL OR id = '')")
+        )[0][0]
         unique += [Violation(
             "unique_primary_keys", table, "", "null or empty primary key"
         )] * blank
@@ -135,8 +161,8 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
             Violation("unique_primary_keys", table, row_id,
                       f"primary key appears {n} times")
             for row_id, n in rows(
-                f"SELECT id, COUNT(*) FROM {src} WHERE id <> '' GROUP BY id "
-                f"HAVING COUNT(*) > 1 ORDER BY MIN({pos})"
+                f"SELECT id, COUNT(*) FROM {src}" + where(table, "id <> ''")
+                + f" GROUP BY id HAVING COUNT(*) > 1 ORDER BY MIN({pos})"
             )
         ]
 
@@ -144,8 +170,9 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
         Violation("foreign_keys_not_null", table, key, f"{column} is null")
         for table, column in FOREIGN_KEYS
         for (key,) in rows(
-            f"SELECT coalesce(id, '') FROM {scan.format(table)} "
-            f"WHERE {column} IS NULL OR {column} = '' ORDER BY {pos}, rowid"
+            f"SELECT coalesce(id, '') FROM {scan.format(table)}"
+            + where(table, f"({column} IS NULL OR {column} = '')")
+            + f" ORDER BY {pos}, rowid"
         )
     ]
 
@@ -170,8 +197,9 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
                 f"SELECT MIN(seq), ref, COUNT(*), coalesce(id, '') FROM ("
                 f"SELECT s.{column} AS ref, s.id, "
                 f"ROW_NUMBER() OVER (ORDER BY s.{pos}, s.rowid) AS seq "
-                f"FROM {scan.format(table)} s WHERE s.{column} <> '' AND {unresolved}"
-                ") GROUP BY ref ORDER BY 1"
+                f"FROM {scan.format(table)} s"
+                + where(table, f"s.{column} <> ''", unresolved)
+                + ") GROUP BY ref ORDER BY 1"
             )
         ]
 
@@ -179,8 +207,9 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport) -> None:
         Violation("timestamp_validity", table, key, f"invalid {column}: {value!r}")
         for table, column in TIMESTAMP_COLUMNS
         for key, value in rows(
-            f"SELECT coalesce(id, ''), {column} FROM {scan.format(table)} "
-            f"WHERE NOT is_valid_timestamp({column}) ORDER BY {pos}, rowid"
+            f"SELECT coalesce(id, ''), {column} FROM {scan.format(table)}"
+            + where(table, f"NOT is_valid_timestamp({column})")
+            + f" ORDER BY {pos}, rowid"
         )
     ]
 
@@ -268,15 +297,22 @@ def check_graph_edge_endpoints(node_ids, edges) -> list:
     return violations
 
 
-def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None) -> QualityReport:
+def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
+                   *, since_clean: bool = False) -> QualityReport:
     """Run every check applicable to a pipeline checkpoint.
 
     staging   -- target is a Batch, staged in and validated against the
                  destination store (required): references resolve against
                  the union of the batch and the store.
-    transform -- target is a HubStore; the four checks rerun store-wide.
+    transform -- target is a HubStore; the four checks rerun store-wide,
+                 read-only. With ``since_clean`` (an ingest's check) only
+                 the rows above the clean-row watermark are checked, the
+                 same violations a full scan finds, and a clean report
+                 moves the watermark to the store's last row.
     graph     -- target is a built graph or a directory with nodes.csv and
                  edges.csv.
+
+    ``scanned`` counts the rows actually checked per table or file.
     """
     if checkpoint not in CHECKPOINTS:
         raise ValueError(f"unknown checkpoint: {checkpoint}")
@@ -293,7 +329,18 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None) ->
     if checkpoint == "transform":
         if not isinstance(target, HubStore):
             raise TypeError("transform checkpoint expects a HubStore")
-        _store_checks(target, False, report)
+        if not since_clean:
+            _store_checks(target, False, report)
+            return report
+        clean = target.clean_watermark()
+        upto = target.max_rowids()
+        _store_checks(target, False, report,
+                      {table: (clean[table][0], upto[table]) for table in TABLES})
+        if report.passed:
+            target.set_clean_watermark({
+                table: (upto[table], clean[table][1] + report.scanned[table])
+                for table in TABLES
+            })
         return report
 
     node_ids, edges = _graph_tables(target)

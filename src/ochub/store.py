@@ -1,8 +1,11 @@
 """Durable hub store: append-only ingestion and the ordered queries.
 
 Backed by a single SQLite file holding the twelve tables plus a small meta
-table (layout version, batch clock). All columns are text; referential
-integrity is deliberately NOT enforced at write time so that tables can be
+table, ``hub_meta``: the layout version, the batch clock and, once an
+ingest's transform checkpoint has come back clean, ``transform_clean``, the
+per-table rowid up to which every row passed the transform checks and the
+row count at that rowid (see ``clean_watermark``). All columns are text;
+referential integrity is deliberately NOT enforced at write time so that tables can be
 ingested in any order across batches. Rows are never updated or deleted.
 A batch is staged once in TEMP tables of the same layout
 (``temp.staged_<table>``); the quality checks and append_batch's conflict
@@ -13,6 +16,7 @@ case graph read; event order (timestamp, event_type_id, id) is SQL's.
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 from dataclasses import dataclass, field
@@ -24,6 +28,7 @@ from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMNS
 from ochub.util import TimestampError, is_valid_timestamp, normalize_timestamp
 
 LAYOUT_VERSION = "1"
+CLEAN_KEY = "transform_clean"  # hub_meta key of the clean-row watermark
 
 _TS_COLS = {table: col for table, col in TIMESTAMP_COLUMNS}
 
@@ -184,8 +189,11 @@ def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
 class HubStore:
     """Handle on a durable twelve-table store.
 
-    Single writer, multiple readers: write calls must be externally
-    serialized, reads opened after append_batch returns see the new rows.
+    Writers may run concurrently: append_batch checks and inserts in one
+    ``BEGIN IMMEDIATE`` transaction, so a second writer waits for the lock
+    (the connection's busy timeout, then ``sqlite3.OperationalError``) and
+    checks its batch against the first one's rows. Reads opened after
+    append_batch returns see the new rows.
     """
 
     def __init__(self, path: str, conn: sqlite3.Connection):
@@ -292,33 +300,38 @@ class HubStore:
         batch.
         """
         self.stage(batch)
-        for table in TABLES:
-            bad = self._conn.execute(
-                f"SELECT COUNT(*) FROM temp.staged_{table} "
-                "WHERE id IS NULL OR id = ''"
-            ).fetchone()[0]
-            if bad:
-                raise StoreError(f"{bad} row(s) in {table} have a null or empty id")
-        conflicts = []
-        for table in TABLES:
-            differs = " OR ".join(
-                f"s.{col} IS NOT o.{col}" for col in TABLE_COLUMNS[table][1:]
-            )
-            # the same id with different content: in a later row of the
-            # batch, then in the store
-            for other in (
-                f"temp.staged_{table} o ON o.id = s.id AND o.rowid > s.rowid",
-                f"main.{table} o ON o.id = s.id",
-            ):
-                conflicts += [(table, row_id) for row_id, _ in self._conn.execute(
-                    f"SELECT s.id, MIN(s.rowid) FROM temp.staged_{table} s "
-                    f"JOIN {other} WHERE {differs} GROUP BY s.id ORDER BY 2"
-                )]
-        if conflicts:
-            raise AppendConflictError(conflicts)
-
-        summary = {}
+        # checks and inserts in one write transaction: a concurrent writer
+        # waits for the lock and then sees this batch's rows, so a conflict
+        # between two writers is never lost
         with self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            for table in TABLES:
+                bad = self._conn.execute(
+                    f"SELECT COUNT(*) FROM temp.staged_{table} "
+                    "WHERE id IS NULL OR id = ''"
+                ).fetchone()[0]
+                if bad:
+                    raise StoreError(
+                        f"{bad} row(s) in {table} have a null or empty id")
+            conflicts = []
+            for table in TABLES:
+                differs = " OR ".join(
+                    f"s.{col} IS NOT o.{col}" for col in TABLE_COLUMNS[table][1:]
+                )
+                # the same id with different content: in a later row of the
+                # batch, then in the store
+                for other in (
+                    f"temp.staged_{table} o ON o.id = s.id AND o.rowid > s.rowid",
+                    f"main.{table} o ON o.id = s.id",
+                ):
+                    conflicts += [(table, row_id) for row_id, _ in self._conn.execute(
+                        f"SELECT s.id, MIN(s.rowid) FROM temp.staged_{table} s "
+                        f"JOIN {other} WHERE {differs} GROUP BY s.id ORDER BY 2"
+                    )]
+            if conflicts:
+                raise AppendConflictError(conflicts)
+
+            summary = {}
             for table in TABLES:
                 cols = ", ".join(TABLE_COLUMNS[table])
                 # the first of each id's (identical) rows, unless stored
@@ -334,6 +347,51 @@ class HubStore:
                 "WHERE key = 'batch_clock'"
             )
         return summary
+
+    # -- transform-check watermark -----------------------------------------
+
+    def clean_watermark(self) -> dict:
+        """{table: (rowid, row count)}: every row at or below the rowid
+        passed the transform checks, and the count is how many rows that
+        was (``hub_meta`` key ``transform_clean``).
+
+        (0, 0), meaning check the whole table, when the key is missing (a
+        store never checked clean by an ingest) or when the count of rows
+        at or below the rowid disagrees, as it would if the rowids were
+        renumbered (``VACUUM`` may do that to tables without an
+        ``INTEGER PRIMARY KEY``).
+        """
+        row = self._conn.execute(
+            "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)
+        ).fetchone()
+        marks = json.loads(row["value"]) if row is not None else {}
+        watermark = {}
+        for table in TABLES:
+            rowid, count = marks.get(table, (0, 0))
+            if rowid and self._conn.execute(
+                f"SELECT COUNT(*) FROM main.{table} WHERE rowid <= ?", (rowid,)
+            ).fetchone()[0] != count:
+                rowid, count = 0, 0
+            watermark[table] = (int(rowid), int(count))
+        return watermark
+
+    def max_rowids(self) -> dict:
+        """{table: its greatest rowid, 0 when empty}."""
+        return {
+            table: self._conn.execute(
+                f"SELECT coalesce(MAX(rowid), 0) FROM main.{table}"
+            ).fetchone()[0]
+            for table in TABLES
+        }
+
+    def set_clean_watermark(self, watermark: dict) -> None:
+        """Record {table: (rowid, row count)} as ``clean_watermark``."""
+        with self._conn:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO hub_meta VALUES (?, ?)",
+                (CLEAN_KEY, json.dumps(
+                    {table: list(watermark[table]) for table in TABLES})),
+            )
 
     # -- ordered queries --------------------------------------------------
 

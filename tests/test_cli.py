@@ -1,8 +1,15 @@
 import csv
+import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ochub
+from ochub import graph as graph_mod
 from ochub.cli import (
     EXIT_CONFLICT,
     EXIT_IO,
@@ -12,6 +19,7 @@ from ochub.cli import (
     run,
 )
 from ochub.importers.hubcsv import export_hub_csv
+from ochub.schema import Batch
 from ochub.store import open_store
 from conftest import clean_fixture_batch
 
@@ -83,6 +91,18 @@ class TestBasics:
             assert "error: database disk image is malformed" in \
                 capsys.readouterr().err
 
+    def test_import_skips_yaml_and_graph(self):
+        """Commands that read no mapping and build no graph do not pay for
+        importing those modules."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ochub.__file__).parents[1]))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ochub.cli; "
+             "print(sorted({'yaml', 'ochub.graph'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded.strip() == "[]"
+
     def test_bad_usage(self, store_path):
         assert run(["ingest", "--store", str(store_path)]) == EXIT_USAGE
         assert run(["no-such-command"]) == EXIT_USAGE
@@ -150,12 +170,58 @@ class TestIngest:
         rows[1][2] = "2030-01-01T00:00:00.000Z"  # same id, new timestamp
         with path.open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
+        store = open_store(store_path)
+        before = store.dump(), store.batch_clock()
+        store.close()
         capsys.readouterr()
         assert ingest(store_path, batch_dir) == EXIT_CONFLICT
         # the conflicting batch changed nothing
         store = open_store(store_path)
-        clock = store.summary_stats().to_dict().get("batch_clock")
+        after = store.dump(), store.batch_clock()
         store.close()
+        assert after == before
+
+    def test_dirty_store_fails_every_ingest(self, store_path, batch_dir,
+                                            capsys):
+        """A violation already in the store fails every later ingest, and
+        never moves the clean-row watermark."""
+        store = open_store(store_path)
+        dirty = Batch()
+        dirty.add("events", id="ev:bad", event_type_id="et:pick",
+                  timestamp="not-a-time", description=None)
+        store.append_batch(dirty)
+        store.close()
+        for _ in range(2):
+            capsys.readouterr()
+            assert ingest(store_path, batch_dir) == EXIT_QUALITY
+            out = capsys.readouterr().out
+            assert "timestamp_validity" in out and "ev:bad" in out
+        assert clean_mark(store_path) is None
+
+    def test_ingest_checks_only_rows_since_last_clean_check(
+            self, store_path, batch_dir, tmp_path):
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        store = open_store(store_path)
+        marked = clean_mark(store_path)
+        assert marked == {
+            table: [store.max_rowids()[table], store.row_count(table)]
+            for table in marked
+        }
+        # a library append above the watermark is checked by the next ingest
+        late = Batch()
+        late.add("events", id="ev:late", event_type_id="et:ghost",
+                 timestamp="2024-03-02T08:00:00.000Z", description=None)
+        store.append_batch(late)
+        store.close()
+        assert ingest(store_path, batch_dir) == EXIT_QUALITY
+        report = tmp_path / "report.json"
+        assert run([
+            "check", "--store", str(store_path), "--checkpoint", "transform",
+            "--report", str(report),
+        ]) == EXIT_QUALITY
+        assert [v["key"] for v in json.loads(report.read_text())["violations"]] \
+            == ["et:ghost"]
+        assert clean_mark(store_path) == marked
 
     def test_unreadable_input_exits_3(self, store_path, tmp_path):
         assert ingest(store_path, tmp_path / "missing-dir") == EXIT_IO
@@ -175,6 +241,18 @@ class TestIngest:
             capsys.readouterr().err
 
 
+def clean_mark(store_path):
+    """The store's clean-row watermark as recorded, or None."""
+    conn = sqlite3.connect(store_path)
+    try:
+        row = conn.execute(
+            "SELECT value FROM hub_meta WHERE key = 'transform_clean'"
+        ).fetchone()
+    finally:
+        conn.close()
+    return None if row is None else json.loads(row[0])
+
+
 class TestCheck:
     def test_staging_check_pass(self, store_path, batch_dir):
         assert run([
@@ -187,6 +265,16 @@ class TestCheck:
         assert run([
             "check", "--store", str(store_path), "--checkpoint", "transform",
         ]) == EXIT_OK
+
+    def test_transform_check_is_read_only(self, tmp_path):
+        path = tmp_path / "hub.db"
+        store = open_store(path)
+        store.append_batch(clean_fixture_batch())
+        store.close()
+        assert run([
+            "check", "--store", str(path), "--checkpoint", "transform",
+        ]) == EXIT_OK
+        assert clean_mark(path) is None
 
     def test_check_writes_json_report(self, store_path, batch_dir, tmp_path):
         report = tmp_path / "report.json"
@@ -222,6 +310,28 @@ class TestExport:
         assert run(base + ["--format", "graph-overview",
                            "--out", str(tmp_path / "overview")]) == EXIT_OK
         assert (tmp_path / "overview" / "nodes.csv").exists()
+
+    def test_failing_graph_export_exits_1(self, store_path, batch_dir,
+                                          tmp_path, monkeypatch, capsys):
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        build = graph_mod.build_case_graph
+
+        def duplicated_node(store):
+            graph = build(store)
+            graph.snapshot_nodes.append(graph.snapshot_nodes[0])
+            return graph
+
+        monkeypatch.setattr(graph_mod, "build_case_graph", duplicated_node)
+        out = tmp_path / "graph"
+        capsys.readouterr()
+        assert run([
+            "export", "--store", str(store_path), "--format", "graph-case",
+            "--out", str(out),
+        ]) == EXIT_QUALITY
+        err = capsys.readouterr().err
+        assert "checkpoint graph: FAILED" in err
+        assert "graph_node_uniqueness: 1 violation(s)" in err
+        assert not (out / "nodes.csv").exists()
 
     def test_flat_needs_case_type(self, store_path, batch_dir, tmp_path):
         assert ingest(store_path, batch_dir) == EXIT_OK

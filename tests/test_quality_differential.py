@@ -1,6 +1,7 @@
 """The SQL store checks and append-conflict detection against the plain-loop
 oracles in oracles.py, on seeded random hostile batches and stores."""
 
+import json
 import random
 from dataclasses import astuple
 
@@ -148,3 +149,172 @@ def test_hostile_cases_reach_every_outcome():
         "referential_integrity", "timestamp_validity",
     }
     assert outcomes == {"null id", "conflict", "appended"}
+
+
+# -- the ingest's transform check from the clean-row watermark ---------------
+
+LATE_IDS = 10  # ids per table a late batch may use or reference
+
+
+def late_id(table, n):
+    return f"{table[:4]}{n}"
+
+
+def late_row(rng, known, table, row_id, dirt):
+    """A row whose foreign keys name a known id ({table: [id, ...]}), or
+    with probability ``dirt`` (or when none is known) are null, empty or
+    name an id that may arrive later; its timestamp is valid, or with
+    probability ``dirt`` null or unparseable."""
+    row = {}
+    for col in TABLE_COLUMNS[table]:
+        ref = FOREIGN_KEYS.get((table, col))
+        if col == "id":
+            row[col] = row_id
+        elif ref is not None:
+            later = late_id(ref, rng.randrange(LATE_IDS))
+            if known[ref] and rng.random() >= dirt:
+                row[col] = rng.choice(known[ref])
+            else:
+                row[col] = rng.choice([None, "", later]) if dirt else later
+        elif (table, col) in TIMESTAMP_COLUMNS:
+            row[col] = rng.choice(TIMESTAMPS[:3]) if rng.random() >= dirt \
+                else rng.choice(TIMESTAMPS[3:])
+        else:
+            row[col] = rng.choice(VALUES)
+    return row
+
+
+def stored_ids(store):
+    return {table: sorted(store.id_set(table) - {None}) for table in TABLES}
+
+
+def fresh_ids(rng, store, table, k):
+    unused = [late_id(table, n) for n in range(LATE_IDS)
+              if not store.has_id(table, late_id(table, n))]
+    return rng.sample(unused, min(k, len(unused)))
+
+
+def late_batch(rng, store, dirt, least=0):
+    """Rows with unused ids, ``least`` to 2 per table, referring to the
+    store and to the batch's earlier tables."""
+    batch, known = Batch(), stored_ids(store)
+    for table in TABLES:
+        for row_id in fresh_ids(rng, store, table, rng.randint(least, 2)):
+            batch.rows[table].append(late_row(rng, known, table, row_id, dirt))
+            known[table].append(row_id)
+    return batch
+
+
+def write_past_append(rng, store, dirt):
+    """A legacy writer's rows: inserted with rowid gaps, sometimes one with
+    a null id."""
+    table = rng.choice(TABLES)
+    cols = TABLE_COLUMNS[table]
+    known = stored_ids(store)
+    ids = fresh_ids(rng, store, table, 2) + ([None] if rng.random() < 0.2 else [])
+    with store.connection() as conn:
+        for row_id in ids:
+            row = late_row(rng, known, table, row_id, dirt)
+            conn.execute(
+                f"INSERT INTO {table} (rowid, {', '.join(cols)}) VALUES "
+                f"((SELECT coalesce(MAX(rowid), 0) + ? FROM {table}), "
+                f"{', '.join('?' for _ in cols)})",
+                (rng.randint(2, 5), *(row[col] for col in cols)),
+            )
+
+
+def renumber(store):
+    """Rewrite every table in rowid order, closing the rowid gaps, as a
+    VACUUM that renumbers rowids would."""
+    with store.connection() as conn:
+        for table in TABLES:
+            conn.execute(
+                f"CREATE TEMP TABLE copy AS SELECT * FROM {table} ORDER BY rowid")
+            conn.execute(f"DELETE FROM {table}")
+            conn.execute(
+                f"INSERT INTO {table} SELECT * FROM temp.copy ORDER BY rowid")
+            conn.execute("DROP TABLE temp.copy")
+
+
+def recorded_mark(store):
+    row = store.connection().execute(
+        "SELECT value FROM hub_meta WHERE key = 'transform_clean'").fetchone()
+    return None if row is None else json.loads(row[0])
+
+
+def replay_ingests(seed):
+    """A seeded store, legacy and possibly dirty, then steps of library
+    appends (checked by no one), legacy writes with rowid gaps, VACUUM,
+    renumbered rowids and ingests (append, then the transform check from
+    the watermark). After every ingest the incremental report must equal a
+    full one and the oracle's, and the watermark moves exactly when it is
+    clean. Returns tags of what the ingests exercised."""
+    rng = random.Random(seed)
+    dirt = rng.choice((0.0, 0.05, 0.25))
+    store = open_store(":memory:")
+    tags = set()
+    try:
+        store.append_batch(late_batch(rng, store, dirt, least=1))
+        if rng.random() < 0.5:
+            write_past_append(rng, store, dirt)
+        for _ in range(10):
+            step = rng.choice(("library", "legacy", "vacuum", "renumber",
+                               "ingest", "ingest", "ingest"))
+            if step == "legacy":
+                write_past_append(rng, store, dirt)
+            elif step == "vacuum":
+                store.connection().execute("VACUUM")
+            elif step == "renumber":
+                renumber(store)
+            else:
+                store.append_batch(late_batch(rng, store, dirt))
+            if step != "ingest":
+                continue
+
+            recorded, before = recorded_mark(store), store.clean_watermark()
+            incremental = run_checkpoint(store, "transform", since_clean=True)
+            full = run_checkpoint(store, "transform")
+            assert (incremental.violations, incremental.check_status) == \
+                (full.violations, full.check_status)
+            assert as_brute(full)[:2] == brute_checkpoint(store, store)[:2]
+            if incremental.passed:
+                assert store.clean_watermark() == {
+                    table: (rowid, store.row_count(table))
+                    for table, rowid in store.max_rowids().items()
+                }
+            else:
+                assert store.clean_watermark() == before
+                assert recorded_mark(store) == recorded
+
+            tags.add("clean" if incremental.passed else "dirty")
+            if recorded is None:
+                tags.add("never clean" if not incremental.passed else "first clean")
+            elif any(recorded[t][0] and not before[t][0] for t in TABLES):
+                tags.add("renumbered")
+            elif any(before[t][0] for t in TABLES):
+                tags.add("window found" if full.violations else "window clean")
+    finally:
+        store.close()
+    return tags
+
+
+REPLAYS = 100
+
+
+@pytest.mark.parametrize("seed", range(REPLAYS))
+def test_incremental_transform_matches_full(seed):
+    replay_ingests(seed)
+
+
+def test_incremental_cases_reach_every_outcome():
+    """The seeds above check windows above a watermark that find violations
+    and that do not, stores never clean, and rowids renumbered under a
+    watermark."""
+    every = {"clean", "dirty", "never clean", "first clean", "renumbered",
+             "window found", "window clean"}
+    tags = set()
+    for seed in range(REPLAYS):
+        tags |= replay_ingests(seed)
+        if tags == every:
+            break
+    assert tags == every

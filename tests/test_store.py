@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from ochub.graph import DF_SNAPSHOT_TO_EVENT, build_case_graph
@@ -123,6 +125,46 @@ class TestAppendBatch:
             other.close()
         assert store.row_count("events") == 0
         assert store.append_batch(two_events_batch())["events"] == 2
+
+    def test_concurrent_writers_lose_no_conflict(self, tmp_path):
+        """Writer B appends obj:1 with other content after writer A has
+        staged and checked obj:1, just before A inserts: exactly one batch
+        is stored and the other raises AppendConflictError."""
+        path = tmp_path / "hub.db"
+        open_store(path).close()
+        outcomes = {}
+
+        def append(name, trace=None):
+            batch = Batch()
+            batch.add("objects", id="obj:1", object_type_id="ot:x",
+                      description=f"from {name}")
+            store = open_store(path)
+            store.connection().set_trace_callback(trace)
+            try:
+                outcomes[name] = store.append_batch(batch)["objects"]
+            except AppendConflictError:
+                outcomes[name] = "conflict"
+            finally:
+                store.close()
+
+        writer_b = threading.Thread(target=append, args=("B",))
+
+        def before_statement(sql):
+            # A's first insert into the store: B writes now, and gets half a
+            # second to finish unless A holds the write lock
+            if sql.startswith("INSERT INTO main.") and not writer_b.ident:
+                writer_b.start()
+                writer_b.join(timeout=0.5)
+
+        append("A", before_statement)
+        writer_b.join(timeout=30)
+        assert not writer_b.is_alive()
+        assert sorted(outcomes.values(), key=str) == [1, "conflict"]
+        winner = "A" if outcomes["A"] == 1 else "B"
+        store = open_store(path)
+        assert store.get_row("objects", "obj:1")["description"] == f"from {winner}"
+        assert store.batch_clock() == 1
+        store.close()
 
     def test_timestamps_normalized_on_ingest(self, store):
         b = Batch()
