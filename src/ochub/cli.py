@@ -91,7 +91,10 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
     try:
         imported = _load_batch(fmt, input_path, mapping)
         batch = imported.batch
-        report = run_checkpoint(batch, "staging", store=store)
+        # staged once: the staging checkpoint and the append read the same
+        # TEMP tables; only a repair, which adds rows, stages again
+        staged = store.stage(batch)
+        report = run_checkpoint(staged, "staging", store=store)
         if not report.passed and repair_missing_objects:
             repairable = [
                 v
@@ -105,11 +108,12 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
                     f"repairing {len(repair.rows['objects'])} missing object(s)"
                 )
                 batch.merge(repair)
-                report = run_checkpoint(batch, "staging", store=store)
+                staged = store.stage(batch)
+                report = run_checkpoint(staged, "staging", store=store)
         if not report.passed:
             click.echo(report.summary())
             raise QualityFailure(report)
-        summary = store.append_batch(batch)
+        summary = store.append_batch(staged)
         added = {t: n for t, n in summary.items() if n}
         click.echo(f"appended: {json.dumps(added) if added else 'nothing new'}")
         if imported.skipped:

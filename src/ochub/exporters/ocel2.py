@@ -76,13 +76,15 @@ def export_ocel2(store: HubStore, out) -> ExportSummary:
 def _columns(store: HubStore, kind: str, type_id: str, type_name: str,
              reserved: tuple) -> list:
     """[(attribute id, column declaration)] of one event or object type, in
-    (name, id) order; a name taken twice is an ExportError."""
+    (name, id) order, a NULL name being ""; a name taken twice is an
+    ExportError."""
     columns, seen = [], set(reserved)
     for attr_id, name, datatype in store.connection().execute(
         f"SELECT id, {_name('a', 'id')} AS name, datatype "
         f"FROM {kind}_attributes a WHERE {kind}_type_id = ? ORDER BY name, id",
         (type_id,),
     ):
+        name = name or ""  # a NULL id and no description
         if name in seen:
             raise ExportError(
                 f"{kind} attribute name collision in type {type_name!r}: {name!r}"

@@ -12,8 +12,10 @@ column, generated from the schema: ``GROUP BY id HAVING`` for duplicate ids,
 an anti-join for referential integrity, and the registered
 ``is_valid_timestamp`` function for timestamps. The staging checkpoint runs
 them over the batch staged in the store's TEMP tables (``HubStore.stage``),
-resolving references against staged union store; the transform checkpoint
-runs them over the store itself.
+resolving references against staged union store; given the handle ``stage``
+returned, it checks what is staged without restaging, so an ingest stages
+its batch once for both this checkpoint and ``append_batch``. The transform
+checkpoint runs them over the store itself.
 
 The store is append-only and no id is rewritten, so a row that once passed
 the store checks passes them for good: a later append can only resolve a
@@ -39,7 +41,7 @@ from ochub.schema import (
     TABLES,
     TIMESTAMP_COLUMNS,
 )
-from ochub.store import HubStore
+from ochub.store import HubStore, StagedBatch
 
 CHECKPOINTS = ("staging", "transform", "graph")
 
@@ -302,8 +304,10 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
     """Run every check applicable to a pipeline checkpoint.
 
     staging   -- target is a Batch, staged in and validated against the
-                 destination store (required): references resolve against
-                 the union of the batch and the store.
+                 destination store (required), or the handle of that
+                 store's latest ``HubStore.stage``, validated without
+                 restaging (StoreError if stale): references resolve
+                 against the union of the batch and the store.
     transform -- target is a HubStore; the four checks rerun store-wide,
                  read-only. With ``since_clean`` (an ingest's check) only
                  the rows above the clean-row watermark are checked, the
@@ -319,11 +323,11 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
     report = QualityReport(checkpoint=checkpoint)
 
     if checkpoint == "staging":
-        if not isinstance(target, Batch):
-            raise TypeError("staging checkpoint expects a Batch")
+        if not isinstance(target, (Batch, StagedBatch)):
+            raise TypeError("staging checkpoint expects a Batch or StagedBatch")
         if not isinstance(store, HubStore):
             raise TypeError("staging checkpoint needs the destination HubStore")
-        store.stage(target)
+        store.staged(target)
         _store_checks(store, True, report)
         return report
     if checkpoint == "transform":

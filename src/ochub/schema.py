@@ -105,6 +105,11 @@ TIMESTAMP_COLUMNS = (
 DATATYPES = ("string", "integer", "float", "boolean", "timestamp")
 
 
+# tags the dedupe key of a row whose columns are not the table's, so it
+# cannot equal the values of a row that has them
+_ODD_COLUMNS = object()
+
+
 def _empty_rows() -> dict:
     return {table: [] for table in TABLES}
 
@@ -146,22 +151,30 @@ class Batch:
     def canonicalize(self) -> "Batch":
         """Sort rows by id within each table and drop exact duplicates,
         in place. Rows sharing an id with different content are kept for
-        the quality checks to flag. Returns self."""
+        the quality checks to flag. Returns self.
+
+        The first of each set of duplicates is kept, and the sort is stable
+        on (id, every value as text, in the row's own column order). A row
+        is keyed by its values in column order when it has exactly the
+        table's columns, and by its sorted items otherwise.
+        """
         for table in TABLES:
+            cols = TABLE_COLUMNS[table]
+            names = frozenset(cols)
             seen = set()
             unique = []
             for row in self.rows[table]:
-                key = tuple(sorted((k, v) for k, v in row.items()))
+                if tuple(row) == cols:
+                    key = tuple(row.values())
+                elif row.keys() == names:  # the columns in another order
+                    key = tuple(map(row.__getitem__, cols))
+                else:
+                    key = (_ODD_COLUMNS, tuple(sorted(row.items())))
                 if key in seen:
                     continue
                 seen.add(key)
                 unique.append(row)
-            unique.sort(
-                key=lambda row: (
-                    row.get("id") or "",
-                    tuple(str(v) for v in row.values()),
-                )
-            )
+            unique.sort(key=lambda row: (row.get("id") or "", *map(str, row.values())))
             self.rows[table] = unique
         return self
 

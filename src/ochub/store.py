@@ -9,7 +9,9 @@ referential integrity is deliberately NOT enforced at write time so that tables 
 ingested in any order across batches. Rows are never updated or deleted.
 A batch is staged once in TEMP tables of the same layout
 (``temp.staged_<table>``); the quality checks and append_batch's conflict
-detection are SQL over those tables and the store. Object histories come
+detection are SQL over those tables and the store. ``stage`` returns a
+``StagedBatch`` handle that the staging checkpoint and append_batch take in
+place of the batch, so an ingest stages it only once. Object histories come
 from one ordered scan, ``timelines``, which both ``object_timeline`` and the
 case graph read; event order (timestamp, event_type_id, id) is SQL's.
 """
@@ -25,7 +27,12 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMNS
-from ochub.util import TimestampError, is_valid_timestamp, normalize_timestamp
+from ochub.util import (
+    _CANONICAL_RE,
+    TimestampError,
+    is_valid_timestamp,
+    normalize_timestamp,
+)
 
 LAYOUT_VERSION = "1"
 CLEAN_KEY = "transform_clean"  # hub_meta key of the clean-row watermark
@@ -72,6 +79,40 @@ class AppendConflictError(StoreError):
             f"id {first[1]!r} already exists in {first[0]} "
             f"with different content{suffix}"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class StagedBatch:
+    """Handle on the batch ``HubStore.stage`` put in the store's TEMP
+    tables: the staged row count per table. It holds none of the batch's
+    rows, so what it checks and appends is what was staged."""
+
+    counts: dict
+
+    def total_rows(self) -> int:
+        return sum(self.counts.values())
+
+
+def _staged_rows(raws, cols: tuple, ts: Optional[int]):
+    """Each row's values in ``cols`` order, None for a missing column. The
+    timestamp at index ``ts`` is normalized unless it is already canonical
+    text; text that does not parse is kept verbatim."""
+    values = itemgetter(*cols)
+    canonical = _CANONICAL_RE.match
+    for raw in raws:
+        try:
+            row = values(raw)
+        except KeyError:  # a row put in Batch.rows past Batch.add
+            row = tuple(map(raw.get, cols))
+        if ts is not None:
+            value = row[ts]
+            if value is not None and not (isinstance(value, str) and canonical(value)):
+                try:
+                    value = normalize_timestamp(value)
+                except TimestampError:
+                    pass  # kept verbatim; the quality checkpoint flags it
+                row = row[:ts] + (value,) + row[ts + 1:]
+        yield row
 
 
 @dataclass(frozen=True)
@@ -199,6 +240,7 @@ class HubStore:
     def __init__(self, path: str, conn: sqlite3.Connection):
         self.path = path
         self._conn = conn
+        self._staged = None  # the handle of what temp.staged_<table> holds
 
     def close(self) -> None:
         self._conn.close()
@@ -256,27 +298,23 @@ class HubStore:
 
     # -- append-only ingestion -------------------------------------------
 
-    def stage(self, batch) -> None:
-        """(Re)fill ``temp.staged_<table>`` with the batch's rows.
+    def stage(self, batch) -> "StagedBatch":
+        """(Re)fill ``temp.staged_<table>`` with the batch's rows and return
+        the handle that ``staged`` accepts until the next stage.
 
-        Rows keep batch order (the staged rowid) and get the timestamp
-        normalization ``append_batch`` applies; text that does not parse is
-        kept verbatim for the quality checks to flag. Commits before
-        returning, so a staged batch holds no lock on the store file.
+        Rows keep batch order (the staged rowid). A timestamp in canonical
+        form is staged as is (``normalize_timestamp`` would return it
+        unchanged or raise); any other is normalized, and text that does
+        not parse is kept verbatim for the quality checks to flag. Commits
+        before returning, so a staged batch holds no lock on the store file.
         """
+        self._staged = None  # an earlier handle goes stale, even on failure
+        counts = {}
         with self._conn:
             for table in TABLES:
                 cols = TABLE_COLUMNS[table]
+                raws = batch.rows.get(table) or []
                 ts = cols.index(_TS_COLS[table]) if table in _TS_COLS else None
-                rows = []
-                for raw in batch.rows.get(table) or []:
-                    row = list(map(raw.get, cols))
-                    if ts is not None and row[ts] is not None:
-                        try:
-                            row[ts] = normalize_timestamp(row[ts])
-                        except TimestampError:
-                            pass  # kept verbatim; the quality checkpoint flags it
-                    rows.append(row)
                 self._conn.execute(f"DROP TABLE IF EXISTS temp.staged_{table}")
                 self._conn.execute(
                     f"CREATE TEMP TABLE staged_{table} "
@@ -285,21 +323,38 @@ class HubStore:
                 self._conn.executemany(
                     f"INSERT INTO temp.staged_{table} "
                     f"VALUES ({', '.join('?' for _ in cols)})",
-                    rows,
+                    _staged_rows(raws, cols, ts),
                 )
                 self._conn.execute(
                     f"CREATE INDEX temp.staged_{table}_id ON staged_{table} (id)"
                 )
+                counts[table] = len(raws)
+        self._staged = StagedBatch(counts)
+        return self._staged
+
+    def staged(self, batch) -> "StagedBatch":
+        """The staged handle to check or append: a Batch is staged now; a
+        StagedBatch is used as is if it is this store's latest stage, and
+        raises StoreError if a later stage made it stale or another store
+        made it."""
+        if not isinstance(batch, StagedBatch):
+            return self.stage(batch)
+        if batch is not self._staged:
+            raise StoreError(
+                "staged batch is stale or from another store; stage it again")
+        return batch
 
     def append_batch(self, batch) -> dict:
         """Append a batch atomically; returns rows-added counts per table.
 
+        ``batch`` is a Batch, staged here, or the handle of this store's
+        latest ``stage`` (see ``staged``), appended without restaging.
         Re-appending rows whose ids already exist with identical content is
         a no-op. A null or empty id, or an id that exists (in the store or
         elsewhere in the batch) with different content, aborts the whole
         batch.
         """
-        self.stage(batch)
+        self.staged(batch)
         # checks and inserts in one write transaction: a concurrent writer
         # waits for the lock and then sees this batch's rows, so a conflict
         # between two writers is never lost

@@ -69,9 +69,10 @@ def is_valid_timestamp(value) -> bool:
     return True
 
 
-def sanitize_name(name: str) -> str:
-    """Lowercase a type name and map non-alphanumerics to underscores."""
-    cleaned = re.sub(r"[^0-9a-zA-Z]+", "_", name.strip().lower()).strip("_")
+def sanitize_name(name) -> str:
+    """Lowercase a type name and map non-alphanumerics to underscores; an
+    empty or None name (a store row with a NULL name) gives "unnamed"."""
+    cleaned = re.sub(r"[^0-9a-zA-Z]+", "_", (name or "").strip().lower()).strip("_")
     return cleaned or "unnamed"
 
 

@@ -311,3 +311,26 @@ def brute_append(batch, store):
         contents[table] = sorted(
             stored + added, key=lambda r: (r["id"] is not None, r["id"] or ""))
     return conflicts, contents
+
+
+def brute_canonicalize(batch):
+    """``Batch.canonicalize`` as first written: every row keyed by its
+    sorted items, then sorted by (id, every value as text). In place;
+    returns the batch."""
+    for table in TABLES:
+        seen = set()
+        unique = []
+        for row in batch.rows[table]:
+            key = tuple(sorted((k, v) for k, v in row.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            unique.append(row)
+        unique.sort(
+            key=lambda row: (
+                row.get("id") or "",
+                tuple(str(v) for v in row.values()),
+            )
+        )
+        batch.rows[table] = unique
+    return batch

@@ -20,8 +20,9 @@ from ochub.cli import (
 )
 from ochub.importers.hubcsv import export_hub_csv
 from ochub.schema import Batch
-from ochub.store import open_store
+from ochub.store import HubStore, open_store
 from conftest import clean_fixture_batch
+from test_importers import shop_mapping, shop_sources
 
 
 @pytest.fixture
@@ -41,6 +42,20 @@ def batch_dir(tmp_path):
     export_hub_csv(store, directory)
     store.close()
     return directory
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The batches HubStore.stage is called with, in call order."""
+    calls = []
+    stage = HubStore.stage
+
+    def counted(store, batch):
+        calls.append(batch)
+        return stage(store, batch)
+
+    monkeypatch.setattr(HubStore, "stage", counted)
+    return calls
 
 
 def read_rows(path, reader=csv.reader):
@@ -113,9 +128,28 @@ class TestBasics:
 
 
 class TestIngest:
-    def test_clean_ingest_passes(self, store_path, batch_dir, capsys):
+    def test_clean_ingest_passes(self, store_path, batch_dir, capsys, stage_calls):
         assert ingest(store_path, batch_dir) == EXIT_OK
         assert "checkpoints passed" in capsys.readouterr().out
+        # the staging checkpoint and the append share one stage
+        assert len(stage_calls) == 1
+
+    def test_mapped_ingest_stages_once(self, store_path, tmp_path, capsys,
+                                       stage_calls):
+        import yaml
+
+        shop_sources(tmp_path)
+        mapping = tmp_path / "mapping.yml"
+        mapping.write_text(yaml.safe_dump(shop_mapping()))
+        assert run([
+            "ingest", "--store", str(store_path), "--format", "mapped",
+            "--input", str(tmp_path), "--mapping", str(mapping),
+        ]) == EXIT_OK
+        assert "checkpoints passed" in capsys.readouterr().out
+        assert len(stage_calls) == 1
+        store = open_store(store_path)
+        assert store.row_count("events") == 3
+        store.close()
 
     def test_reingest_is_idempotent(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
@@ -137,7 +171,8 @@ class TestIngest:
         assert store.summary_stats().table_counts["events"] == 0
         store.close()
 
-    def test_repair_missing_objects(self, store_path, batch_dir, capsys):
+    def test_repair_missing_objects(self, store_path, batch_dir, capsys,
+                                    stage_calls):
         path = batch_dir / "event_to_object.csv"
         rows = read_rows(path)
         rows.append(["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
@@ -145,6 +180,8 @@ class TestIngest:
             csv.writer(handle).writerows(rows)
         assert ingest(store_path, batch_dir, "--repair-missing-objects") == EXIT_OK
         assert "repairing 1 missing object(s)" in capsys.readouterr().out
+        # restaged once, with the repair rows merged in
+        assert len(stage_calls) == 2
         store = open_store(store_path)
         assert store.has_id("objects", "obj:ghost")
         store.close()

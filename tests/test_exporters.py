@@ -93,6 +93,36 @@ def test_hostile_null_columns_export_deterministically(tmp_path):
             assert digests[0] == digests[1], (seed, fmt)
 
 
+@pytest.mark.parametrize("rows", [
+    "INSERT INTO object_types VALUES (NULL, NULL);"
+    "INSERT INTO objects VALUES ('obj:1', NULL, NULL)",
+    "INSERT INTO event_types VALUES (NULL, NULL);"
+    "INSERT INTO events VALUES ('ev:1', NULL, '2024-01-01T00:00:00.000Z', NULL)",
+    "INSERT INTO object_types VALUES ('ot:a', NULL);"
+    "INSERT INTO object_attributes VALUES (NULL, 'ot:a', NULL, NULL);"
+    "INSERT INTO objects VALUES ('obj:1', 'ot:a', NULL)",
+    "INSERT INTO event_types VALUES ('et:a', NULL);"
+    "INSERT INTO event_attributes VALUES (NULL, 'et:a', NULL, NULL)",
+], ids=["object_type", "event_type", "object_attribute", "event_attribute"])
+def test_null_names_export_deterministically(tmp_path, rows):
+    """Event types, object types and attributes with a NULL name, written
+    past append_batch into an empty store: the ocel2 and docel exports exit
+    0 and are byte-identical when repeated."""
+    path = tmp_path / "hub.db"
+    open_store(path).close()
+    conn = sqlite3.connect(path)
+    conn.executescript(rows)
+    conn.close()
+    for fmt, name in (("ocel2", "log.sqlite"), ("docel", "docel")):
+        digests = []
+        for attempt in (1, 2):
+            out = tmp_path / f"{attempt}" / name
+            assert run(["export", "--store", str(path), "--format", fmt,
+                        "--out", str(out)]) == EXIT_OK, fmt
+            digests.append(digest(out))
+        assert digests[0] == digests[1], fmt
+
+
 class TestOcel2Export:
     def test_required_tables_present(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())

@@ -217,8 +217,8 @@ def shop_sources(tmp_path):
     )
 
 
-def shop_config():
-    return MappingConfig.from_dict({
+def shop_mapping():
+    return {
         "event_types": {
             "place_order": {
                 "source": "orders.csv",
@@ -293,7 +293,11 @@ def shop_config():
                 },
             ],
         },
-    })
+    }
+
+
+def shop_config():
+    return MappingConfig.from_dict(shop_mapping())
 
 
 class TestImportMappedCsv:

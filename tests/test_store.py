@@ -1,18 +1,30 @@
+import random
+import sqlite3
 import threading
+from datetime import datetime, timezone
 
 import pytest
 
 from ochub.graph import DF_SNAPSHOT_TO_EVENT, build_case_graph
 from ochub.schema import Batch, TABLES, TABLE_COLUMNS
+from ochub.quality import run_checkpoint
 from ochub.store import (
     AppendConflictError,
+    StagedBatch,
     StoreError,
     StoreLayoutError,
     StoreNotFoundError,
     UnknownIdError,
     open_store,
 )
-from oracles import brute_o2o_valid_at, brute_timeline, brute_timeline_events
+from ochub.util import TimestampError, normalize_timestamp
+from oracles import (
+    brute_canonicalize,
+    brute_checkpoint,
+    brute_o2o_valid_at,
+    brute_timeline,
+    brute_timeline_events,
+)
 from conftest import clean_fixture_batch
 
 
@@ -179,6 +191,138 @@ class TestAppendBatch:
         assert store.batch_clock() == 0
         store.append_batch(two_events_batch())
         assert store.batch_clock() == 1
+
+
+# timestamps a batch may carry: canonical-looking but invalid, a trailing
+# newline, non-ASCII digits, no milliseconds, an offset, empty and None
+HOSTILE_TIMESTAMPS = (
+    "2024-01-01T10:00:00.000Z",
+    "2023-02-29T00:00:00.000Z",
+    "0000-01-01T00:00:00.000Z",
+    "2024-01-01T10:00:00.000Z\n",
+    "\u0662\u0660\u0662\u0664-01-01T00:00:00.000Z",
+    "2024-01-01T10:00:00Z",
+    "2024-01-01T12:00:00.000+02:00",
+    "",
+    None,
+)
+# values that are not text: the staging checkpoint flags all but the datetime
+NON_TEXT_TIMESTAMPS = (20240101, 1.5, datetime(2024, 1, 1, 9, tzinfo=timezone.utc))
+
+
+def as_stored(values):
+    """``values`` as staging has always stored them: each normalized,
+    kept verbatim where it does not parse, then through a TEXT column."""
+    def normalized(value):
+        try:
+            return normalize_timestamp(value)
+        except TimestampError:
+            return value
+
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (timestamp TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?)", [
+            (value if value is None else normalized(value),) for value in values])
+        return [value for value, in conn.execute("SELECT timestamp FROM t ORDER BY rowid")]
+    finally:
+        conn.close()
+
+
+def timestamps_batch(values):
+    b = Batch()
+    b.add("event_types", id="et:a", description="a")
+    for i, value in enumerate(values):
+        b.add("events", id=f"e{i}", event_type_id="et:a", timestamp=value)
+    return b
+
+
+def staged_timestamps(store):
+    return [value for value, in store.connection().execute(
+        "SELECT timestamp FROM temp.staged_events ORDER BY rowid")]
+
+
+class TestStagedBatch:
+    def test_handle_counts_rows_and_holds_none(self, store):
+        batch = two_events_batch()
+        staged = store.stage(batch)
+        assert isinstance(staged, StagedBatch)
+        assert staged.total_rows() == 3
+        assert staged.counts["events"] == 2
+        # rows added after staging are neither checked nor appended
+        batch.add("events", id="e3", event_type_id="et:a",
+                  timestamp="2024-01-01T12:00:00.000Z")
+        assert run_checkpoint(staged, "staging", store=store).scanned["events"] == 2
+        assert store.append_batch(staged)["events"] == 2
+        assert not store.has_id("events", "e3")
+
+    def test_stale_handle_raises_and_writes_nothing(self, store):
+        store.append_batch(two_events_batch())
+        before, clock = store.dump(), store.batch_clock()
+        extra = Batch()
+        extra.add("events", id="e9", event_type_id="et:a",
+                  timestamp="2024-01-02T00:00:00.000Z")
+        stale = store.stage(extra)
+        store.stage(two_events_batch())
+        for use in (store.append_batch,
+                    lambda h: run_checkpoint(h, "staging", store=store)):
+            with pytest.raises(StoreError, match="stale"):
+                use(stale)
+        assert store.dump() == before
+        assert store.batch_clock() == clock
+
+    def test_foreign_handle_raises_and_writes_nothing(self, store, tmp_path):
+        other = open_store(tmp_path / "other.db")
+        try:
+            foreign = other.stage(two_events_batch())
+            with pytest.raises(StoreError, match="another store"):
+                store.append_batch(foreign)
+        finally:
+            other.close()
+        assert store.dump() == {table: [] for table in TABLES}
+        assert store.batch_clock() == 0
+
+    def test_hostile_timestamps_stage_as_before(self, store):
+        values = HOSTILE_TIMESTAMPS + NON_TEXT_TIMESTAMPS
+        store.stage(timestamps_batch(values))
+        assert staged_timestamps(store) == as_stored(values)
+
+    def test_hostile_timestamps_report_as_before(self, store):
+        batch = timestamps_batch(HOSTILE_TIMESTAMPS)
+        report = run_checkpoint(batch, "staging", store=store)
+        assert staged_timestamps(store) == as_stored(HOSTILE_TIMESTAMPS)
+        violations, status, scanned = brute_checkpoint(batch, store)
+        assert [(v.check, v.table, v.key, v.detail) for v in report.violations] \
+            == [v[:4] for v in violations]
+        assert (report.check_status, report.scanned) == (status, scanned)
+
+
+def hostile_rows(rng, table):
+    """Rows for ``table`` with a small id pool (empty and None included),
+    None beside "None" and 1 beside "1", exact repeats (copies and the
+    same dict), and rows put in straight with their columns reordered,
+    one missing or one extra."""
+    cols = TABLE_COLUMNS[table]
+    values = ("v", "None", None, "", "1", 1)
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            row = rng.choice(rows)
+            rows.append(row if kind < 0.1 else dict(row))
+            continue
+        row = {col: rng.choice(values) for col in cols}
+        row["id"] = rng.choice(("a", "b", "c", "", None))
+        if kind < 0.45:
+            items = list(row.items())
+            rng.shuffle(items)
+            row = dict(items)
+        elif kind < 0.55:
+            del row[rng.choice(cols)]
+        elif kind < 0.65:
+            row["extra"] = rng.choice(values)
+        rows.append(row)
+    return rows
 
 
 def participation_batch():
@@ -395,3 +539,18 @@ class TestBatch:
         b.add("event_types", id="a", description="A")
         b.canonicalize()
         assert [r["id"] for r in b.rows["event_types"]] == ["a", "b"]
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_canonicalize_matches_oracle_on_hostile_batches(self, seed):
+        rng = random.Random(seed)
+        batch, oracle = Batch(), Batch()
+        for table in TABLES:
+            batch.rows[table] = hostile_rows(rng, table)
+            oracle.rows[table] = list(batch.rows[table])
+        batch.canonicalize()
+        brute_canonicalize(oracle)
+        for table in TABLES:
+            kept, expected = batch.rows[table], oracle.rows[table]
+            # the same rows in the same order, down to the dict objects kept
+            assert len(kept) == len(expected), table
+            assert all(a is b for a, b in zip(kept, expected)), table
