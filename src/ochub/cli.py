@@ -26,7 +26,7 @@ from ochub.importers import (
     import_mapped_csv,
     import_ocel2,
 )
-from ochub.quality import run_checkpoint, synthesize_missing_objects
+from ochub.quality import run_checkpoint
 from ochub.store import (
     AppendConflictError,
     StoreError,
@@ -90,26 +90,18 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
     store = open_store(store_path, create_if_missing=False)
     try:
         imported = _load_batch(fmt, input_path, mapping)
-        batch = imported.batch
-        # staged once: the staging checkpoint and the append read the same
-        # TEMP tables; only a repair, which adds rows, stages again
-        staged = store.stage(batch)
+        # staged once: the staging checkpoint, the repair and the append
+        # all work on the same TEMP tables
+        staged = store.stage(imported.batch)
         report = run_checkpoint(staged, "staging", store=store)
-        if not report.passed and repair_missing_objects:
-            repairable = [
-                v
-                for v in report.violations
-                if v.check == "referential_integrity" and v.ref_table == "objects"
-            ]
-            others = [v for v in report.violations if v not in repairable]
-            if repairable and not others:
-                repair = synthesize_missing_objects(store, repairable)
-                click.echo(
-                    f"repairing {len(repair.rows['objects'])} missing object(s)"
-                )
-                batch.merge(repair)
-                staged = store.stage(batch)
-                report = run_checkpoint(staged, "staging", store=store)
+        if not report.passed and repair_missing_objects and all(
+            v.check == "referential_integrity" and v.ref_table == "objects"
+            for v in report.violations
+        ):
+            missing = {v.ref_id for v in report.violations}
+            click.echo(f"repairing {len(missing)} missing object(s)")
+            staged = store.stage_placeholder_objects(missing)
+            report = run_checkpoint(staged, "staging", store=store)
         if not report.passed:
             click.echo(report.summary())
             raise QualityFailure(report)

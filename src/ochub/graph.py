@@ -126,17 +126,16 @@ def _snapshot_id(object_id: str, timestamp: str) -> str:
 
 def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
     """Build the case-level graph for the selected objects (all by default)."""
+    object_type_of = {
+        row["id"]: row["object_type_id"] for row in store.table_rows("objects")
+    }
     if object_ids is None:
-        selection = store.id_set("objects")
+        selection = object_type_of.keys()
     else:
         selection = set(object_ids)
         for object_id in sorted(selection):
             if not store.has_id("objects", object_id):
                 raise UnknownIdError(f"unknown object id: {object_id}")
-
-    object_type_of = {
-        row["id"]: row["object_type_id"] for row in store.table_rows("objects")
-    }
     qualifier_names = {
         row["id"]: row["description"] or row["id"]
         for row in store.table_rows("relation_qualifiers")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from ochub.importers import AppendableBatch, ImportError_
 from ochub.schema import Batch, TABLE_COLUMNS, TIMESTAMP_COLUMNS
+from ochub.util import TimestampError, normalize_timestamp
 
 _TS_COLS = {table: col for table, col in TIMESTAMP_COLUMNS}
 
@@ -32,6 +33,7 @@ def import_hub_csv(directory) -> AppendableBatch:
         if table is None:
             raise ImportError_(f"unknown file name: {path.name}")
         columns = TABLE_COLUMNS[table]
+        ts_col = _TS_COLS.get(table)
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
@@ -46,10 +48,7 @@ def import_hub_csv(directory) -> AppendableBatch:
                 row = {col: raw.get(col) for col in columns}
                 if table == "object_to_object" and row["qualifier_value"] == "":
                     row["qualifier_value"] = None
-                ts_col = _TS_COLS.get(table)
                 if ts_col:
-                    from ochub.util import TimestampError, normalize_timestamp
-
                     try:
                         row[ts_col] = normalize_timestamp(row[ts_col] or "")
                     except TimestampError as exc:

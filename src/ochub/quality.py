@@ -4,8 +4,10 @@ Four structural checks guard the store and incoming batches (unique primary
 keys, non-null foreign keys, referential integrity, timestamp validity); two
 more guard graph exports (node id uniqueness, edge endpoints). Checks are
 read-only and report every violation instead of failing fast. Repairing
-missing objects is a separate, explicit operation that produces a normal
-batch, so the audit trail stays append-only.
+missing objects is a separate, explicit step: the missing ids that the
+referential-integrity check reports go to
+``HubStore.stage_placeholder_objects``, which adds placeholder objects to
+the staged batch, and the staging checkpoint runs again on the new handle.
 
 The store checks are SQL, one statement per table, foreign key or timestamp
 column, generated from the schema: ``GROUP BY id HAVING`` for duplicate ids,
@@ -358,38 +360,3 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
     report.violations.extend(edge_violations)
     return report
 
-
-UNKNOWN_OBJECT_TYPE_ID = "ot:unknown"
-
-
-def synthesize_missing_objects(store: HubStore, violations) -> Batch:
-    """Build a repair batch of placeholder objects for referential-integrity
-    misses on object ids.
-
-    Each missing object becomes a row of object type ``ot:unknown`` whose
-    description is the missing id, so the provenance of the repair stays
-    visible. Violations of any other kind are rejected.
-    """
-    batch = Batch()
-    missing = []
-    for violation in violations:
-        if violation.check != "referential_integrity" or violation.ref_table != "objects":
-            raise ValueError(
-                f"unsupported repair: {violation.check} on "
-                f"{violation.ref_table or violation.table}"
-            )
-        missing.append(violation.ref_id)
-    if not missing:
-        return batch
-    if not store.has_id("object_types", UNKNOWN_OBJECT_TYPE_ID):
-        batch.add(
-            "object_types", id=UNKNOWN_OBJECT_TYPE_ID, description="unknown"
-        )
-    for object_id in sorted(set(missing)):
-        batch.add(
-            "objects",
-            id=object_id,
-            object_type_id=UNKNOWN_OBJECT_TYPE_ID,
-            description=object_id,
-        )
-    return batch

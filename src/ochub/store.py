@@ -11,7 +11,9 @@ A batch is staged once in TEMP tables of the same layout
 (``temp.staged_<table>``); the quality checks and append_batch's conflict
 detection are SQL over those tables and the store. ``stage`` returns a
 ``StagedBatch`` handle that the staging checkpoint and append_batch take in
-place of the batch, so an ingest stages it only once. Object histories come
+place of the batch, so an ingest stages it only once;
+``stage_placeholder_objects`` adds the repair of missing objects to that
+stage, in place. Object histories come
 from one ordered scan, ``timelines``, which both ``object_timeline`` and the
 case graph read; event order (timestamp, event_type_id, id) is SQL's.
 """
@@ -36,6 +38,7 @@ from ochub.util import (
 
 LAYOUT_VERSION = "1"
 CLEAN_KEY = "transform_clean"  # hub_meta key of the clean-row watermark
+UNKNOWN_OBJECT_TYPE_ID = "ot:unknown"  # the type of placeholder objects
 
 _TS_COLS = {table: col for table, col in TIMESTAMP_COLUMNS}
 
@@ -329,6 +332,37 @@ class HubStore:
                     f"CREATE INDEX temp.staged_{table}_id ON staged_{table} (id)"
                 )
                 counts[table] = len(raws)
+        self._staged = StagedBatch(counts)
+        return self._staged
+
+    def stage_placeholder_objects(self, object_ids) -> "StagedBatch":
+        """Add a placeholder object per distinct id, in id order, to the
+        latest stage and return its new handle; the old one goes stale.
+
+        A placeholder has type ``ot:unknown`` and the missing id as its
+        description, so the repair stays visible in the store. The
+        ``ot:unknown`` type row is staged too unless the stage or the store
+        holds it. Raises StoreError when nothing is staged.
+        """
+        if self._staged is None:
+            raise StoreError("no staged batch to add placeholder objects to")
+        ids = sorted(set(object_ids))
+        counts = dict(self._staged.counts)
+        self._staged = None
+        with self._conn:
+            if ids:
+                counts["object_types"] += self._conn.execute(
+                    "INSERT INTO temp.staged_object_types SELECT :id, 'unknown' "
+                    "WHERE NOT EXISTS (SELECT 1 FROM temp.staged_object_types "
+                    "WHERE id = :id) AND NOT EXISTS "
+                    "(SELECT 1 FROM main.object_types WHERE id = :id)",
+                    {"id": UNKNOWN_OBJECT_TYPE_ID},
+                ).rowcount
+            self._conn.executemany(
+                "INSERT INTO temp.staged_objects VALUES (?, ?, ?)",
+                ((object_id, UNKNOWN_OBJECT_TYPE_ID, object_id) for object_id in ids),
+            )
+            counts["objects"] += len(ids)
         self._staged = StagedBatch(counts)
         return self._staged
 

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 EPOCH_TS = "1970-01-01T00:00:00.000Z"
 
-_CANONICAL_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z$")
+_CANONICAL_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z\Z")
 
 
 class TimestampError(ValueError):

@@ -21,7 +21,7 @@ from ochub.graph import (
     build_overview_graph,
 )
 from ochub.importers import import_ocel2
-from ochub.quality import run_checkpoint, synthesize_missing_objects
+from ochub.quality import run_checkpoint
 from ochub.schema import FOREIGN_KEYS, TABLES, TIMESTAMP_COLUMNS, Batch
 from ochub.store import open_store
 from conftest import build_ocel2_sqlite, clean_fixture_batch
@@ -372,9 +372,9 @@ def test_criterion_published_logs(tmp_path):
     references that the repair clears; order management imports clean."""
     with criterion("published-log referential integrity"):
         for name, path in PUBLISHED.items():
-            batch = import_ocel2(path).batch
             store = open_store(tmp_path / f"{name}.db", create_if_missing=True)
-            report = run_checkpoint(batch, "staging", store=store)
+            staged = store.stage(import_ocel2(path).batch)
+            report = run_checkpoint(staged, "staging", store=store)
             object_refs = [
                 v for v in report.violations
                 if v.check == "referential_integrity" and v.ref_table == "objects"
@@ -385,9 +385,10 @@ def test_criterion_published_logs(tmp_path):
                 assert not object_refs
             else:
                 assert object_refs
-                batch.merge(synthesize_missing_objects(store, object_refs))
-                assert run_checkpoint(batch, "staging", store=store).passed
-            store.append_batch(batch)
+                staged = store.stage_placeholder_objects(
+                    v.ref_id for v in object_refs)
+                assert run_checkpoint(staged, "staging", store=store).passed
+            store.append_batch(staged)
             assert run_checkpoint(store, "transform").passed
             store.close()
 

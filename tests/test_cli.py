@@ -19,7 +19,7 @@ from ochub.cli import (
     run,
 )
 from ochub.importers.hubcsv import export_hub_csv
-from ochub.schema import Batch
+from ochub.schema import Batch, TABLES
 from ochub.store import HubStore, open_store
 from conftest import clean_fixture_batch
 from test_importers import shop_mapping, shop_sources
@@ -61,6 +61,11 @@ def stage_calls(monkeypatch):
 def read_rows(path, reader=csv.reader):
     with path.open() as handle:
         return list(reader(handle))
+
+
+def append_rows(path, *rows):
+    with path.open("a", newline="") as handle:
+        csv.writer(handle).writerows(rows)
 
 
 def ingest(store_path, batch_dir, *extra):
@@ -180,8 +185,8 @@ class TestIngest:
             csv.writer(handle).writerows(rows)
         assert ingest(store_path, batch_dir, "--repair-missing-objects") == EXIT_OK
         assert "repairing 1 missing object(s)" in capsys.readouterr().out
-        # restaged once, with the repair rows merged in
-        assert len(stage_calls) == 2
+        # the placeholders join the one stage
+        assert len(stage_calls) == 1
         store = open_store(store_path)
         assert store.has_id("objects", "obj:ghost")
         store.close()
@@ -199,6 +204,40 @@ class TestIngest:
             csv.writer(handle).writerows(rows)
         assert ingest(store_path, batch_dir, "--repair-missing-objects") \
             == EXIT_QUALITY
+
+    def test_repair_beside_a_staged_unknown_type(self, store_path, batch_dir,
+                                                 capsys):
+        append_rows(batch_dir / "object_types.csv", ["ot:unknown", "unknown"])
+        append_rows(batch_dir / "event_to_object.csv",
+                    ["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
+        assert ingest(store_path, batch_dir, "--repair-missing-objects") == EXIT_OK
+        assert "repairing 1 missing object(s)" in capsys.readouterr().out
+        store = open_store(store_path)
+        assert [row["id"] for row in store.table_rows("object_types")
+                if row["id"] == "ot:unknown"] == ["ot:unknown"]
+        assert store.get_row("objects", "obj:ghost")["object_type_id"] == "ot:unknown"
+        store.close()
+
+    def test_repair_refuses_non_object_references(self, store_path, batch_dir,
+                                                  capsys):
+        append_rows(batch_dir / "events.csv",
+                    ["ev:9", "et:ghost", "2024-03-01T08:00:00.000Z", ""])
+        assert ingest(store_path, batch_dir, "--repair-missing-objects") \
+            == EXIT_QUALITY
+        out = capsys.readouterr().out
+        assert "repairing" not in out and "et:ghost" in out
+
+    def test_repair_refuses_other_checks(self, store_path, batch_dir, capsys):
+        append_rows(batch_dir / "event_to_object.csv",
+                    ["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
+        append_rows(batch_dir / "event_types.csv", ["et:pick", "picked twice"])
+        assert ingest(store_path, batch_dir, "--repair-missing-objects") \
+            == EXIT_QUALITY
+        out = capsys.readouterr().out
+        assert "repairing" not in out and "unique_primary_keys" in out
+        store = open_store(store_path)
+        assert store.dump() == {table: [] for table in TABLES}
+        store.close()
 
     def test_conflicting_reingest_exits_4(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK

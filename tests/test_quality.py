@@ -1,13 +1,12 @@
 import pytest
 
 from ochub.quality import (
-    Violation,
     check_graph_edge_endpoints,
     check_graph_node_uniqueness,
     run_checkpoint,
-    synthesize_missing_objects,
 )
-from ochub.schema import Batch
+from ochub.schema import Batch, TABLES
+from ochub.store import UNKNOWN_OBJECT_TYPE_ID, StoreError
 from conftest import clean_fixture_batch
 
 
@@ -136,51 +135,98 @@ class TestGraphChecks:
         assert kinds == ["graph_edge_endpoints", "graph_node_uniqueness"]
 
 
-class TestSynthesizeMissingObjects:
-    def ingest_with_missing_objects(self, store):
-        b = clean_fixture_batch()
-        b.add("event_to_object", id="e2o:m1", event_id="ev:1",
-              object_id="obj:gone1", qualifier_id="q:handles",
+def missing_objects_batch():
+    """The clean fixture plus references to two objects that never arrive,
+    the greater id first."""
+    b = clean_fixture_batch()
+    for n, object_id in enumerate(("obj:gone2", "obj:gone1")):
+        b.add("event_to_object", id=f"e2o:m{n}", event_id="ev:1",
+              object_id=object_id, qualifier_id="q:handles",
               qualifier_value="handles")
-        b.add("event_to_object", id="e2o:m2", event_id="ev:2",
-              object_id="obj:gone2", qualifier_id="q:handles",
-              qualifier_value="handles")
-        store.append_batch(b)
+    return b
 
-    def test_repair_clears_exactly_the_violations(self, store):
-        self.ingest_with_missing_objects(store)
-        report = run_checkpoint(store, "transform")
-        repair = synthesize_missing_objects(store, report.violations)
-        assert len(repair.rows["objects"]) == 2
-        assert len(repair.rows["object_types"]) == 1
-        store.append_batch(repair)
-        after = run_checkpoint(store, "transform")
-        assert after.passed
 
-    def test_empty_violations_empty_batch(self, store):
-        assert synthesize_missing_objects(store, []).is_empty()
+def staged_rows(store, table):
+    return [tuple(row) for row in store.connection().execute(
+        f"SELECT * FROM temp.staged_{table} ORDER BY rowid")]
 
-    def test_non_object_violation_rejected(self, store):
-        bogus = Violation(
-            check="referential_integrity", table="event_attribute_values",
-            key="ev:ghost", detail="", ref_table="events", ref_id="ev:ghost",
-        )
-        with pytest.raises(ValueError, match="unsupported repair"):
-            synthesize_missing_objects(store, [bogus])
 
-    def test_wrong_check_kind_rejected(self, store):
-        bogus = Violation(
-            check="timestamp_validity", table="events", key="e1", detail="",
-        )
-        with pytest.raises(ValueError, match="unsupported repair"):
-            synthesize_missing_objects(store, [bogus])
+class TestStagePlaceholderObjects:
+    def missing_ids(self, store, staged):
+        report = run_checkpoint(staged, "staging", store=store)
+        assert {(v.check, v.ref_table) for v in report.violations} == {
+            ("referential_integrity", "objects")}
+        return [v.ref_id for v in report.violations]
 
-    def test_repair_adds_no_new_violation_kinds(self, store):
-        self.ingest_with_missing_objects(store)
-        report = run_checkpoint(store, "transform")
-        repair = synthesize_missing_objects(store, report.violations)
-        staged = run_checkpoint(repair, "staging", store=store)
-        assert staged.passed
+    def test_recheck_passes(self, store):
+        staged = store.stage(missing_objects_batch())
+        missing = self.missing_ids(store, staged)
+        assert missing == ["obj:gone2", "obj:gone1"]
+        repaired = store.stage_placeholder_objects(missing)
+        assert repaired.counts["objects"] == staged.counts["objects"] + 2
+        assert repaired.counts["object_types"] == staged.counts["object_types"] + 1
+        assert repaired.total_rows() == staged.total_rows() + 3
+        assert run_checkpoint(repaired, "staging", store=store).passed
+
+    def test_placeholders_clear_the_violations(self, store):
+        staged = store.stage(missing_objects_batch())
+        store.append_batch(
+            store.stage_placeholder_objects(self.missing_ids(store, staged)))
+        assert run_checkpoint(store, "transform").passed
+        assert store.get_row("objects", "obj:gone1") == {
+            "id": "obj:gone1", "object_type_id": UNKNOWN_OBJECT_TYPE_ID,
+            "description": "obj:gone1"}
+
+    def test_placeholder_rows_follow_the_batch_in_id_order(self, store):
+        batch = missing_objects_batch()
+        store.stage(batch)
+        store.stage_placeholder_objects(["obj:gone2", "obj:gone1", "obj:gone2"])
+        placeholders = [(object_id, UNKNOWN_OBJECT_TYPE_ID, object_id)
+                        for object_id in ("obj:gone1", "obj:gone2")]
+        assert staged_rows(store, "objects") == [
+            tuple(row.values()) for row in batch.rows["objects"]] + placeholders
+        assert staged_rows(store, "object_types") == [
+            tuple(row.values()) for row in batch.rows["object_types"]
+        ] + [(UNKNOWN_OBJECT_TYPE_ID, "unknown")]
+
+    def test_no_ids_adds_nothing(self, store):
+        staged = store.stage(missing_objects_batch())
+        assert store.stage_placeholder_objects([]).counts == staged.counts
+        assert (UNKNOWN_OBJECT_TYPE_ID, "unknown") \
+            not in staged_rows(store, "object_types")
+
+    @pytest.mark.parametrize("where", ["staged", "stored"])
+    def test_type_row_skipped_when_present(self, store, where):
+        batch = missing_objects_batch()
+        if where == "stored":
+            known = Batch()
+            known.add("object_types", id=UNKNOWN_OBJECT_TYPE_ID,
+                      description="known before")
+            store.append_batch(known)
+        else:
+            batch.add("object_types", id=UNKNOWN_OBJECT_TYPE_ID,
+                      description="known before")
+        staged = store.stage(batch)
+        repaired = store.stage_placeholder_objects(self.missing_ids(store, staged))
+        assert repaired.counts["object_types"] == staged.counts["object_types"]
+        assert run_checkpoint(repaired, "staging", store=store).passed
+        store.append_batch(repaired)
+        assert [row for row in store.table_rows("object_types")
+                if row["id"] == UNKNOWN_OBJECT_TYPE_ID] == [
+            {"id": UNKNOWN_OBJECT_TYPE_ID, "description": "known before"}]
+
+    def test_old_handle_goes_stale(self, store):
+        staged = store.stage(missing_objects_batch())
+        store.stage_placeholder_objects(["obj:gone1"])
+        for use in (store.append_batch,
+                    lambda h: run_checkpoint(h, "staging", store=store)):
+            with pytest.raises(StoreError, match="stale"):
+                use(staged)
+        assert store.dump() == {table: [] for table in TABLES}
+
+    def test_nothing_staged_raises(self, store):
+        with pytest.raises(StoreError, match="no staged batch"):
+            store.stage_placeholder_objects(["obj:gone1"])
 
 
 class TestZeroFalsePositives:

@@ -287,6 +287,11 @@ class TestStagedBatch:
         store.stage(timestamps_batch(values))
         assert staged_timestamps(store) == as_stored(values)
 
+    def test_appended_timestamp_is_canonical_text(self, store):
+        store.append_batch(timestamps_batch(["2024-01-01T10:00:00.000Z\n"]))
+        assert store.get_row("events", "e0")["timestamp"] == \
+            "2024-01-01T10:00:00.000Z"
+
     def test_hostile_timestamps_report_as_before(self, store):
         batch = timestamps_batch(HOSTILE_TIMESTAMPS)
         report = run_checkpoint(batch, "staging", store=store)

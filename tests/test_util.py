@@ -26,6 +26,11 @@ class TestTimestamps:
         with pytest.raises(TimestampError):
             normalize_timestamp("2024-13-45T99:99:99.999Z")
 
+    def test_trailing_newline_is_normalized_away(self):
+        # canonical text up to a final newline is not canonical text
+        assert normalize_timestamp("2024-01-01T00:00:00.000Z\n") == \
+            "2024-01-01T00:00:00.000Z"
+
     def test_years_below_1000_are_zero_padded(self):
         assert normalize_timestamp("0999-01-01T00:00:00+00:00") == \
             "0999-01-01T00:00:00.000Z"
