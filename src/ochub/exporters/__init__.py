@@ -6,6 +6,7 @@ contents produce byte-identical output.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 from ochub.util import dedupe_name
@@ -23,14 +24,28 @@ class ExportSummary:
     notes: list = field(default_factory=list)
 
 
-def event_attribute_values(store) -> dict:
-    """{event id: {event attribute id: value}}; on a repeated (event,
-    attribute) pair the row with the greatest id wins."""
-    values: dict = {}
-    for row in store.table_rows("event_attribute_values"):
-        by_attribute = values.setdefault(row["event_id"], {})
-        by_attribute[row["event_attribute_id"]] = row["attribute_value"]
-    return values
+def attribute_cells(kind: str, outer: str, count: int) -> str:
+    """SQL for ``count`` select-list cells, each led by ", ": the value of
+    the ``kind`` ("event" or "object") whose id is ``outer`` for the
+    attribute id bound to the next ``?``. IS matches NULL to NULL, and on a
+    repeated (owner, attribute) pair the row with the greatest id wins."""
+    return (
+        f", (SELECT attribute_value FROM {kind}_attribute_values "
+        f"WHERE {kind}_id IS {outer} AND {kind}_attribute_id IS ? "
+        "ORDER BY id DESC, rowid DESC LIMIT 1)"
+    ) * count
+
+
+def write_csv(path, header, rows) -> int:
+    """Write ``header`` and ``rows`` (None as "") to ``path``; returns the
+    number of rows."""
+    count = 0
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return count
 
 
 def event_attribute_columns(store, reserved) -> list:

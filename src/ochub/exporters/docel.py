@@ -15,21 +15,22 @@ exporter serializes it as:
 Every file gets its rows from one ``SELECT`` against the store in output
 order, the dynamic files from one shared scan ordered by attribute first;
 SQLite sorts NULLs first, so rows with NULL columns take their place
-like any other. Only the naming of files and columns and the event
-attribute pivot are Python.
+like any other. Attribute cells are pivoted in the same ``SELECT``, one
+scalar subquery per column (``attribute_cells``). Only the naming of files
+and columns is Python.
 """
 
 from __future__ import annotations
 
-import csv
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
 from ochub.exporters import (
     ExportSummary,
+    attribute_cells,
     event_attribute_columns,
-    event_attribute_values,
+    write_csv,
 )
 from ochub.store import HubStore
 from ochub.util import dedupe_name, sanitize_name
@@ -44,17 +45,6 @@ _DYNAMIC = (
 )
 
 
-def _write_csv(path: Path, header, rows) -> int:
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if cell is None else cell for cell in row])
-            count += 1
-    return count
-
-
 def export_docel(store: HubStore, out_dir) -> ExportSummary:
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -62,20 +52,17 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
     read = store.connection().execute
 
     attr_columns = event_attribute_columns(store, ("id", "activity", "timestamp"))
-    values_by_event = event_attribute_values(store)
     events = read(
         "SELECT e.id, coalesce(nullif(t.description, ''), e.event_type_id), "
-        "e.timestamp FROM events e LEFT JOIN event_types t ON t.id = e.event_type_id "
-        "ORDER BY e.timestamp, e.event_type_id, e.id"
+        f"e.timestamp{attribute_cells('event', 'e.id', len(attr_columns))} "
+        "FROM events e LEFT JOIN event_types t ON t.id = e.event_type_id "
+        "ORDER BY e.timestamp, e.event_type_id, e.id",
+        [attr_id for _, attr_id in attr_columns],
     )
-    summary.counts["events.csv"] = _write_csv(
+    summary.counts["events.csv"] = write_csv(
         root / "events.csv",
         ["id", "activity", "timestamp"] + [name for name, _ in attr_columns],
-        (
-            [event_id, activity, timestamp]
-            + [values_by_event.get(event_id, {}).get(attr_id) for _, attr_id in attr_columns]
-            for event_id, activity, timestamp in events
-        ),
+        events,
     )
 
     dynamic = {attr_id for attr_id, in read(_DYNAMIC)}
@@ -95,18 +82,13 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
             else:
                 header.append(dedupe_name(name, seen_cols))
                 static_ids.append(attr_id)
-        # a static attribute has at most one value per object
-        cells = "".join(
-            ", (SELECT attribute_value FROM object_attribute_values "
-            "WHERE object_id = o.id AND object_attribute_id = ?)"
-            for _ in static_ids
-        )
         file_name = dedupe_name(f"objects_{sanitize_name(type_name)}", taken_files)
-        summary.counts[f"{file_name}.csv"] = _write_csv(
+        summary.counts[f"{file_name}.csv"] = write_csv(
             root / f"{file_name}.csv",
             header,
             read(
-                f"SELECT o.id{cells} FROM objects o "
+                f"SELECT o.id{attribute_cells('object', 'o.id', len(static_ids))} "
+                "FROM objects o "
                 "WHERE o.object_type_id = ? ORDER BY o.id",
                 static_ids + [type_id],
             ),
@@ -131,10 +113,10 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
     for attr_id, rows in groupby(values, key=itemgetter(0)):
         if attr_id in file_of:
             written.add(attr_id)
-            summary.counts[file_of[attr_id]] = _write_csv(
+            summary.counts[file_of[attr_id]] = write_csv(
                 root / file_of[attr_id], header, (row[1:] for row in rows))
     for attr_id, file_name in files:
         if attr_id not in written:  # a NULL attribute id matches no value
-            _write_csv(root / file_name, header, ())
+            write_csv(root / file_name, header, ())
 
     return summary

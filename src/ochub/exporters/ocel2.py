@@ -7,9 +7,9 @@ row per attribute-value update (``ocel_changed_field`` names the attribute).
 
 Every output table gets its rows from one ``SELECT`` against the store in
 output order, with the ``ev:``/``obj:`` id prefixes stripped and display
-names (description, else id) resolved in SQL; SQLite sorts NULLs first, so
-rows with NULL columns take their place like any other. Only the naming of
-tables and columns and the event attribute pivot are Python.
+names (description, else id) and event attribute cells (``attribute_cells``)
+resolved in SQL; SQLite sorts NULLs first, so rows with NULL columns take
+their place like any other. Only the naming of tables and columns is Python.
 
 Two deliberate losses, inherent to the target format: event-to-object-
 attribute-value relations are dropped, and object-to-object relations are
@@ -22,7 +22,7 @@ import os
 import sqlite3
 from pathlib import Path
 
-from ochub.exporters import ExportError, ExportSummary, event_attribute_values
+from ochub.exporters import ExportError, ExportSummary, attribute_cells
 from ochub.store import HubStore
 from ochub.util import dedupe_name, sanitize_name
 
@@ -142,17 +142,13 @@ def _export(store: HubStore, conn: sqlite3.Connection, summary: ExportSummary) -
         ).rowcount
 
     # event attribute pivot, one table per event type
-    values_by_event = event_attribute_values(store)
     for type_id, type_name, map_name in maps["event"]:
         columns = _columns(store, "event", type_id, type_name, ("ocel_id", "ocel_time"))
-        rows = (
-            [ocel_id, timestamp]
-            + [values_by_event.get(event_id, {}).get(attr_id) for attr_id, _ in columns]
-            for ocel_id, timestamp, event_id in read(
-                f"SELECT {_strip('ev:', 'id')}, timestamp, id FROM events "
-                "WHERE event_type_id = ? ORDER BY id",
-                (type_id,),
-            )
+        rows = read(
+            f"SELECT {_strip('ev:', 'id')}, timestamp"
+            f"{attribute_cells('event', 'events.id', len(columns))} FROM events "
+            "WHERE event_type_id = ? ORDER BY id",
+            [attr_id for attr_id, _ in columns] + [type_id],
         )
         table = f"event_{map_name}"
         summary.counts[table] = _fill(

@@ -28,7 +28,6 @@ edges behind each overview edge.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -80,11 +79,6 @@ class SnapshotGraph:
     event_nodes: list = field(default_factory=list)
     snapshot_nodes: list = field(default_factory=list)
     edges: list = field(default_factory=list)
-
-    def node_ids(self) -> set:
-        return {n.node_id for n in self.event_nodes} | {
-            n.node_id for n in self.snapshot_nodes
-        }
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,7 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
     The graph checkpoint (node uniqueness, edge endpoints) runs first; any
     violation aborts the export before files are written.
     """
-    from ochub.exporters import ExportSummary
+    from ochub.exporters import ExportSummary, write_csv
     from ochub.quality import run_checkpoint
 
     report = run_checkpoint(graph, "graph")
@@ -319,14 +313,6 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
     edge_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
 
     summary = ExportSummary(format="graph-csv", path=str(root))
-    with open(root / "nodes.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(NODES_HEADER)
-        writer.writerows(node_rows)
-    with open(root / "edges.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EDGES_HEADER)
-        writer.writerows(edge_rows)
-    summary.counts["nodes.csv"] = len(node_rows)
-    summary.counts["edges.csv"] = len(edge_rows)
+    summary.counts["nodes.csv"] = write_csv(root / "nodes.csv", NODES_HEADER, node_rows)
+    summary.counts["edges.csv"] = write_csv(root / "edges.csv", EDGES_HEADER, edge_rows)
     return summary

@@ -30,7 +30,7 @@ class MappingError(ImportError_):
 def _attr_spec(name, raw):
     if isinstance(raw, str):
         return {"column": raw, "datatype": "string"}
-    if isinstance(raw, dict) and "column" in raw:
+    if isinstance(raw, dict) and raw.get("column") is not None:
         datatype = raw.get("datatype", "string")
         if datatype not in DATATYPES:
             raise MappingError(f"attribute {name}: unknown datatype {datatype!r}")
@@ -139,10 +139,14 @@ class _Sources:
             self.contributed[name] = set()
         return self._cache[name]
 
-    def require_column(self, name: str, column: str) -> None:
+    def lines(self, name: str, *columns):
+        """(line number, row) of each row of ``name``, once the file is
+        checked to have ``columns`` (None skipped), in the order given."""
         rows = self.rows(name)
-        if rows and column not in rows[0]:
-            raise MappingError(f"{name}: missing source column {column!r}")
+        for column in columns:
+            if rows and column is not None and column not in rows[0]:
+                raise MappingError(f"{name}: missing source column {column!r}")
+        return enumerate(rows, start=2)
 
     def mark(self, name: str, line_no: int) -> None:
         self.contributed[name].add(line_no)
@@ -188,12 +192,11 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 datatype=attr_spec["datatype"],
             )
         file = spec["source"]
-        src.require_column(file, spec["id_column"])
-        src.require_column(file, spec["timestamp_column"])
-        for attr, attr_spec in spec["attributes"].items():
-            src.require_column(file, attr_spec["column"])
         seen_ids: set = set()
-        for line_no, row in enumerate(src.rows(file), start=2):
+        for line_no, row in src.lines(
+            file, spec["id_column"], spec["timestamp_column"],
+            *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
+        ):
             raw_id = (row.get(spec["id_column"]) or "").strip()
             if not raw_id:
                 skipped.append((file, line_no, "empty event id"))
@@ -244,13 +247,12 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 datatype=attr_spec["datatype"],
             )
         file = spec["source"]
-        src.require_column(file, spec["id_column"])
-        for attr, attr_spec in spec["attributes"].items():
-            src.require_column(file, attr_spec["column"])
-        if spec["attribute_timestamp_column"]:
-            src.require_column(file, spec["attribute_timestamp_column"])
         seen_ids = set()
-        for line_no, row in enumerate(src.rows(file), start=2):
+        for line_no, row in src.lines(
+            file, spec["id_column"],
+            *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
+            spec["attribute_timestamp_column"] or None,
+        ):
             raw_id = (row.get(spec["id_column"]) or "").strip()
             if not raw_id:
                 skipped.append((file, line_no, "empty object id"))
@@ -290,11 +292,11 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 )
         for update in spec["updates"]:
             ufile = update["source"]
-            for column in (update["id_column"], update["timestamp_column"],
-                           update["value_column"]):
-                src.require_column(ufile, column)
             attr = update["attribute"]
-            for line_no, row in enumerate(src.rows(ufile), start=2):
+            for line_no, row in src.lines(
+                ufile, update["id_column"], update["timestamp_column"],
+                update["value_column"],
+            ):
                 raw_id = (row.get(update["id_column"]) or "").strip()
                 if not raw_id:
                     skipped.append((ufile, line_no, "empty object id"))
@@ -318,10 +320,8 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
 
     for spec in config.relations["event_to_object"]:
         file = spec["source"]
-        src.require_column(file, spec["from_column"])
-        src.require_column(file, spec["to_column"])
         qualifier_id = add_qualifier(spec["qualifier"])
-        for line_no, row in enumerate(src.rows(file), start=2):
+        for line_no, row in src.lines(file, spec["from_column"], spec["to_column"]):
             from_val = (row.get(spec["from_column"]) or "").strip()
             to_val = (row.get(spec["to_column"]) or "").strip()
             if not from_val or not to_val:
@@ -341,12 +341,11 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
 
     for spec in config.relations["object_to_object"]:
         file = spec["source"]
-        src.require_column(file, spec["from_column"])
-        src.require_column(file, spec["to_column"])
-        if spec.get("timestamp_column"):
-            src.require_column(file, spec["timestamp_column"])
         qualifier_id = add_qualifier(spec["qualifier"])
-        for line_no, row in enumerate(src.rows(file), start=2):
+        for line_no, row in src.lines(
+            file, spec["from_column"], spec["to_column"],
+            spec.get("timestamp_column") or None,
+        ):
             from_val = (row.get(spec["from_column"]) or "").strip()
             to_val = (row.get(spec["to_column"]) or "").strip()
             if not from_val or not to_val:
@@ -377,11 +376,10 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
 
     for spec in config.relations["event_to_object_attribute_value"]:
         file = spec["source"]
-        src.require_column(file, spec["from_column"])
-        src.require_column(file, spec["to_column"])
-        src.require_column(file, spec["timestamp_column"])
         qualifier_id = add_qualifier(spec["qualifier"])
-        for line_no, row in enumerate(src.rows(file), start=2):
+        for line_no, row in src.lines(
+            file, spec["from_column"], spec["to_column"], spec["timestamp_column"],
+        ):
             from_val = (row.get(spec["from_column"]) or "").strip()
             to_val = (row.get(spec["to_column"]) or "").strip()
             if not from_val or not to_val:

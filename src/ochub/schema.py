@@ -145,9 +145,6 @@ class Batch:
     def total_rows(self) -> int:
         return sum(len(rows) for rows in self.rows.values())
 
-    def is_empty(self) -> bool:
-        return self.total_rows() == 0
-
     def canonicalize(self) -> "Batch":
         """Sort rows by id within each table and drop exact duplicates,
         in place. Rows sharing an id with different content are kept for

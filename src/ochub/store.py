@@ -51,6 +51,17 @@ _INDEXES = (
     ("idx_e2oav_event", "event_to_object_attribute_value", "event_id"),
 )
 
+# StatsReport field -> (table, column) whose rows it counts per value
+_PER_VALUE_STATS = {
+    "events_per_type": ("events", "event_type_id"),
+    "objects_per_type": ("objects", "object_type_id"),
+    "e2o_per_qualifier": ("event_to_object", "qualifier_id"),
+    "o2o_per_qualifier": ("object_to_object", "qualifier_id"),
+    "e2oav_per_qualifier": ("event_to_object_attribute_value", "qualifier_id"),
+    "event_values_per_attribute": ("event_attribute_values", "event_attribute_id"),
+    "object_values_per_attribute": ("object_attribute_values", "object_attribute_id"),
+}
+
 
 class StoreError(Exception):
     """Base class for store failures."""
@@ -569,43 +580,10 @@ class HubStore:
         report = StatsReport()
         for table in TABLES:
             report.table_counts[table] = self.row_count(table)
-        queries = (
-            (
-                "events_per_type",
-                "SELECT event_type_id AS k, COUNT(*) AS n FROM events GROUP BY 1",
-            ),
-            (
-                "objects_per_type",
-                "SELECT object_type_id AS k, COUNT(*) AS n FROM objects GROUP BY 1",
-            ),
-            (
-                "e2o_per_qualifier",
-                "SELECT qualifier_id AS k, COUNT(*) AS n FROM event_to_object GROUP BY 1",
-            ),
-            (
-                "o2o_per_qualifier",
-                "SELECT qualifier_id AS k, COUNT(*) AS n FROM object_to_object GROUP BY 1",
-            ),
-            (
-                "e2oav_per_qualifier",
-                "SELECT qualifier_id AS k, COUNT(*) AS n "
-                "FROM event_to_object_attribute_value GROUP BY 1",
-            ),
-            (
-                "event_values_per_attribute",
-                "SELECT event_attribute_id AS k, COUNT(*) AS n "
-                "FROM event_attribute_values GROUP BY 1",
-            ),
-            (
-                "object_values_per_attribute",
-                "SELECT object_attribute_id AS k, COUNT(*) AS n "
-                "FROM object_attribute_values GROUP BY 1",
-            ),
-        )
-        for attr, sql in queries:
-            getattr(report, attr).update(
-                {row["k"]: row["n"] for row in self._conn.execute(sql)}
-            )
+        for attr, (table, column) in _PER_VALUE_STATS.items():
+            getattr(report, attr).update(self._conn.execute(
+                f"SELECT {column}, COUNT(*) FROM {table} GROUP BY 1"
+            ).fetchall())
         pair_sql = (
             "SELECT e.event_type_id AS et, o.object_type_id AS ot, COUNT(*) AS n "
             "FROM event_to_object r "

@@ -39,8 +39,20 @@ def add_null_column_rows(b):
     them: an attribute value with a NULL timestamp, one with a NULL
     attribute id, an event-to-object row with a NULL event, object-to-object
     rows with a NULL source or qualifier, and a NULL-event link beside a
-    linked one."""
+    linked one; and event attribute values: one (event, attribute) pair
+    under two ids, one value with a NULL event and one with a NULL
+    attribute."""
     ts = "2024-01-01T01:00:00.000Z"
+    b.add("event_attributes", id="ea:a.colour", event_type_id="et:a",
+          description="colour", datatype="string")
+    for value_id, event_id, attr_id, value in (
+        ("eav:2", "ev:null2", "ea:a.colour", "blue"),
+        ("eav:1", "ev:null2", "ea:a.colour", "red"),
+        ("eav:nullev", None, "ea:a.colour", "green"),
+        ("eav:nullattr", "ev:null2", None, "grey"),
+    ):
+        b.add("event_attribute_values", id=value_id, event_id=event_id,
+              event_attribute_id=attr_id, attribute_value=value)
     b.add("object_attribute_values", id="oav:nullts", object_id="obj:0",
           object_attribute_id="oa:x.state", timestamp=None, attribute_value="n")
     b.add("object_attribute_values", id="oav:nullattr", object_id="obj:0",
@@ -91,6 +103,35 @@ def test_hostile_null_columns_export_deterministically(tmp_path):
                 ]) == EXIT_OK, (seed, fmt)
                 digests.append(digest(out))
             assert digests[0] == digests[1], (seed, fmt)
+
+
+def test_greatest_value_id_wins_in_event_pivots(store, tmp_path):
+    """On a repeated (event, attribute) pair the value with the greatest id
+    fills the cell of the OCEL 2.0 event table, DOCEL events.csv and the
+    flat CSV, although it was appended first."""
+    batch = minimal_batch()
+    batch.add("event_attributes", id="ea:a.colour", event_type_id="et:a",
+              description="colour", datatype="string")
+    batch.add("event_attribute_values", id="eav:2", event_id="ev:1",
+              event_attribute_id="ea:a.colour", attribute_value="blue")
+    store.append_batch(batch)
+    late = Batch()
+    late.add("event_attribute_values", id="eav:1", event_id="ev:1",
+             event_attribute_id="ea:a.colour", attribute_value="red")
+    store.append_batch(late)
+
+    export_ocel2(store, tmp_path / "log.sqlite")
+    conn = sqlite3.connect(tmp_path / "log.sqlite")
+    assert conn.execute("SELECT ocel_id, colour FROM event_a").fetchall() == \
+        [("1", "blue")]
+    conn.close()
+    export_docel(store, tmp_path / "docel")
+    assert [(r["id"], r["colour"]) for r in
+            read_csv(tmp_path / "docel" / "events.csv")] == \
+        [("ev:1", "blue"), ("ev:2", "")]
+    export_flat_csv(store, "ot:x", tmp_path / "flat.csv")
+    assert [(r["activity"], r["colour"]) for r in
+            read_csv(tmp_path / "flat.csv")] == [("a", "blue"), ("b", "")]
 
 
 @pytest.mark.parametrize("rows", [

@@ -394,6 +394,78 @@ class TestImportMappedCsv:
         batch = import_mapped_csv(MappingConfig.from_file(config_path), tmp_path).batch
         assert len(batch.rows["events"]) == 1
 
+    def test_event_attributes_skipped_lines_and_untimed_o2o(self, tmp_path):
+        """Event attributes and descriptions, an empty event id, empty
+        relation endpoints, and an object-to-object spec with no timestamp
+        column whose empty value cell gives a NULL qualifier value."""
+        write_csv(
+            tmp_path / "orders.csv",
+            ["id", "at", "note", "colour", "store_id", "kind"],
+            [
+                ["o1", "2024-02-01T10:00:00Z", "first", "red", "s1", "main"],
+                ["", "2024-02-02T10:00:00Z", "", "blue", "s1", "main"],
+                ["o2", "2024-02-03T10:00:00Z", "second", "", "", ""],
+                ["o3", "2024-02-04T10:00:00Z", "third", "", "s2", ""],
+            ],
+        )
+        config = MappingConfig.from_dict({
+            "event_types": {"place_order": {
+                "source": "orders.csv", "id_column": "id",
+                "timestamp_column": "at", "description_column": "note",
+                "attributes": {"colour": "colour"},
+            }},
+            "relations": {
+                "event_to_object": [{
+                    "source": "orders.csv", "event_type": "place_order",
+                    "object_type": "store", "from_column": "id",
+                    "to_column": "store_id", "qualifier": "placed_in",
+                }],
+                "object_to_object": [{
+                    "source": "orders.csv", "from_object_type": "order",
+                    "to_object_type": "store", "from_column": "id",
+                    "to_column": "store_id", "qualifier": "located",
+                    "value_column": "kind",
+                }],
+            },
+        })
+        result = import_mapped_csv(config, tmp_path)
+        rows = result.batch.rows
+        assert rows["event_attributes"] == [{
+            "id": "ea:place_order.colour", "event_type_id": "et:place_order",
+            "description": "colour", "datatype": "string",
+        }]
+        assert [(r["id"], r["description"]) for r in rows["events"]] == [
+            ("ev:place_order:o1", "first"), ("ev:place_order:o2", "second"),
+            ("ev:place_order:o3", "third"),
+        ]
+        assert rows["event_attribute_values"] == [{
+            "id": "eav:place_order:o1:colour", "event_id": "ev:place_order:o1",
+            "event_attribute_id": "ea:place_order.colour",
+            "attribute_value": "red",
+        }]
+        assert [r["object_id"] for r in rows["event_to_object"]] == \
+            ["obj:store:s1", "obj:store:s2"]
+        assert [(r["target_object_id"], r["timestamp"], r["qualifier_value"])
+                for r in rows["object_to_object"]] == [
+            ("obj:store:s1", EPOCH_TS, "main"), ("obj:store:s2", EPOCH_TS, None),
+        ]
+        assert result.skipped == [
+            ("orders.csv", 3, "empty endpoint for located"),
+            ("orders.csv", 3, "empty endpoint for placed_in"),
+            ("orders.csv", 3, "empty event id"),
+            ("orders.csv", 4, "empty endpoint for located"),
+            ("orders.csv", 4, "empty endpoint for placed_in"),
+        ]
+
+        write_csv(
+            tmp_path / "orders.csv",
+            ["id", "at", "note", "colour", "store_id", "kind"],
+            [["o1", "2024-02-01T10:00:00Z", "", "", "s1", ""]] * 2,
+        )
+        with pytest.raises(MappingError,
+                           match=r"orders\.csv line 3: duplicate event id 'o1'"):
+            import_mapped_csv(config, tmp_path)
+
     def test_empty_qualifier_rejected(self):
         with pytest.raises(MappingError, match="empty qualifier"):
             MappingConfig.from_dict({
