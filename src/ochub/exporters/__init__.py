@@ -24,14 +24,16 @@ class ExportSummary:
     notes: list = field(default_factory=list)
 
 
-def attribute_cells(kind: str, outer: str, count: int) -> str:
+def attribute_cells(kind: str, outer: str, count: int, match: str = "IS") -> str:
     """SQL for ``count`` select-list cells, each led by ", ": the value of
     the ``kind`` ("event" or "object") whose id is ``outer`` for the
-    attribute id bound to the next ``?``. IS matches NULL to NULL, and on a
-    repeated (owner, attribute) pair the row with the greatest id wins."""
+    attribute id bound to the next ``?``; on a repeated (owner, attribute)
+    pair the row with the greatest id wins. ``match`` compares both ids:
+    "IS" matches NULL to NULL (the event cells), "=" matches NULL to
+    nothing (DOCEL's static object cells)."""
     return (
         f", (SELECT attribute_value FROM {kind}_attribute_values "
-        f"WHERE {kind}_id IS {outer} AND {kind}_attribute_id IS ? "
+        f"WHERE {kind}_id {match} {outer} AND {kind}_attribute_id {match} ? "
         "ORDER BY id DESC, rowid DESC LIMIT 1)"
     ) * count
 

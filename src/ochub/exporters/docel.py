@@ -16,8 +16,9 @@ Every file gets its rows from one ``SELECT`` against the store in output
 order, the dynamic files from one shared scan ordered by attribute first;
 SQLite sorts NULLs first, so rows with NULL columns take their place
 like any other. Attribute cells are pivoted in the same ``SELECT``, one
-scalar subquery per column (``attribute_cells``). Only the naming of files
-and columns is Python.
+scalar subquery per column (``attribute_cells``); in the static object
+cells a NULL object or attribute id matches no value. Only the naming of
+files and columns is Python.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
             root / f"{file_name}.csv",
             header,
             read(
-                f"SELECT o.id{attribute_cells('object', 'o.id', len(static_ids))} "
+                "SELECT o.id"
+                f"{attribute_cells('object', 'o.id', len(static_ids), '=')} "
                 "FROM objects o "
                 "WHERE o.object_type_id = ? ORDER BY o.id",
                 static_ids + [type_id],

@@ -31,25 +31,28 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
     attr_columns = event_attribute_columns(store, ("case_id", "activity", "timestamp"))
     # one row per (case, event) pair in event order; a pair whose event is
     # missing (a dangling relation, owned by the transform checkpoint) gets
-    # no row but still counts towards the convergence note
+    # no row but still counts towards the convergence note. ev holds each
+    # pair event once, so its cells are pivoted once per event, not per pair.
     pairs = store.connection().execute(
-        "SELECT p.event_id, e.id, p.object_id, "
+        "WITH p AS (SELECT DISTINCT r.object_id, r.event_id FROM event_to_object r "
+        "JOIN objects o ON o.id = r.object_id WHERE o.object_type_id = ?), "
+        "ev AS (SELECT e.id, e.event_type_id, "
         "coalesce(nullif(t.description, ''), e.event_type_id), e.timestamp"
         f"{attribute_cells('event', 'e.id', len(attr_columns))} "
-        "FROM (SELECT DISTINCT r.object_id, r.event_id FROM event_to_object r "
-        "JOIN objects o ON o.id = r.object_id WHERE o.object_type_id = ?) p "
-        "LEFT JOIN events e ON e.id = p.event_id "
-        "LEFT JOIN event_types t ON t.id = e.event_type_id "
-        "ORDER BY p.object_id, e.timestamp, e.event_type_id, p.event_id",
-        [attr_id for _, attr_id in attr_columns] + [case_object_type],
+        "FROM (SELECT DISTINCT event_id FROM p) q JOIN events e ON e.id = q.event_id "
+        "LEFT JOIN event_types t ON t.id = e.event_type_id) "
+        "SELECT p.event_id, p.object_id, ev.* "
+        "FROM p LEFT JOIN ev ON ev.id = p.event_id "
+        "ORDER BY p.object_id, ev.timestamp, ev.event_type_id, p.event_id",
+        [case_object_type] + [attr_id for _, attr_id in attr_columns],
     )
     events: set = set()
 
     def rows():
-        for event_id, found, *row in pairs:
+        for event_id, case_id, found, _, *row in pairs:
             events.add(event_id)
             if found is not None:
-                yield row
+                yield [case_id, *row]
 
     written = summary.counts[out_path.name] = write_csv(
         out_path,

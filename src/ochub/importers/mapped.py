@@ -30,7 +30,7 @@ class MappingError(ImportError_):
 def _attr_spec(name, raw):
     if isinstance(raw, str):
         return {"column": raw, "datatype": "string"}
-    if isinstance(raw, dict) and raw.get("column") is not None:
+    if isinstance(raw, dict) and "column" in raw:
         datatype = raw.get("datatype", "string")
         if datatype not in DATATYPES:
             raise MappingError(f"attribute {name}: unknown datatype {datatype!r}")
@@ -141,10 +141,10 @@ class _Sources:
 
     def lines(self, name: str, *columns):
         """(line number, row) of each row of ``name``, once the file is
-        checked to have ``columns`` (None skipped), in the order given."""
+        checked to have each of ``columns``, in the order given."""
         rows = self.rows(name)
         for column in columns:
-            if rows and column is not None and column not in rows[0]:
+            if rows and column not in rows[0]:
                 raise MappingError(f"{name}: missing source column {column!r}")
         return enumerate(rows, start=2)
 
@@ -251,7 +251,7 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         for line_no, row in src.lines(
             file, spec["id_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
-            spec["attribute_timestamp_column"] or None,
+            *filter(None, [spec["attribute_timestamp_column"]]),
         ):
             raw_id = (row.get(spec["id_column"]) or "").strip()
             if not raw_id:
@@ -344,7 +344,7 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         qualifier_id = add_qualifier(spec["qualifier"])
         for line_no, row in src.lines(
             file, spec["from_column"], spec["to_column"],
-            spec.get("timestamp_column") or None,
+            *filter(None, [spec.get("timestamp_column")]),
         ):
             from_val = (row.get(spec["from_column"]) or "").strip()
             to_val = (row.get(spec["to_column"]) or "").strip()

@@ -134,6 +134,39 @@ def test_greatest_value_id_wins_in_event_pivots(store, tmp_path):
             read_csv(tmp_path / "flat.csv")] == [("a", "blue"), ("b", "")]
 
 
+def test_docel_static_object_cells_match_no_null_id(tmp_path):
+    """In DOCEL's objects_<type>.csv a NULL object id or attribute id
+    matches no value, not even one whose id is NULL too (unlike the event
+    cells, where NULL matches NULL)."""
+    path = tmp_path / "hub.db"
+    open_store(path).close()
+    ts = "2024-01-01T00:00:00.000Z"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "INSERT INTO object_types VALUES ('ot:a', 'a');"
+        "INSERT INTO object_attributes VALUES ('oa:a.colour', 'ot:a', 'colour', "
+        "'string');"
+        "INSERT INTO object_attributes VALUES (NULL, 'ot:a', 'nullid', 'string');"
+        "INSERT INTO objects VALUES ('obj:1', 'ot:a', NULL);"
+        "INSERT INTO objects VALUES (NULL, 'ot:a', NULL);"
+        f"INSERT INTO object_attribute_values VALUES ('oav:1', 'obj:1', "
+        f"'oa:a.colour', '{ts}', 'blue');"
+        f"INSERT INTO object_attribute_values VALUES ('oav:2', NULL, "
+        f"'oa:a.colour', '{ts}', 'green');"
+        f"INSERT INTO object_attribute_values VALUES ('oav:3', 'obj:1', NULL, "
+        f"'{ts}', 'grey');"
+    )
+    conn.close()
+    store = open_store(path)
+    export_docel(store, tmp_path / "docel")
+    store.close()
+    with open(tmp_path / "docel" / "objects_a.csv", newline="",
+              encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == [
+            ["id", "colour", "nullid"], ["", "", ""], ["obj:1", "blue", ""],
+        ]
+
+
 @pytest.mark.parametrize("rows", [
     "INSERT INTO object_types VALUES (NULL, NULL);"
     "INSERT INTO objects VALUES ('obj:1', NULL, NULL)",

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 import yaml
@@ -359,6 +360,37 @@ class TestImportMappedCsv:
         write_csv(tmp_path / "stores.csv", ["id", "name"], [["s1", "x"]])
         with pytest.raises(MappingError, match="opened_at"):
             import_mapped_csv(shop_config(), tmp_path)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("object_types", "order", "attributes", "subtotal"), {"column": None},
+         "orders.csv: missing source column None"),
+        (("event_types", "place_order", "id_column"), None,
+         "orders.csv: missing source column None"),
+        (("event_types", "open_store", "timestamp_column"), None,
+         "stores.csv: missing source column None"),
+        (("object_types", "store", "updates", 0, "value_column"), None,
+         "store_counts.csv: missing source column None"),
+        (("relations", "event_to_object", 0, "from_column"), None,
+         "orders.csv: missing source column None"),
+        (("relations", "object_to_object", 0, "to_column"), None,
+         "orders.csv: missing source column None"),
+        (("object_types", "customer", "id_column"), "absent",
+         "customers.csv: missing source column 'absent'"),
+    ], ids=["null_attribute_column", "null_event_id", "null_timestamp",
+            "null_update_value", "null_e2o_from", "null_o2o_to", "absent"])
+    def test_unset_or_absent_column_errors(self, tmp_path, path, value,
+                                           message):
+        """A required column set to null, or absent from its source CSV,
+        stops the import instead of skipping every row."""
+        shop_sources(tmp_path)
+        mapping = shop_mapping()
+        *keys, last = path
+        spec = mapping
+        for key in keys:
+            spec = spec[key]
+        spec[last] = value
+        with pytest.raises(MappingError, match=re.escape(message)):
+            import_mapped_csv(MappingConfig.from_dict(mapping), tmp_path)
 
     def test_duplicate_source_ids_error(self, tmp_path):
         shop_sources(tmp_path)
