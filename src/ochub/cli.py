@@ -177,10 +177,10 @@ def cmd_stats(store_path, as_json):
         return
     counts = report.table_counts
     click.echo(f"events: {counts['events']}")
-    for type_id, n in sorted(report.events_per_type.items()):
+    for type_id, n in report.events_per_type.items():
         click.echo(f"  {type_id}: {n}")
     click.echo(f"objects: {counts['objects']}")
-    for type_id, n in sorted(report.objects_per_type.items()):
+    for type_id, n in report.objects_per_type.items():
         click.echo(f"  {type_id}: {n}")
     click.echo(f"event-to-object: {counts['event_to_object']}")
     click.echo(f"object-to-object: {counts['object_to_object']}")

@@ -174,15 +174,3 @@ class Batch:
             unique.sort(key=lambda row: (row.get("id") or "", *map(str, row.values())))
             self.rows[table] = unique
         return self
-
-    def merge(self, other: "Batch") -> "Batch":
-        """Append all rows of other into this batch. Returns self."""
-        for table in TABLES:
-            self.rows[table].extend(dict(row) for row in other.rows[table])
-        return self
-
-    def copy(self) -> "Batch":
-        clone = Batch()
-        for table in TABLES:
-            clone.rows[table] = [dict(row) for row in self.rows[table]]
-        return clone

@@ -15,7 +15,12 @@ place of the batch, so an ingest stages it only once;
 ``stage_placeholder_objects`` adds the repair of missing objects to that
 stage, in place. Object histories come
 from one ordered scan, ``timelines``, which both ``object_timeline`` and the
-case graph read; event order (timestamp, event_type_id, id) is SQL's.
+case graph read; event order (timestamp, event_type_id, id) is SQL's. Each
+point read is one indexed statement: ``object_timeline`` is that scan for
+one object (``idx_e2o_object``, ``idx_oav_object``), with the object's
+``objects`` row as a first branch that tests it exists; ``o2o_valid_at``
+reads three existence flags and the latest relation row at or before the
+instant (``idx_o2o_source``) together.
 """
 
 from __future__ import annotations
@@ -145,7 +150,8 @@ class TimelineEntry:
 
 @dataclass
 class StatsReport:
-    """Row counts broken down the way analysts ask for them."""
+    """Row counts broken down the way analysts ask for them; each breakdown
+    in key order as SQL gives it, NULL first."""
 
     table_counts: dict = field(default_factory=dict)
     events_per_type: dict = field(default_factory=dict)
@@ -167,7 +173,7 @@ class StatsReport:
             "e2oav_per_qualifier": dict(self.e2oav_per_qualifier),
             "e2o_per_type_pair": [
                 {"event_type_id": et, "object_type_id": ot, "count": n}
-                for (et, ot), n in sorted(self.e2o_per_type_pair.items())
+                for (et, ot), n in self.e2o_per_type_pair.items()
             ],
             "event_values_per_attribute": dict(self.event_values_per_attribute),
             "object_values_per_attribute": dict(self.object_values_per_attribute),
@@ -286,7 +292,10 @@ class HubStore:
         return dict(row) if row is not None else None
 
     def has_id(self, table: str, row_id: str) -> bool:
-        return self.get_row(table, row_id) is not None
+        self._require_table(table)
+        return bool(self._conn.execute(
+            f"SELECT EXISTS (SELECT 1 FROM {table} WHERE id = ?)", (row_id,)
+        ).fetchone()[0])
 
     def id_set(self, table: str) -> set:
         self._require_table(table)
@@ -498,7 +507,8 @@ class HubStore:
     def timelines(self, object_id: Optional[str] = None) -> Iterator[tuple]:
         """Yield (object id, [TimelineEntry, ...]) in object-id order for
         every object with a timestamped event participation or attribute
-        update; only ``object_id``'s when given.
+        update; only ``object_id``'s when given, and UnknownIdError if that
+        id is not in ``objects``.
 
         One ordered scan over both sources: participations by (timestamp,
         event_type_id, event_id), each event once, then the attribute
@@ -506,11 +516,15 @@ class HubStore:
         related event are merged into every event entry at that timestamp;
         the rest become one standalone entry per timestamp. SQLite's order
         puts NULL types and attribute ids first. Rows with a NULL timestamp
-        are left out.
+        are left out. For one object, a first branch yields its ``objects``
+        row, which sorts first on its NULL timestamp: the existence test.
         """
         only = "" if object_id is None else " AND {} = :object_id"
+        probe = "" if object_id is None else (
+            "SELECT id, NULL, -1, NULL, NULL FROM objects WHERE id = :object_id "
+            "UNION ALL ")
         rows = self._conn.execute(
-            "SELECT r.object_id, e.timestamp, 0, e.event_type_id, e.id "
+            probe + "SELECT r.object_id, e.timestamp, 0, e.event_type_id, e.id "
             "FROM event_to_object r JOIN events e ON e.id = r.event_id "
             "WHERE e.timestamp IS NOT NULL" + only.format("r.object_id") +
             " UNION ALL SELECT object_id, timestamp, 1, object_attribute_id, id "
@@ -518,6 +532,10 @@ class HubStore:
             + only.format("object_id") + " ORDER BY 1, 2, 3, 4, 5",
             {"object_id": object_id},
         )
+        if object_id is not None:
+            first = next(rows, None)
+            if first is None or first[2] != -1:
+                raise UnknownIdError(f"unknown object id: {object_id}")
         for owner, owned in groupby(rows, key=itemgetter(0)):
             entries = []
             for timestamp, rows_at in groupby(owned, key=itemgetter(1)):
@@ -540,9 +558,7 @@ class HubStore:
     def object_timeline(self, object_id: str) -> list:
         """Ordered history of one object: its entries from ``timelines``
         (empty when it has none); UnknownIdError if it is not in
-        ``objects``."""
-        if not self.has_id("objects", object_id):
-            raise UnknownIdError(f"unknown object id: {object_id}")
+        ``objects``, even when other tables name it."""
         return [entry for _, entries in self.timelines(object_id) for entry in entries]
 
     def o2o_valid_at(
@@ -556,25 +572,35 @@ class HubStore:
 
         Returns None when no relation row exists at or before the instant,
         or when the latest such row carries a NULL value (termination).
+        UnknownIdError names the first id missing from its table, in the
+        order source object, target object, qualifier; only then does an
+        ``at`` that is no timestamp raise TimestampError.
         """
-        for table, row_id in (
+        try:
+            instant, bad_instant = normalize_timestamp(at), None
+        except TimestampError as exc:
+            instant, bad_instant = None, exc  # no row is at or before NULL
+        # one statement: the three existence flags and the latest row's value
+        *found, value = self._conn.execute(
+            "SELECT EXISTS (SELECT 1 FROM objects WHERE id = ?1), "
+            "EXISTS (SELECT 1 FROM objects WHERE id = ?2), "
+            "EXISTS (SELECT 1 FROM relation_qualifiers WHERE id = ?3), "
+            "(SELECT qualifier_value FROM object_to_object "
+            "WHERE source_object_id = ?1 AND target_object_id = ?2 "
+            "AND qualifier_id = ?3 AND timestamp <= ?4 "
+            "ORDER BY timestamp DESC, id DESC LIMIT 1)",
+            (source_object_id, target_object_id, qualifier_id, instant),
+        ).fetchone()
+        for exists, (table, row_id) in zip(found, (
             ("objects", source_object_id),
             ("objects", target_object_id),
             ("relation_qualifiers", qualifier_id),
-        ):
-            if not self.has_id(table, row_id):
+        )):
+            if not exists:
                 raise UnknownIdError(f"unknown {table} id: {row_id}")
-        instant = normalize_timestamp(at)
-        row = self._conn.execute(
-            "SELECT qualifier_value FROM object_to_object "
-            "WHERE source_object_id = ? AND target_object_id = ? "
-            "AND qualifier_id = ? AND timestamp <= ? "
-            "ORDER BY timestamp DESC, id DESC LIMIT 1",
-            (source_object_id, target_object_id, qualifier_id, instant),
-        ).fetchone()
-        if row is None:
-            return None
-        return row["qualifier_value"]
+        if bad_instant is not None:
+            raise bad_instant
+        return value
 
     def summary_stats(self) -> StatsReport:
         report = StatsReport()
@@ -582,14 +608,14 @@ class HubStore:
             report.table_counts[table] = self.row_count(table)
         for attr, (table, column) in _PER_VALUE_STATS.items():
             getattr(report, attr).update(self._conn.execute(
-                f"SELECT {column}, COUNT(*) FROM {table} GROUP BY 1"
+                f"SELECT {column}, COUNT(*) FROM {table} GROUP BY 1 ORDER BY 1"
             ).fetchall())
         pair_sql = (
             "SELECT e.event_type_id AS et, o.object_type_id AS ot, COUNT(*) AS n "
             "FROM event_to_object r "
             "JOIN events e ON e.id = r.event_id "
             "JOIN objects o ON o.id = r.object_id "
-            "GROUP BY 1, 2"
+            "GROUP BY 1, 2 ORDER BY 1, 2"
         )
         report.e2o_per_type_pair = {
             (row["et"], row["ot"]): row["n"]

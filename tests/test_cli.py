@@ -22,6 +22,7 @@ from ochub.importers.hubcsv import export_hub_csv
 from ochub.schema import Batch, TABLES
 from ochub.store import HubStore, open_store
 from conftest import clean_fixture_batch
+from test_acceptance import tiny_log
 from test_importers import shop_mapping, shop_sources
 
 
@@ -79,6 +80,30 @@ class TestBasics:
     def test_init_and_stats(self, store_path):
         assert run(["stats", "--store", str(store_path)]) == EXIT_OK
         assert run(["stats", "--store", str(store_path), "--json"]) == EXIT_OK
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stats_with_null_event_types(self, tmp_path, capsys, seed):
+        """Events of a NULL type beside typed ones: each breakdown lists
+        NULL first, then the ids in order, in text and JSON alike."""
+        batch, _ = tiny_log(seed, n_objects=8, n_events=16, n_instants=6,
+                            nulls=True)
+        path = tmp_path / "hub.db"
+        with open_store(path) as store:
+            store.append_batch(batch)
+        types = sorted({row["event_type_id"] for row in batch.rows["events"]}
+                       - {None})
+        capsys.readouterr()
+        assert run(["stats", "--store", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        per_type = lines[1:lines.index(f"objects: {len(batch.rows['objects'])}")]
+        assert [line.rsplit(":", 1)[0].strip() for line in per_type] == \
+            ["None", *types]
+        assert run(["stats", "--store", str(path), "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["events_per_type"]) == ["null", *types]
+        pairs = [(p["event_type_id"], p["object_type_id"])
+                 for p in report["e2o_per_type_pair"]]
+        assert pairs[0][0] is None and pairs[1:] == sorted(pairs[1:])
 
     def test_missing_store_is_io_error(self, tmp_path):
         assert run(["stats", "--store", str(tmp_path / "nope.db")]) == EXIT_IO
