@@ -18,17 +18,13 @@ class ImportError_(Exception):
 
 @dataclass
 class AppendableBatch:
-    """A hub batch tagged with where it came from.
+    """A hub batch and the source rows that produced no hub row.
 
-    ``provenance`` maps (table, row id) to (source file, row number) when
-    the importer can say; ``skipped`` lists source rows that produced no hub
-    row, with the reason, so nothing is dropped silently.
+    ``skipped`` lists those rows as (source file, line, reason), so nothing
+    is dropped silently.
     """
 
     batch: Batch
-    format: str
-    source: str
-    provenance: dict = field(default_factory=dict)
     skipped: list = field(default_factory=list)
 
 

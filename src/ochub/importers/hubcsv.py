@@ -9,8 +9,10 @@ names. Timestamps are RFC 3339; an empty ``qualifier_value`` in
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
 
+from ochub.exporters import write_csv
 from ochub.importers import AppendableBatch, ImportError_
 from ochub.schema import Batch, TABLE_COLUMNS, TIMESTAMP_COLUMNS
 from ochub.util import TimestampError, normalize_timestamp
@@ -26,7 +28,6 @@ def import_hub_csv(directory) -> AppendableBatch:
 
     expected = {f"{table}.csv": table for table in TABLE_COLUMNS}
     batch = Batch()
-    provenance = {}
 
     for path in sorted(root.glob("*.csv")):
         table = expected.get(path.name)
@@ -56,12 +57,8 @@ def import_hub_csv(directory) -> AppendableBatch:
                             f"{path.name} line {line_no}: {exc}"
                         ) from exc
                 batch.rows[table].append(row)
-                if row.get("id"):
-                    provenance[(table, row["id"])] = (path.name, line_no)
 
-    return AppendableBatch(
-        batch=batch, format="hubcsv", source=str(root), provenance=provenance
-    )
+    return AppendableBatch(batch=batch)
 
 
 def export_hub_csv(store, out_dir) -> dict:
@@ -72,16 +69,11 @@ def export_hub_csv(store, out_dir) -> dict:
     root.mkdir(parents=True, exist_ok=True)
     counts = {}
     for table, columns in TABLE_COLUMNS.items():
-        rows = list(store.table_rows(table))
-        if not rows:
-            continue
-        path = root / f"{table}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(
-                    ["" if row[col] is None else row[col] for col in columns]
-                )
-        counts[path.name] = len(rows)
+        rows = store.connection().execute(
+            f"SELECT {', '.join(columns)} FROM {table} ORDER BY id"
+        )
+        first = rows.fetchone()
+        if first is not None:
+            path = root / f"{table}.csv"
+            counts[path.name] = write_csv(path, columns, chain([first], rows))
     return counts

@@ -5,8 +5,11 @@ columns carry event ids, timestamps, and attributes; per object type, the
 id column, static attribute columns, and optional timestamped update files;
 and the three relation kinds as (source file, from-column, to-column,
 qualifier) specs. The importer walks the declarations and emits hub rows
-with deterministic namespaced ids, keeping per-row provenance and an
-explicit skipped-rows summary (no silent drops).
+with deterministic namespaced ids. A source row without its key columns
+(an id, or both relation endpoints) yields no hub row and is listed in
+``skipped`` with the reason (no silent drops); a repeated source id, an
+unparseable timestamp or a mapped column missing from a file's header
+stops the import, naming the file and, where there is one, the line.
 
 Derived attributes (values not present as plain columns) must be
 precomputed into the source CSVs upstream; the config stays declarative.
@@ -122,34 +125,51 @@ class MappingConfig:
 
 
 class _Sources:
-    """Caches source CSVs and tracks which rows contributed hub rows."""
+    """Reads each source CSV once, for every spec that maps it, and lists
+    the rows that a spec skips."""
 
     def __init__(self, root: Path):
         self.root = root
+        self.skipped: list = []
         self._cache: dict = {}
-        self.contributed: dict = {}
 
-    def rows(self, name: str) -> list:
+    def keyed(self, name: str, keys, reason: str, *columns):
+        """(line number, key values, row) of each row of ``name`` whose
+        ``keys`` columns are all non-empty once stripped; every other row
+        goes to ``skipped`` with ``reason``. The file's header must have
+        each key and each of ``columns``, checked in that order."""
         if name not in self._cache:
             path = self.root / name
             if not path.exists():
                 raise MappingError(f"missing source file: {name}")
             with open(path, newline="", encoding="utf-8") as handle:
-                self._cache[name] = list(csv.DictReader(handle))
-            self.contributed[name] = set()
-        return self._cache[name]
-
-    def lines(self, name: str, *columns):
-        """(line number, row) of each row of ``name``, once the file is
-        checked to have each of ``columns``, in the order given."""
-        rows = self.rows(name)
-        for column in columns:
-            if rows and column not in rows[0]:
+                reader = csv.DictReader(handle)
+                self._cache[name] = (list(reader), reader.fieldnames or [])
+        rows, header = self._cache[name]
+        for column in (*keys, *columns):
+            if column not in header:
                 raise MappingError(f"{name}: missing source column {column!r}")
-        return enumerate(rows, start=2)
+        for line_no, row in enumerate(rows, start=2):
+            values = [(row.get(key) or "").strip() for key in keys]
+            if all(values):
+                yield line_no, values, row
+            else:
+                self.skipped.append((name, line_no, reason))
 
-    def mark(self, name: str, line_no: int) -> None:
-        self.contributed[name].add(line_no)
+    def ids(self, name: str, kind: str, id_column: str, *columns):
+        """(line number, id, row) of each row of ``name`` that has an id in
+        ``id_column``; a row without one is skipped, a repeated id stops
+        the import."""
+        seen: set = set()
+        for line_no, (raw_id,), row in self.keyed(
+            name, (id_column,), f"empty {kind} id", *columns
+        ):
+            if raw_id in seen:
+                raise MappingError(
+                    f"{name} line {line_no}: duplicate {kind} id {raw_id!r}"
+                )
+            seen.add(raw_id)
+            yield line_no, raw_id, row
 
 
 def _ts(value, context: str) -> str:
@@ -157,6 +177,13 @@ def _ts(value, context: str) -> str:
         return normalize_timestamp(value if value is not None else "")
     except TimestampError as exc:
         raise MappingError(f"{context}: {exc}") from exc
+
+
+def _oav_id(object_type: str, raw_id: str, attribute: str,
+            timestamp: str) -> str:
+    """The id of an object attribute value, as an object row, an update row
+    and an event-to-attribute-value link name it."""
+    return f"oav:{object_type}:{raw_id}:{attribute}:{timestamp}"
 
 
 def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
@@ -168,22 +195,26 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         raise MappingError(f"not a directory: {root}")
     src = _Sources(root)
     batch = Batch()
-    provenance: dict = {}
-    skipped: list = []
-    qualifiers: dict = {}
-
-    def emit(table: str, file: str, line_no: int, **columns) -> None:
-        row = batch.add(table, **columns)
-        provenance[(table, row["id"])] = (file, line_no)
-        src.mark(file, line_no)
+    qualifiers: set = set()
 
     def add_qualifier(name: str) -> str:
-        qualifiers[name] = True
+        qualifiers.add(name)
         return f"q:{name}"
+
+    def add_value(type_name, raw_id, attr, timestamp, value) -> None:
+        batch.add(
+            "object_attribute_values",
+            id=_oav_id(type_name, raw_id, attr, timestamp),
+            object_id=f"obj:{type_name}:{raw_id}",
+            object_attribute_id=f"oa:{type_name}.{attr}",
+            timestamp=timestamp,
+            attribute_value=value,
+        )
 
     for name, spec in sorted(config.event_types.items()):
         batch.add("event_types", id=f"et:{name}", description=name)
-        for attr, attr_spec in sorted(spec["attributes"].items()):
+        attributes = sorted(spec["attributes"].items())
+        for attr, attr_spec in attributes:
             batch.add(
                 "event_attributes",
                 id=f"ea:{name}.{attr}",
@@ -192,44 +223,32 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 datatype=attr_spec["datatype"],
             )
         file = spec["source"]
-        seen_ids: set = set()
-        for line_no, row in src.lines(
-            file, spec["id_column"], spec["timestamp_column"],
+        for line_no, raw_id, row in src.ids(
+            file, "event", spec["id_column"], spec["timestamp_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
         ):
-            raw_id = (row.get(spec["id_column"]) or "").strip()
-            if not raw_id:
-                skipped.append((file, line_no, "empty event id"))
-                continue
-            if raw_id in seen_ids:
-                raise MappingError(
-                    f"{file} line {line_no}: duplicate event id {raw_id!r}"
-                )
-            seen_ids.add(raw_id)
-            timestamp = _ts(
-                row.get(spec["timestamp_column"]), f"{file} line {line_no}"
-            )
             description = None
             if spec["description_column"]:
                 description = row.get(spec["description_column"])
-            emit(
-                "events", file, line_no,
+            batch.add(
+                "events",
                 id=f"ev:{name}:{raw_id}",
                 event_type_id=f"et:{name}",
-                timestamp=timestamp,
+                timestamp=_ts(
+                    row.get(spec["timestamp_column"]), f"{file} line {line_no}"
+                ),
                 description=description,
             )
-            for attr, attr_spec in sorted(spec["attributes"].items()):
+            for attr, attr_spec in attributes:
                 value = row.get(attr_spec["column"])
-                if value is None or value == "":
-                    continue
-                emit(
-                    "event_attribute_values", file, line_no,
-                    id=f"eav:{name}:{raw_id}:{attr}",
-                    event_id=f"ev:{name}:{raw_id}",
-                    event_attribute_id=f"ea:{name}.{attr}",
-                    attribute_value=value,
-                )
+                if value:
+                    batch.add(
+                        "event_attribute_values",
+                        id=f"eav:{name}:{raw_id}:{attr}",
+                        event_id=f"ev:{name}:{raw_id}",
+                        event_attribute_id=f"ea:{name}.{attr}",
+                        attribute_value=value,
+                    )
 
     for name, spec in sorted(config.object_types.items()):
         batch.add("object_types", id=f"ot:{name}", description=name)
@@ -247,126 +266,83 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 datatype=attr_spec["datatype"],
             )
         file = spec["source"]
-        seen_ids = set()
-        for line_no, row in src.lines(
-            file, spec["id_column"],
+        attributes = sorted(spec["attributes"].items())
+        ts_column = spec["attribute_timestamp_column"]
+        for line_no, raw_id, row in src.ids(
+            file, "object", spec["id_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
-            *filter(None, [spec["attribute_timestamp_column"]]),
+            *filter(None, [ts_column]),
         ):
-            raw_id = (row.get(spec["id_column"]) or "").strip()
-            if not raw_id:
-                skipped.append((file, line_no, "empty object id"))
-                continue
-            if raw_id in seen_ids:
-                raise MappingError(
-                    f"{file} line {line_no}: duplicate object id {raw_id!r}"
-                )
-            seen_ids.add(raw_id)
             description = None
             if spec["description_column"]:
                 description = row.get(spec["description_column"])
-            emit(
-                "objects", file, line_no,
+            batch.add(
+                "objects",
                 id=f"obj:{name}:{raw_id}",
                 object_type_id=f"ot:{name}",
                 description=description,
             )
-            if spec["attribute_timestamp_column"]:
-                value_ts = _ts(
-                    row.get(spec["attribute_timestamp_column"]),
-                    f"{file} line {line_no}",
-                )
-            else:
-                value_ts = EPOCH_TS
-            for attr, attr_spec in sorted(spec["attributes"].items()):
+            value_ts = EPOCH_TS
+            if ts_column:
+                value_ts = _ts(row.get(ts_column), f"{file} line {line_no}")
+            for attr, attr_spec in attributes:
                 value = row.get(attr_spec["column"])
-                if value is None or value == "":
-                    continue
-                emit(
-                    "object_attribute_values", file, line_no,
-                    id=f"oav:{name}:{raw_id}:{attr}:{value_ts}",
-                    object_id=f"obj:{name}:{raw_id}",
-                    object_attribute_id=f"oa:{name}.{attr}",
-                    timestamp=value_ts,
-                    attribute_value=value,
-                )
+                if value:
+                    add_value(name, raw_id, attr, value_ts, value)
         for update in spec["updates"]:
             ufile = update["source"]
             attr = update["attribute"]
-            for line_no, row in src.lines(
-                ufile, update["id_column"], update["timestamp_column"],
-                update["value_column"],
+            for line_no, (raw_id,), row in src.keyed(
+                ufile, (update["id_column"],), "empty object id",
+                update["timestamp_column"], update["value_column"],
             ):
-                raw_id = (row.get(update["id_column"]) or "").strip()
-                if not raw_id:
-                    skipped.append((ufile, line_no, "empty object id"))
-                    continue
                 value = row.get(update["value_column"])
-                if value is None or value == "":
-                    skipped.append((ufile, line_no, f"empty {attr} value"))
+                if not value:
+                    src.skipped.append((ufile, line_no, f"empty {attr} value"))
                     continue
                 value_ts = _ts(
                     row.get(update["timestamp_column"]),
                     f"{ufile} line {line_no}",
                 )
-                emit(
-                    "object_attribute_values", ufile, line_no,
-                    id=f"oav:{name}:{raw_id}:{attr}:{value_ts}",
-                    object_id=f"obj:{name}:{raw_id}",
-                    object_attribute_id=f"oa:{name}.{attr}",
-                    timestamp=value_ts,
-                    attribute_value=value,
-                )
+                add_value(name, raw_id, attr, value_ts, value)
 
     for spec in config.relations["event_to_object"]:
         file = spec["source"]
-        qualifier_id = add_qualifier(spec["qualifier"])
-        for line_no, row in src.lines(file, spec["from_column"], spec["to_column"]):
-            from_val = (row.get(spec["from_column"]) or "").strip()
-            to_val = (row.get(spec["to_column"]) or "").strip()
-            if not from_val or not to_val:
-                skipped.append(
-                    (file, line_no, f"empty endpoint for {spec['qualifier']}")
-                )
-                continue
-            emit(
-                "event_to_object", file, line_no,
+        qualifier = spec["qualifier"]
+        qualifier_id = add_qualifier(qualifier)
+        for _, (from_val, to_val), _ in src.keyed(
+            file, (spec["from_column"], spec["to_column"]),
+            f"empty endpoint for {qualifier}",
+        ):
+            batch.add(
+                "event_to_object",
                 id=f"e2o:{spec['event_type']}:{from_val}:"
-                   f"{spec['object_type']}:{to_val}:{spec['qualifier']}",
+                   f"{spec['object_type']}:{to_val}:{qualifier}",
                 event_id=f"ev:{spec['event_type']}:{from_val}",
                 object_id=f"obj:{spec['object_type']}:{to_val}",
                 qualifier_id=qualifier_id,
-                qualifier_value=spec["qualifier"],
+                qualifier_value=qualifier,
             )
 
     for spec in config.relations["object_to_object"]:
         file = spec["source"]
-        qualifier_id = add_qualifier(spec["qualifier"])
-        for line_no, row in src.lines(
-            file, spec["from_column"], spec["to_column"],
-            *filter(None, [spec.get("timestamp_column")]),
+        qualifier = spec["qualifier"]
+        qualifier_id = add_qualifier(qualifier)
+        ts_column = spec.get("timestamp_column")
+        for line_no, (from_val, to_val), row in src.keyed(
+            file, (spec["from_column"], spec["to_column"]),
+            f"empty endpoint for {qualifier}", *filter(None, [ts_column]),
         ):
-            from_val = (row.get(spec["from_column"]) or "").strip()
-            to_val = (row.get(spec["to_column"]) or "").strip()
-            if not from_val or not to_val:
-                skipped.append(
-                    (file, line_no, f"empty endpoint for {spec['qualifier']}")
-                )
-                continue
-            if spec.get("timestamp_column"):
-                timestamp = _ts(
-                    row.get(spec["timestamp_column"]), f"{file} line {line_no}"
-                )
-            else:
-                timestamp = EPOCH_TS
-            value = spec["qualifier"]
+            timestamp = EPOCH_TS
+            if ts_column:
+                timestamp = _ts(row.get(ts_column), f"{file} line {line_no}")
+            value = qualifier
             if spec.get("value_column"):
                 value = row.get(spec["value_column"]) or None
-            emit(
-                "object_to_object", file, line_no,
+            batch.add(
+                "object_to_object",
                 id=f"o2o:{spec['from_object_type']}:{from_val}:"
-                   f"{spec['to_object_type']}:{to_val}:"
-                   f"{spec['qualifier']}:{timestamp}",
+                   f"{spec['to_object_type']}:{to_val}:{qualifier}:{timestamp}",
                 source_object_id=f"obj:{spec['from_object_type']}:{from_val}",
                 target_object_id=f"obj:{spec['to_object_type']}:{to_val}",
                 timestamp=timestamp,
@@ -376,32 +352,25 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
 
     for spec in config.relations["event_to_object_attribute_value"]:
         file = spec["source"]
-        qualifier_id = add_qualifier(spec["qualifier"])
-        for line_no, row in src.lines(
-            file, spec["from_column"], spec["to_column"], spec["timestamp_column"],
+        qualifier = spec["qualifier"]
+        qualifier_id = add_qualifier(qualifier)
+        for line_no, (from_val, to_val), row in src.keyed(
+            file, (spec["from_column"], spec["to_column"]),
+            f"empty endpoint for {qualifier}", spec["timestamp_column"],
         ):
-            from_val = (row.get(spec["from_column"]) or "").strip()
-            to_val = (row.get(spec["to_column"]) or "").strip()
-            if not from_val or not to_val:
-                skipped.append(
-                    (file, line_no, f"empty endpoint for {spec['qualifier']}")
-                )
-                continue
             value_ts = _ts(
                 row.get(spec["timestamp_column"]), f"{file} line {line_no}"
             )
-            oav_id = (
-                f"oav:{spec['object_type']}:{to_val}:"
-                f"{spec['attribute']}:{value_ts}"
+            oav_id = _oav_id(
+                spec["object_type"], to_val, spec["attribute"], value_ts
             )
-            emit(
-                "event_to_object_attribute_value", file, line_no,
-                id=f"e2oav:{spec['event_type']}:{from_val}:{oav_id}:"
-                   f"{spec['qualifier']}",
+            batch.add(
+                "event_to_object_attribute_value",
+                id=f"e2oav:{spec['event_type']}:{from_val}:{oav_id}:{qualifier}",
                 event_id=f"ev:{spec['event_type']}:{from_val}",
                 object_attribute_value_id=oav_id,
                 qualifier_id=qualifier_id,
-                qualifier_value=spec["qualifier"],
+                qualifier_value=qualifier,
             )
 
     for name in sorted(qualifiers):
@@ -410,19 +379,6 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
             datatype="string",
         )
 
-    # Totality: every source row either contributed or is in the summary.
-    already = {(file, line) for file, line, _ in skipped}
-    for file, marks in sorted(src.contributed.items()):
-        total = len(src.rows(file))
-        for line_no in range(2, total + 2):
-            if line_no not in marks and (file, line_no) not in already:
-                skipped.append((file, line_no, "no hub rows emitted"))
-
-    batch.canonicalize()
     return AppendableBatch(
-        batch=batch,
-        format="mapped",
-        source=str(root),
-        provenance=provenance,
-        skipped=sorted(skipped),
+        batch=batch.canonicalize(), skipped=sorted(src.skipped)
     )

@@ -86,12 +86,12 @@ def import_ocel2(file) -> AppendableBatch:
     conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     conn.row_factory = sqlite3.Row
     try:
-        return _import(conn, str(path))
+        return _import(conn)
     finally:
         conn.close()
 
 
-def _import(conn, source: str) -> AppendableBatch:
+def _import(conn) -> AppendableBatch:
     present = {
         row["name"]
         for row in conn.execute(
@@ -190,7 +190,7 @@ def _import(conn, source: str) -> AppendableBatch:
         )
 
     batch.canonicalize()
-    return AppendableBatch(batch=batch, format="ocel2", source=source)
+    return AppendableBatch(batch=batch)
 
 
 def _type_maps(conn, map_table: str, present: set, prefix: str) -> dict:

@@ -154,7 +154,6 @@ class TestImportHubCsv:
         )
         result = import_hub_csv(tmp_path)
         assert result.batch.counts() == {"events": 2}
-        assert result.provenance[("events", "e1")] == ("events.csv", 2)
 
     def test_empty_o2o_qualifier_value_is_null(self, tmp_path):
         write_csv(
@@ -301,6 +300,84 @@ def shop_config():
     return MappingConfig.from_dict(shop_mapping())
 
 
+def contract_sources(tmp_path):
+    """Source files with a line for every skip reason of the mapped
+    importer; ``contract_mapping`` maps them. A skipped line's timestamp
+    cells are empty: they are not parsed."""
+    write_csv(
+        tmp_path / "orders.csv",
+        ["id", "at", "colour", "store_id", "linked_at", "stray"],
+        [
+            ["o1", "2024-02-01T10:00:00Z", "red", "s1",
+             "2024-02-01T10:05:00Z", "not a time"],
+            ["", "", "blue", "s1", "", ""],
+            ["o2", "2024-02-03T10:00:00Z", "", "", "", ""],
+            [" ", "2024-02-04T10:00:00Z", "", "s2", "", ""],
+        ],
+    )
+    write_csv(
+        tmp_path / "stores.csv",
+        ["id", "name", "since", "tax"],
+        [
+            ["s1", "Main St", "2024-01-01T08:00:00Z", "0.06"],
+            ["", "Ghost", "", "0.1"],
+            ["s2", "", "2024-01-02T08:00:00Z", ""],
+        ],
+    )
+    write_csv(
+        tmp_path / "counts.csv",
+        ["store_id", "at", "count", "order_id", "visit_at"],
+        [
+            ["s1", "2024-02-01T10:00:00Z", "5", "o1", "2024-02-01T10:00:00Z"],
+            ["", "2024-02-01T11:00:00Z", "6", "o2", "2024-02-01T11:00:00Z"],
+            ["s2", "", "", "", "2024-02-01T12:00:00Z"],
+            ["s2", "2024-02-01T13:00:00Z", " ", "o2", "2024-02-01T13:00:00Z"],
+        ],
+    )
+
+
+def contract_mapping():
+    return {
+        "event_types": {"place_order": {
+            "source": "orders.csv", "id_column": "id",
+            "timestamp_column": "at", "attributes": {"colour": "colour"},
+        }},
+        "object_types": {"store": {
+            "source": "stores.csv", "id_column": "id",
+            "description_column": "name",
+            "attribute_timestamp_column": "since",
+            "attributes": {"tax_rate": "tax"},
+            "updates": [{
+                "source": "counts.csv", "id_column": "store_id",
+                "timestamp_column": "at", "attribute": "visitors",
+                "value_column": "count",
+            }],
+        }},
+        "relations": {
+            # the stray timestamp_column of an event_to_object spec is
+            # ignored: its cell on orders.csv line 2 does not parse
+            "event_to_object": [{
+                "source": "orders.csv", "event_type": "place_order",
+                "object_type": "store", "from_column": "id",
+                "to_column": "store_id", "qualifier": "placed_in",
+                "timestamp_column": "stray",
+            }],
+            "object_to_object": [{
+                "source": "orders.csv", "from_object_type": "order",
+                "to_object_type": "store", "from_column": "id",
+                "to_column": "store_id", "qualifier": "located",
+                "timestamp_column": "linked_at",
+            }],
+            "event_to_object_attribute_value": [{
+                "source": "counts.csv", "event_type": "place_order",
+                "object_type": "store", "attribute": "visitors",
+                "from_column": "order_id", "to_column": "store_id",
+                "timestamp_column": "visit_at", "qualifier": "first_visit",
+            }],
+        },
+    }
+
+
 class TestImportMappedCsv:
     def test_event_types_from_config(self, tmp_path):
         shop_sources(tmp_path)
@@ -335,15 +412,27 @@ class TestImportMappedCsv:
         store.append_batch(first)
         assert sum(store.append_batch(second).values()) == 0
 
-    def test_provenance_and_totality(self, tmp_path):
-        shop_sources(tmp_path)
-        result = import_mapped_csv(shop_config(), tmp_path)
-        assert result.provenance[("events", "ev:place_order:o1")] == \
-            ("orders.csv", 2)
-        contributing = {
-            source for (source, _) in result.provenance.values()
-        } | {source for source, _, _ in result.skipped}
-        assert "customers.csv" in contributing
+    @pytest.mark.parametrize("sources, mapping, keys", [
+        (shop_sources, shop_mapping,
+         {"orders.csv": "id", "stores.csv": "id", "customers.csv": "id",
+          "store_counts.csv": "store_id"}),
+        (contract_sources, contract_mapping,
+         {"orders.csv": "id", "stores.csv": "id", "counts.csv": "store_id"}),
+    ], ids=["shop", "contract"])
+    def test_every_line_emits_or_is_skipped(self, tmp_path, sources, mapping,
+                                            keys):
+        """Totality: each line of each mapped source either yields a hub row
+        whose id names the line's key, or is listed in ``skipped``."""
+        sources(tmp_path)
+        result = import_mapped_csv(MappingConfig.from_dict(mapping()), tmp_path)
+        skipped = {(file, line) for file, line, _ in result.skipped}
+        named = {part for rows in result.batch.rows.values() for row in rows
+                 for part in row["id"].split(":")}
+        for file, key in keys.items():
+            with open(tmp_path / file, newline="", encoding="utf-8") as handle:
+                for line_no, row in enumerate(csv.DictReader(handle), start=2):
+                    assert (file, line_no) in skipped or row[key] in named, \
+                        (file, line_no)
 
     def test_empty_source_contributes_definitions_only(self, tmp_path):
         shop_sources(tmp_path)
@@ -507,3 +596,124 @@ class TestImportMappedCsv:
                     "from_column": "f", "to_column": "t", "qualifier": " ",
                 }]},
             })
+
+
+class TestMappedImportContract:
+    """What import_mapped_csv emits, skips and rejects, line by line."""
+
+    def test_rows_and_skipped_lines(self, tmp_path):
+        contract_sources(tmp_path)
+        result = import_mapped_csv(
+            MappingConfig.from_dict(contract_mapping()), tmp_path
+        )
+        ids = {table: [row["id"] for row in rows]
+               for table, rows in result.batch.rows.items() if rows}
+        assert ids == {
+            "event_types": ["et:place_order"],
+            "event_attributes": ["ea:place_order.colour"],
+            "events": ["ev:place_order:o1", "ev:place_order:o2"],
+            "event_attribute_values": ["eav:place_order:o1:colour"],
+            "object_types": ["ot:store"],
+            "object_attributes": ["oa:store.tax_rate", "oa:store.visitors"],
+            "objects": ["obj:store:s1", "obj:store:s2"],
+            "object_attribute_values": [
+                "oav:store:s1:tax_rate:2024-01-01T08:00:00.000Z",
+                "oav:store:s1:visitors:2024-02-01T10:00:00.000Z",
+                "oav:store:s2:visitors:2024-02-01T13:00:00.000Z",
+            ],
+            "relation_qualifiers": ["q:first_visit", "q:located", "q:placed_in"],
+            "event_to_object": [
+                "e2o:place_order:o1:store:s1:placed_in",
+            ],
+            "object_to_object": [
+                "o2o:order:o1:store:s1:located:2024-02-01T10:05:00.000Z",
+            ],
+            "event_to_object_attribute_value": [
+                "e2oav:place_order:o1:"
+                "oav:store:s1:visitors:2024-02-01T10:00:00.000Z:first_visit",
+                "e2oav:place_order:o2:"
+                "oav:store:s2:visitors:2024-02-01T13:00:00.000Z:first_visit",
+            ],
+        }
+        values = {row["id"]: (row["object_id"], row["object_attribute_id"],
+                              row["timestamp"], row["attribute_value"])
+                  for row in result.batch.rows["object_attribute_values"]}
+        assert values["oav:store:s2:visitors:2024-02-01T13:00:00.000Z"] == (
+            "obj:store:s2", "oa:store.visitors", "2024-02-01T13:00:00.000Z",
+            " ",
+        )
+        assert values["oav:store:s1:tax_rate:2024-01-01T08:00:00.000Z"] == (
+            "obj:store:s1", "oa:store.tax_rate", "2024-01-01T08:00:00.000Z",
+            "0.06",
+        )
+        assert result.skipped == [
+            ("counts.csv", 3, "empty endpoint for first_visit"),
+            ("counts.csv", 3, "empty object id"),
+            ("counts.csv", 4, "empty endpoint for first_visit"),
+            ("counts.csv", 4, "empty visitors value"),
+            ("orders.csv", 3, "empty endpoint for located"),
+            ("orders.csv", 3, "empty endpoint for placed_in"),
+            ("orders.csv", 3, "empty event id"),
+            ("orders.csv", 4, "empty endpoint for located"),
+            ("orders.csv", 4, "empty endpoint for placed_in"),
+            ("orders.csv", 5, "empty endpoint for located"),
+            ("orders.csv", 5, "empty endpoint for placed_in"),
+            ("orders.csv", 5, "empty event id"),
+            ("stores.csv", 3, "empty object id"),
+        ]
+
+    @pytest.mark.parametrize("file, line, column, value, message", [
+        ("orders.csv", 3, "id", "o1",
+         "orders.csv line 3: duplicate event id 'o1'"),
+        ("stores.csv", 4, "id", "s1",
+         "stores.csv line 4: duplicate object id 's1'"),
+        ("orders.csv", 4, "at", "soon",
+         "orders.csv line 4: unparseable timestamp: 'soon'"),
+        ("stores.csv", 2, "since", "",
+         "stores.csv line 2: empty timestamp"),
+        ("counts.csv", 5, "at", "2024-13-01",
+         "counts.csv line 5: unparseable timestamp: '2024-13-01'"),
+        ("orders.csv", 2, "linked_at", "later",
+         "orders.csv line 2: unparseable timestamp: 'later'"),
+        ("counts.csv", 2, "visit_at", "",
+         "counts.csv line 2: empty timestamp"),
+    ], ids=["duplicate_event", "duplicate_object", "event_timestamp",
+            "object_attribute_timestamp", "update_timestamp", "o2o_timestamp",
+            "e2oav_timestamp"])
+    def test_fail_fast_errors(self, tmp_path, file, line, column, value,
+                              message):
+        contract_sources(tmp_path)
+        path = tmp_path / file
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        rows[line - 1][rows[0].index(column)] = value
+        write_csv(path, rows[0], rows[1:])
+        with pytest.raises(MappingError) as err:
+            import_mapped_csv(
+                MappingConfig.from_dict(contract_mapping()), tmp_path
+            )
+        assert str(err.value) == message
+
+    def test_columns_checked_against_header(self, tmp_path):
+        """A mapped column missing from the header stops the import also
+        before the first data row arrives; a file without a header line has
+        no columns, and a cell beyond the header is no column either."""
+        config = MappingConfig.from_dict({"event_types": {"place_order": {
+            "source": "orders.csv", "id_column": "id",
+            "timestamp_column": "ordered_at",
+        }}})
+        write_csv(tmp_path / "orders.csv", ["id", "when"], [])
+        with pytest.raises(MappingError) as err:
+            import_mapped_csv(config, tmp_path)
+        assert str(err.value) == "orders.csv: missing source column 'ordered_at'"
+        (tmp_path / "orders.csv").write_text("")
+        with pytest.raises(MappingError) as err:
+            import_mapped_csv(config, tmp_path)
+        assert str(err.value) == "orders.csv: missing source column 'id'"
+
+        config.event_types["place_order"]["id_column"] = None
+        write_csv(tmp_path / "orders.csv", ["id", "ordered_at"],
+                  [["o1", "2024-02-01T10:00:00Z", "extra"]])
+        with pytest.raises(MappingError) as err:
+            import_mapped_csv(config, tmp_path)
+        assert str(err.value) == "orders.csv: missing source column None"
