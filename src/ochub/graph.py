@@ -24,11 +24,18 @@ The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
 START, set of updated attributes), and edge frequencies count the case-level
 edges behind each overview edge.
+
+Each graph gives its nodes.csv and edges.csv rows in one place, ``rows()``,
+already in file order: nodes by id (``e:`` before ``s:``), edges by (start,
+end, type, object, qualifier), as the builders sort them and since at most
+one edge kind joins a (start, end) pair. The export writes those rows, and
+the graph checkpoint checks the same rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -80,6 +87,24 @@ class SnapshotGraph:
     snapshot_nodes: list = field(default_factory=list)
     edges: list = field(default_factory=list)
 
+    def rows(self):
+        """(nodes.csv rows, edges.csv rows) in the order the lists hold
+        them: event nodes, then snapshot nodes."""
+        nodes = [
+            (n.node_id, "event", "Event", n.timestamp, n.event_type_id)
+            for n in self.event_nodes
+        ] + [
+            (n.node_id, "snapshot", "Snapshot", n.timestamp,
+             _attribute_list(n.updated_attributes))
+            for n in self.snapshot_nodes
+        ]
+        edges = [
+            (e.start, e.end, "O2O" if e.kind == O2O else "DF",
+             e.object_id or "", e.qualifier or "", 1)
+            for e in self.edges
+        ]
+        return nodes, edges
+
 
 @dataclass(frozen=True)
 class OverviewNode:
@@ -102,6 +127,20 @@ class OverviewEdge:
 class OverviewGraph:
     nodes: list = field(default_factory=list)
     edges: list = field(default_factory=list)
+
+    def rows(self):
+        """(nodes.csv rows, edges.csv rows) in the order the lists hold them."""
+        nodes = [
+            (n.node_id, n.kind,
+             "EventType" if n.kind == "event_type" else "SnapshotGroup", "", n.detail)
+            for n in self.nodes
+        ]
+        edges = [
+            (e.start, e.end, "O2O" if e.kind == O2O else "DF", "",
+             e.qualifier or "", e.frequency)
+            for e in self.edges
+        ]
+        return nodes, edges
 
 
 class GraphExportError(Exception):
@@ -207,50 +246,40 @@ def _attribute_list(attribute_ids) -> str:
 
 def build_overview_graph(case_graph: SnapshotGraph) -> OverviewGraph:
     """Aggregate a case-level graph into the overview graph."""
-    mapping: dict = {}
-    node_freq: dict = {}
-    node_meta: dict = {}
-
+    groups: dict = {}  # case node id -> (overview node id, kind, detail)
     for node in case_graph.event_nodes:
-        target = f"et:{node.event_type_id}"
-        mapping[node.node_id] = target
-        node_freq[target] = node_freq.get(target, 0) + 1
-        node_meta[target] = ("event_type", node.event_type_id)
+        groups[node.node_id] = (
+            f"et:{node.event_type_id}", "event_type", node.event_type_id)
     for node in case_graph.snapshot_nodes:
         detail = (
             f"{node.object_type_id}|{node.prev_event_type_id}|"
             f"{_attribute_list(node.updated_attributes)}"
         )
-        target = f"g:{detail}"
-        mapping[node.node_id] = target
-        node_freq[target] = node_freq.get(target, 0) + 1
-        node_meta[target] = ("snapshot_group", detail)
-
-    edge_freq: dict = {}
-    for edge in case_graph.edges:
-        key = (
-            edge.kind,
-            mapping[edge.start],
-            mapping[edge.end],
-            edge.qualifier,
-        )
-        edge_freq[key] = edge_freq.get(key, 0) + 1
-
-    nodes = [
-        OverviewNode(node_id=node_id, kind=kind, detail=detail, frequency=node_freq[node_id])
-        for node_id, (kind, detail) in sorted(node_meta.items())
-    ]
-    edges = [
-        OverviewEdge(kind=kind, start=start, end=end, qualifier=qualifier, frequency=n)
-        for (kind, start, end, qualifier), n in sorted(
-            edge_freq.items(), key=lambda item: (item[0][1], item[0][2], item[0][0], item[0][3] or "")
-        )
-    ]
-    return OverviewGraph(nodes=nodes, edges=edges)
+        groups[node.node_id] = (f"g:{detail}", "snapshot_group", detail)
+    node_freq = Counter(node_id for node_id, _, _ in groups.values())
+    edge_freq = Counter(
+        (groups[e.start][0], groups[e.end][0], e.kind, e.qualifier)
+        for e in case_graph.edges
+    )
+    # one node per overview id, the last group mapped onto it giving the rest
+    nodes = {group[0]: group for group in groups.values()}
+    return OverviewGraph(
+        nodes=[
+            OverviewNode(node_id=node_id, kind=kind, detail=detail,
+                         frequency=node_freq[node_id])
+            for node_id, kind, detail in sorted(nodes.values())
+        ],
+        edges=[
+            OverviewEdge(kind=kind, start=start, end=end, qualifier=qualifier, frequency=n)
+            for (start, end, kind, qualifier), n in sorted(
+                edge_freq.items(), key=lambda item: (*item[0][:3], item[0][3] or ""))
+        ],
+    )
 
 
 def export_graph_csv(graph, out_dir) -> "ExportSummary":
-    """Write nodes.csv and edges.csv for the external bulk importer.
+    """Write the graph's ``rows()`` as nodes.csv and edges.csv for the
+    external bulk importer.
 
     The graph checkpoint (node uniqueness, edge endpoints) runs first; any
     violation aborts the export before files are written.
@@ -264,54 +293,7 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-
-    if isinstance(graph, SnapshotGraph):
-        node_rows = [
-            (n.node_id, "event", "Event", n.timestamp, n.event_type_id)
-            for n in graph.event_nodes
-        ] + [
-            (
-                n.node_id,
-                "snapshot",
-                "Snapshot",
-                n.timestamp,
-                _attribute_list(n.updated_attributes),
-            )
-            for n in graph.snapshot_nodes
-        ]
-        edge_rows = [
-            (
-                e.start,
-                e.end,
-                "O2O" if e.kind == O2O else "DF",
-                e.object_id or "",
-                e.qualifier or "",
-                1,
-            )
-            for e in graph.edges
-        ]
-    elif isinstance(graph, OverviewGraph):
-        node_rows = [
-            (n.node_id, n.kind, "EventType" if n.kind == "event_type" else "SnapshotGroup", "", n.detail)
-            for n in graph.nodes
-        ]
-        edge_rows = [
-            (
-                e.start,
-                e.end,
-                "O2O" if e.kind == O2O else "DF",
-                "",
-                e.qualifier or "",
-                e.frequency,
-            )
-            for e in graph.edges
-        ]
-    else:
-        raise TypeError(f"not an exportable graph: {type(graph).__name__}")
-
-    node_rows.sort(key=lambda r: r[0])
-    edge_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-
+    node_rows, edge_rows = graph.rows()
     summary = ExportSummary(format="graph-csv", path=str(root))
     summary.counts["nodes.csv"] = write_csv(root / "nodes.csv", NODES_HEADER, node_rows)
     summary.counts["edges.csv"] = write_csv(root / "edges.csv", EDGES_HEADER, edge_rows)

@@ -9,7 +9,8 @@ with deterministic namespaced ids. A source row without its key columns
 (an id, or both relation endpoints) yields no hub row and is listed in
 ``skipped`` with the reason (no silent drops); a repeated source id, an
 unparseable timestamp or a mapped column missing from a file's header
-stops the import, naming the file and, where there is one, the line.
+stops the import, naming the file and, where there is one, the line. Type,
+attribute and qualifier names must be strings.
 
 Derived attributes (values not present as plain columns) must be
 precomputed into the source CSVs upstream; the config stays declarative.
@@ -28,6 +29,21 @@ from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
 
 class MappingError(ImportError_):
     """The mapping config is invalid or does not fit the source files."""
+
+
+def _name(value, what: str) -> str:
+    """A type, attribute or qualifier name of the mapping, which must be
+    text: ids are built from it, and names of one kind are sorted."""
+    if not isinstance(value, str):
+        raise MappingError(f"{what} {value!r} is not a string")
+    return value
+
+
+def _attributes(owner: str, spec: dict) -> dict:
+    return {
+        _name(attr, f"{owner}: attribute"): _attr_spec(attr, raw)
+        for attr, raw in (spec.get("attributes") or {}).items()
+    }
 
 
 def _attr_spec(name, raw):
@@ -60,6 +76,7 @@ class MappingConfig:
             },
         )
         for name, spec in (data.get("event_types") or {}).items():
+            _name(name, "event type")
             for required in ("source", "id_column", "timestamp_column"):
                 if required not in spec:
                     raise MappingError(f"event type {name}: missing {required}")
@@ -68,12 +85,10 @@ class MappingConfig:
                 "id_column": spec["id_column"],
                 "timestamp_column": spec["timestamp_column"],
                 "description_column": spec.get("description_column"),
-                "attributes": {
-                    attr: _attr_spec(attr, raw)
-                    for attr, raw in (spec.get("attributes") or {}).items()
-                },
+                "attributes": _attributes(f"event type {name}", spec),
             }
         for name, spec in (data.get("object_types") or {}).items():
+            _name(name, "object type")
             for required in ("source", "id_column"):
                 if required not in spec:
                     raise MappingError(f"object type {name}: missing {required}")
@@ -85,33 +100,35 @@ class MappingConfig:
                         raise MappingError(
                             f"object type {name} update: missing {required}"
                         )
+                _name(update["attribute"], f"object type {name} update: attribute")
                 updates.append(dict(update))
             config.object_types[name] = {
                 "source": spec["source"],
                 "id_column": spec["id_column"],
                 "description_column": spec.get("description_column"),
                 "attribute_timestamp_column": spec.get("attribute_timestamp_column"),
-                "attributes": {
-                    attr: _attr_spec(attr, raw)
-                    for attr, raw in (spec.get("attributes") or {}).items()
-                },
+                "attributes": _attributes(f"object type {name}", spec),
                 "updates": updates,
             }
         relations = data.get("relations") or {}
         for kind in config.relations:
             for spec in relations.get(kind) or []:
-                required = ["source", "from_column", "to_column", "qualifier"]
+                names = ["qualifier"]
                 if kind == "event_to_object":
-                    required += ["event_type", "object_type"]
+                    names += ["event_type", "object_type"]
                 elif kind == "object_to_object":
-                    required += ["from_object_type", "to_object_type"]
+                    names += ["from_object_type", "to_object_type"]
                 else:
-                    required += ["event_type", "object_type", "attribute",
-                                 "timestamp_column"]
+                    names += ["event_type", "object_type", "attribute"]
+                required = ["source", "from_column", "to_column", *names]
+                if kind == "event_to_object_attribute_value":
+                    required.append("timestamp_column")
                 for key in required:
                     if key not in spec:
                         raise MappingError(f"{kind} relation: missing {key}")
-                if not str(spec["qualifier"]).strip():
+                for key in names:
+                    _name(spec[key], f"{kind} relation: {key}")
+                if not spec["qualifier"].strip():
                     raise MappingError(f"{kind} relation: empty qualifier")
                 config.relations[kind].append(dict(spec))
         return config
@@ -226,6 +243,7 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         for line_no, raw_id, row in src.ids(
             file, "event", spec["id_column"], spec["timestamp_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
+            *filter(None, [spec["description_column"]]),
         ):
             description = None
             if spec["description_column"]:
@@ -271,7 +289,7 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         for line_no, raw_id, row in src.ids(
             file, "object", spec["id_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
-            *filter(None, [ts_column]),
+            *filter(None, [ts_column, spec["description_column"]]),
         ):
             description = None
             if spec["description_column"]:
@@ -331,7 +349,8 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         ts_column = spec.get("timestamp_column")
         for line_no, (from_val, to_val), row in src.keyed(
             file, (spec["from_column"], spec["to_column"]),
-            f"empty endpoint for {qualifier}", *filter(None, [ts_column]),
+            f"empty endpoint for {qualifier}",
+            *filter(None, [ts_column, spec.get("value_column")]),
         ):
             timestamp = EPOCH_TS
             if ts_column:

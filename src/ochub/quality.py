@@ -2,10 +2,11 @@
 
 Four structural checks guard the store and incoming batches (unique primary
 keys, non-null foreign keys, referential integrity, timestamp validity); two
-more guard graph exports (node id uniqueness, edge endpoints). Checks are
-read-only and report every violation instead of failing fast. Repairing
-missing objects is a separate, explicit step: the missing ids that the
-referential-integrity check reports go to
+more guard graph exports (node id uniqueness, edge endpoints) over the rows a
+graph gives (its ``rows()``) or an exported directory's two CSVs hold, read
+by position. Checks are read-only and report every violation instead of
+failing fast. Repairing missing objects is a separate, explicit step: the
+missing ids that the referential-integrity check reports go to
 ``HubStore.stage_placeholder_objects``, which adds placeholder objects to
 the staged batch, and the staging checkpoint runs again on the new handle.
 
@@ -32,7 +33,9 @@ next ingest checks every row again under the new rule.
 
 from __future__ import annotations
 
+import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -222,83 +225,43 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport,
         report.violations.extend(found)
 
 
-def _graph_tables(target):
-    """Extract (nodes, edges, node_file, edge_file) from a graph object or
-    a directory of bulk-import CSVs."""
-    from ochub import graph as graph_mod  # local import, avoids a cycle
-
-    if isinstance(target, (str, Path)):
-        import csv
-
-        directory = Path(target)
-        nodes, edges = [], []
-        nodes_file = directory / "nodes.csv"
-        edges_file = directory / "edges.csv"
-        if nodes_file.exists():
-            with open(nodes_file, newline="", encoding="utf-8") as handle:
-                nodes = [(row.get("id:ID") or "",) for row in csv.DictReader(handle)]
-        if edges_file.exists():
-            with open(edges_file, newline="", encoding="utf-8") as handle:
-                edges = [
-                    (row.get(":START_ID") or "", row.get(":END_ID") or "")
-                    for row in csv.DictReader(handle)
-                ]
-        return [n[0] for n in nodes], edges
-    if isinstance(target, graph_mod.SnapshotGraph):
-        node_ids = [n.node_id for n in target.event_nodes] + [
-            n.node_id for n in target.snapshot_nodes
-        ]
-        return node_ids, [(e.start, e.end) for e in target.edges]
-    if isinstance(target, graph_mod.OverviewGraph):
-        return (
-            [n.node_id for n in target.nodes],
-            [(e.start, e.end) for e in target.edges],
-        )
-    raise TypeError(f"not a graph export target: {type(target).__name__}")
+def _graph_rows(target):
+    """(nodes.csv rows, edges.csv rows) of a built graph (its ``rows()``),
+    or read from a directory holding both files; a missing file is an
+    OSError naming it. A row leads with its node id, or with its edge's
+    start and end."""
+    if not isinstance(target, (str, Path)):
+        return target.rows()
+    tables = []
+    for name in ("nodes.csv", "edges.csv"):
+        with open(Path(target) / name, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            next(reader, None)  # the header
+            # padded, so that a short row still has a start and an end
+            tables.append([row + ["", ""] for row in reader if row])
+    return tables
 
 
 def check_graph_node_uniqueness(node_ids) -> list:
-    violations = []
-    counts: dict = {}
-    for node_id in node_ids:
-        counts[node_id] = counts.get(node_id, 0) + 1
-    for node_id, n in counts.items():
-        if not node_id:
-            violations.append(
-                Violation(
-                    check="graph_node_uniqueness",
-                    table="nodes.csv",
-                    key="",
-                    detail="empty node id",
-                )
-            )
-        elif n > 1:
-            violations.append(
-                Violation(
-                    check="graph_node_uniqueness",
-                    table="nodes.csv",
-                    key=node_id,
-                    detail=f"node id appears {n} times",
-                )
-            )
-    return violations
+    return [
+        Violation("graph_node_uniqueness", "nodes.csv", node_id,
+                  f"node id appears {n} times")
+        if node_id else
+        Violation("graph_node_uniqueness", "nodes.csv", "", "empty node id")
+        for node_id, n in Counter(node_ids).items()
+        if n > 1 or not node_id
+    ]
 
 
 def check_graph_edge_endpoints(node_ids, edges) -> list:
     known = set(node_ids)
-    violations = []
-    for start, end in edges:
-        for endpoint in (start, end):
-            if endpoint not in known:
-                violations.append(
-                    Violation(
-                        check="graph_edge_endpoints",
-                        table="edges.csv",
-                        key=endpoint,
-                        detail=f"edge ({start} -> {end}) references missing node",
-                    )
-                )
-    return violations
+    return [
+        Violation("graph_edge_endpoints", "edges.csv", endpoint,
+                  f"edge ({start} -> {end}) references missing node")
+        for start, end in edges
+        for endpoint in (start, end)
+        if endpoint not in known
+    ]
 
 
 def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
@@ -315,8 +278,9 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
                  the rows above the clean-row watermark are checked, the
                  same violations a full scan finds, and a clean report
                  moves the watermark to the store's last row.
-    graph     -- target is a built graph or a directory with nodes.csv and
-                 edges.csv.
+    graph     -- target is a built graph (anything with ``rows()``) or a
+                 directory with nodes.csv and edges.csv (OSError if
+                 either is missing).
 
     ``scanned`` counts the rows actually checked per table or file.
     """
@@ -349,11 +313,13 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
             })
         return report
 
-    node_ids, edges = _graph_tables(target)
-    report.scanned["nodes.csv"] = len(node_ids)
+    nodes, edges = _graph_rows(target)
+    report.scanned["nodes.csv"] = len(nodes)
     report.scanned["edges.csv"] = len(edges)
+    node_ids = [row[0] for row in nodes]
     node_violations = check_graph_node_uniqueness(node_ids)
-    edge_violations = check_graph_edge_endpoints(node_ids, edges)
+    edge_violations = check_graph_edge_endpoints(
+        node_ids, (row[:2] for row in edges))
     report.check_status["graph_node_uniqueness"] = not node_violations
     report.check_status["graph_edge_endpoints"] = not edge_violations
     report.violations.extend(node_violations)

@@ -181,6 +181,31 @@ class TestIngest:
         assert store.row_count("events") == 3
         store.close()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["object_types"].update({1: m["object_types"]["customer"]}),
+         "error: object type 1 is not a string"),
+        (lambda m: m["relations"]["object_to_object"].append(
+            dict(m["relations"]["object_to_object"][0], qualifier=5)),
+         "error: object_to_object relation: qualifier 5 is not a string"),
+    ], ids=["object_type", "qualifier"])
+    def test_non_string_mapping_name_exits_3(self, store_path, tmp_path,
+                                              capsys, edit, message):
+        """Beside string names, a numeric one used to end in a TypeError
+        traceback and exit 1, the quality-failure code."""
+        import yaml
+
+        shop_sources(tmp_path)
+        mapping = shop_mapping()
+        edit(mapping)
+        path = tmp_path / "mapping.yml"
+        path.write_text(yaml.safe_dump(mapping))
+        capsys.readouterr()
+        assert run([
+            "ingest", "--store", str(store_path), "--format", "mapped",
+            "--input", str(tmp_path), "--mapping", str(path),
+        ]) == EXIT_IO
+        assert message in capsys.readouterr().err
+
     def test_reingest_is_idempotent(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
         capsys.readouterr()
@@ -396,6 +421,28 @@ class TestCheck:
             "check", "--store", str(store_path), "--checkpoint", "graph",
             "--input", str(out),
         ]) == EXIT_OK
+
+    def test_graph_check_on_missing_files(self, store_path, batch_dir,
+                                          tmp_path, capsys):
+        """A missing directory, nodes.csv or edges.csv is an I/O error
+        naming the file, not an empty graph that passes."""
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        out = tmp_path / "graph"
+        assert run([
+            "export", "--store", str(store_path), "--format", "graph-case",
+            "--out", str(out),
+        ]) == EXIT_OK
+        (out / "edges.csv").unlink()
+        for directory, missing in ((tmp_path / "absent", "nodes.csv"),
+                                   (out, "edges.csv")):
+            capsys.readouterr()
+            assert run([
+                "check", "--store", str(store_path), "--checkpoint", "graph",
+                "--input", str(directory),
+            ]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert str(directory / missing) in captured.err
+            assert "PASSED" not in captured.out
 
 
 class TestExport:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
@@ -10,16 +11,28 @@ from ochub.graph import (
     O2O,
     START,
     GraphExportError,
+    SnapshotGraph,
     SnapshotNode,
     build_case_graph,
     build_overview_graph,
     export_graph_csv,
 )
 from ochub.cli import EXIT_OK, run
+from ochub.exporters import write_csv
 from ochub.quality import run_checkpoint
 from ochub.schema import Batch
+from ochub.store import open_store
 from conftest import clean_fixture_batch
 from oracles import brute_case_graph
+from test_acceptance import tiny_log
+
+
+def assert_same_checkpoint(graph, directory):
+    from_graph = run_checkpoint(graph, "graph")
+    from_files = run_checkpoint(directory, "graph")
+    assert from_graph.scanned == from_files.scanned
+    assert from_graph.violations == from_files.violations
+    return from_graph
 
 
 def edge_tuples(graph):
@@ -353,6 +366,37 @@ class TestGraphCsvExport:
             with open(out / "nodes.csv", newline="") as handle:
                 details = {row["id:ID"]: row["detail"] for row in csv.DictReader(handle)}
             assert details[node_id] == detail
+
+    @pytest.mark.parametrize("nulls", [False, True], ids=["plain", "nulls"])
+    def test_rows_come_in_file_order(self, tmp_path, nulls):
+        """Both graph kinds give their rows in the files' order, nodes by id
+        and edges by (start, end, type, object, qualifier), so the export
+        writes them as they come; the graph checkpoint finds the same in a
+        graph as in its files, also with a repeated node and a dangling
+        edge."""
+        for seed in range(100):
+            batch, _ = tiny_log(seed, n_objects=3 + seed % 6,
+                                n_events=4 + seed % 13, nulls=nulls)
+            with open_store(tmp_path / f"{seed}.db") as store:
+                store.append_batch(batch)
+                case = build_case_graph(store)
+            for graph in (case, build_overview_graph(case)):
+                nodes, edges = graph.rows()
+                assert nodes == sorted(nodes, key=lambda row: row[0])
+                assert edges == sorted(edges, key=lambda row: row[:5])
+                out = tmp_path / f"{seed}-{type(graph).__name__}"
+                export_graph_csv(graph, out)
+                assert_same_checkpoint(graph, out)
+                listed = (graph.snapshot_nodes if isinstance(graph, SnapshotGraph)
+                          else graph.nodes)
+                if listed and graph.edges:
+                    listed.append(listed[0])
+                    graph.edges.append(replace(graph.edges[0], start="ghost"))
+                    nodes, edges = graph.rows()
+                    write_csv(out / "nodes.csv", NODES_HEADER, nodes)
+                    write_csv(out / "edges.csv", EDGES_HEADER, edges)
+                    report = assert_same_checkpoint(graph, out)
+                    assert not any(report.check_status.values())
 
     def test_checkpoint_aborts_before_writing(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())

@@ -694,6 +694,66 @@ class TestMappedImportContract:
             )
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("path, message", [
+        (("event_types", "place_order", "description_column"),
+         "orders.csv: missing source column 'nmae'"),
+        (("object_types", "store", "description_column"),
+         "stores.csv: missing source column 'nmae'"),
+        (("relations", "object_to_object", 0, "value_column"),
+         "orders.csv: missing source column 'nmae'"),
+    ], ids=["event_description", "object_description", "o2o_value"])
+    def test_misspelt_optional_column_errors(self, tmp_path, path, message):
+        """A misspelt description or relation value column stops the import
+        instead of storing NULL (a NULL qualifier value would read as a
+        terminated relation)."""
+        contract_sources(tmp_path)
+        mapping = contract_mapping()
+        *keys, last = path
+        spec = mapping
+        for key in keys:
+            spec = spec[key]
+        spec[last] = "nmae"
+        with pytest.raises(MappingError) as err:
+            import_mapped_csv(MappingConfig.from_dict(mapping), tmp_path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("object_types",), 1,
+         "object type 1 is not a string"),
+        (("event_types",), True,
+         "event type True is not a string"),
+        (("event_types", "place_order", "attributes"), 7,
+         "event type place_order: attribute 7 is not a string"),
+        (("object_types", "store", "attributes"), None,
+         "object type store: attribute None is not a string"),
+        (("object_types", "store", "updates", 0, "attribute"), 2,
+         "object type store update: attribute 2 is not a string"),
+        (("relations", "object_to_object", 0, "qualifier"), 5,
+         "object_to_object relation: qualifier 5 is not a string"),
+        (("relations", "event_to_object_attribute_value", 0, "object_type"),
+         3, "event_to_object_attribute_value relation: object_type 3 "
+            "is not a string"),
+    ], ids=["object_type", "event_type", "event_attribute",
+            "object_attribute", "update_attribute", "qualifier",
+            "relation_type"])
+    def test_non_string_names_rejected(self, path, value, message):
+        """Type, attribute and qualifier names are text: YAML ``5:`` or
+        ``qualifier: 5`` is a mapping error, not a sort that fails beside
+        string names. A key names a new entry holding a copy of the first
+        one; a value is replaced."""
+        mapping = contract_mapping()
+        *keys, last = path
+        spec = mapping
+        for key in keys:
+            spec = spec[key]
+        if isinstance(spec[last], dict):
+            spec[last][value] = next(iter(spec[last].values()))
+        else:
+            spec[last] = value
+        with pytest.raises(MappingError) as err:
+            MappingConfig.from_dict(mapping)
+        assert str(err.value) == message
+
     def test_columns_checked_against_header(self, tmp_path):
         """A mapped column missing from the header stops the import also
         before the first data row arrives; a file without a header line has

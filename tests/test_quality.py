@@ -134,6 +134,14 @@ class TestGraphChecks:
         kinds = sorted(v.check for v in report.violations)
         assert kinds == ["graph_edge_endpoints", "graph_node_uniqueness"]
 
+    def test_checkpoint_needs_both_files(self, tmp_path):
+        (tmp_path / "nodes.csv").write_text("id:ID,kind,:LABEL,timestamp,detail\n")
+        for target, missing in ((tmp_path / "absent", "nodes.csv"),
+                                (tmp_path, "edges.csv")):
+            with pytest.raises(FileNotFoundError) as err:
+                run_checkpoint(target, "graph")
+            assert err.value.filename == str(target / missing)
+
 
 def missing_objects_batch():
     """The clean fixture plus references to two objects that never arrive,
