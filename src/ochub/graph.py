@@ -23,7 +23,8 @@ timeline and are left out; the transform checkpoint reports them.
 The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
 START, set of updated attributes), and edge frequencies count the case-level
-edges behind each overview edge.
+edges behind each overview edge. A NULL type shows as empty in overview ids
+and details, as a NULL attribute id does.
 
 Each graph gives its nodes.csv and edges.csv rows in one place, ``rows()``,
 already in file order: nodes by id (``e:`` before ``s:``), edges by (start,
@@ -248,11 +249,11 @@ def build_overview_graph(case_graph: SnapshotGraph) -> OverviewGraph:
     """Aggregate a case-level graph into the overview graph."""
     groups: dict = {}  # case node id -> (overview node id, kind, detail)
     for node in case_graph.event_nodes:
-        groups[node.node_id] = (
-            f"et:{node.event_type_id}", "event_type", node.event_type_id)
+        event_type = node.event_type_id or ""
+        groups[node.node_id] = (f"et:{event_type}", "event_type", event_type)
     for node in case_graph.snapshot_nodes:
         detail = (
-            f"{node.object_type_id}|{node.prev_event_type_id}|"
+            f"{node.object_type_id or ''}|{node.prev_event_type_id or ''}|"
             f"{_attribute_list(node.updated_attributes)}"
         )
         groups[node.node_id] = (f"g:{detail}", "snapshot_group", detail)
@@ -281,19 +282,20 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
     """Write the graph's ``rows()`` as nodes.csv and edges.csv for the
     external bulk importer.
 
-    The graph checkpoint (node uniqueness, edge endpoints) runs first; any
-    violation aborts the export before files are written.
+    The graph checkpoint (node uniqueness, edge endpoints) runs first, on
+    those same rows; any violation aborts the export before files are
+    written.
     """
     from ochub.exporters import ExportSummary, write_csv
     from ochub.quality import run_checkpoint
 
-    report = run_checkpoint(graph, "graph")
+    node_rows, edge_rows = rows = graph.rows()
+    report = run_checkpoint(rows, "graph")
     if not report.passed:
         raise GraphExportError(report)
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    node_rows, edge_rows = graph.rows()
     summary = ExportSummary(format="graph-csv", path=str(root))
     summary.counts["nodes.csv"] = write_csv(root / "nodes.csv", NODES_HEADER, node_rows)
     summary.counts["edges.csv"] = write_csv(root / "edges.csv", EDGES_HEADER, edge_rows)

@@ -4,13 +4,15 @@ A MappingConfig (YAML) declares, per event type, which source file and
 columns carry event ids, timestamps, and attributes; per object type, the
 id column, static attribute columns, and optional timestamped update files;
 and the three relation kinds as (source file, from-column, to-column,
-qualifier) specs. The importer walks the declarations and emits hub rows
-with deterministic namespaced ids. A source row without its key columns
-(an id, or both relation endpoints) yields no hub row and is listed in
-``skipped`` with the reason (no silent drops); a repeated source id, an
+qualifier) specs. ``MappingConfig.from_dict`` checks each spec by one rule
+(``_spec``): a mapping with the keys its kind requires, strings as names
+and ``source``, a string or null as a column; each section is a mapping or
+a list as expected. The importer walks the declarations and emits hub rows
+with the ids ``ochub.importers`` describes. A source row without its key
+columns (an id, or both relation endpoints) yields no hub row and is listed
+in ``skipped`` with the reason (no silent drops); a repeated source id, an
 unparseable timestamp or a mapped column missing from a file's header
-stops the import, naming the file and, where there is one, the line. Type,
-attribute and qualifier names must be strings.
+stops the import, naming the file and, where there is one, the line.
 
 Derived attributes (values not present as plain columns) must be
 precomputed into the source CSVs upstream; the config stays declarative.
@@ -22,7 +24,9 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ochub.importers import AppendableBatch, ImportError_
+from ochub.importers import (
+    AppendableBatch, ImportError_, add_qualifiers, add_type,
+)
 from ochub.schema import Batch, DATATYPES
 from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
 
@@ -31,18 +35,59 @@ class MappingError(ImportError_):
     """The mapping config is invalid or does not fit the source files."""
 
 
+_RELATION = ("source", "from_column", "to_column", "qualifier")
+# spec kind -> the keys it must have, in the order they are looked for
+_REQUIRED = {
+    "event type": ("source", "id_column", "timestamp_column"),
+    "object type": ("source", "id_column"),
+    "update": ("source", "id_column", "timestamp_column", "attribute",
+               "value_column"),
+    "event_to_object": (*_RELATION, "event_type", "object_type"),
+    "object_to_object": (*_RELATION, "from_object_type", "to_object_type"),
+    "event_to_object_attribute_value": (
+        *_RELATION, "event_type", "object_type", "attribute", "timestamp_column"),
+}
+
+
 def _name(value, what: str) -> str:
-    """A type, attribute or qualifier name of the mapping, which must be
-    text: ids are built from it, and names of one kind are sorted."""
+    """A type, attribute or qualifier name, a source file or a column of
+    the mapping, which must be text: ids are built from names, and names of
+    one kind are sorted."""
     if not isinstance(value, str):
         raise MappingError(f"{what} {value!r} is not a string")
     return value
 
 
+def _section(data: dict, key, owner: str, kind: type):
+    """``data[key]`` as a ``kind`` (dict or list); absent or empty is an
+    empty one."""
+    value = data.get(key) or kind()
+    if not isinstance(value, kind):
+        shape = "mapping" if kind is dict else "list"
+        raise MappingError(f"{owner}{key} {value!r} is not a {shape}")
+    return value
+
+
+def _spec(spec, owner: str, kind: str) -> dict:
+    """``spec`` if it is a mapping with every key its kind requires, text
+    in each name and in ``source``, and a column given as text or null."""
+    if not isinstance(spec, dict):
+        raise MappingError(f"{owner}: spec {spec!r} is not a mapping")
+    required = _REQUIRED[kind]
+    for key in required:
+        if key not in spec:
+            raise MappingError(f"{owner}: missing {key}")
+    for key, value in spec.items():
+        column = str(key).endswith("_column")
+        if (value is not None) if column else key in required:
+            _name(value, f"{owner}: {key}")
+    return spec
+
+
 def _attributes(owner: str, spec: dict) -> dict:
     return {
         _name(attr, f"{owner}: attribute"): _attr_spec(attr, raw)
-        for attr, raw in (spec.get("attributes") or {}).items()
+        for attr, raw in _section(spec, "attributes", f"{owner}: ", dict).items()
     }
 
 
@@ -67,67 +112,31 @@ class MappingConfig:
     def from_dict(cls, data: dict) -> "MappingConfig":
         if not isinstance(data, dict):
             raise MappingError("mapping config must be a mapping")
-        config = cls(
-            event_types={}, object_types={},
-            relations={
-                "event_to_object": [],
-                "object_to_object": [],
-                "event_to_object_attribute_value": [],
-            },
-        )
-        for name, spec in (data.get("event_types") or {}).items():
-            _name(name, "event type")
-            for required in ("source", "id_column", "timestamp_column"):
-                if required not in spec:
-                    raise MappingError(f"event type {name}: missing {required}")
+        config = cls()
+        for name, spec in _section(data, "event_types", "", dict).items():
+            owner = f"event type {_name(name, 'event type')}"
+            _spec(spec, owner, "event type")
             config.event_types[name] = {
-                "source": spec["source"],
-                "id_column": spec["id_column"],
-                "timestamp_column": spec["timestamp_column"],
-                "description_column": spec.get("description_column"),
-                "attributes": _attributes(f"event type {name}", spec),
+                "description_column": None, **spec,
+                "attributes": _attributes(owner, spec),
             }
-        for name, spec in (data.get("object_types") or {}).items():
-            _name(name, "object type")
-            for required in ("source", "id_column"):
-                if required not in spec:
-                    raise MappingError(f"object type {name}: missing {required}")
-            updates = []
-            for update in spec.get("updates") or []:
-                for required in ("source", "id_column", "timestamp_column",
-                                 "attribute", "value_column"):
-                    if required not in update:
-                        raise MappingError(
-                            f"object type {name} update: missing {required}"
-                        )
-                _name(update["attribute"], f"object type {name} update: attribute")
-                updates.append(dict(update))
+        for name, spec in _section(data, "object_types", "", dict).items():
+            owner = f"object type {_name(name, 'object type')}"
+            _spec(spec, owner, "object type")
+            updates = [
+                dict(_spec(update, f"{owner} update", "update"))
+                for update in _section(spec, "updates", f"{owner}: ", list)
+            ]
             config.object_types[name] = {
-                "source": spec["source"],
-                "id_column": spec["id_column"],
-                "description_column": spec.get("description_column"),
-                "attribute_timestamp_column": spec.get("attribute_timestamp_column"),
-                "attributes": _attributes(f"object type {name}", spec),
-                "updates": updates,
+                "description_column": None, "attribute_timestamp_column": None,
+                **spec, "attributes": _attributes(owner, spec), "updates": updates,
             }
-        relations = data.get("relations") or {}
-        for kind in config.relations:
-            for spec in relations.get(kind) or []:
-                names = ["qualifier"]
-                if kind == "event_to_object":
-                    names += ["event_type", "object_type"]
-                elif kind == "object_to_object":
-                    names += ["from_object_type", "to_object_type"]
-                else:
-                    names += ["event_type", "object_type", "attribute"]
-                required = ["source", "from_column", "to_column", *names]
-                if kind == "event_to_object_attribute_value":
-                    required.append("timestamp_column")
-                for key in required:
-                    if key not in spec:
-                        raise MappingError(f"{kind} relation: missing {key}")
-                for key in names:
-                    _name(spec[key], f"{kind} relation: {key}")
+        relations = _section(data, "relations", "", dict)
+        for kind in ("event_to_object", "object_to_object",
+                     "event_to_object_attribute_value"):
+            config.relations[kind] = []
+            for spec in _section(relations, kind, "relations: ", list):
+                _spec(spec, f"{kind} relation", kind)
                 if not spec["qualifier"].strip():
                     raise MappingError(f"{kind} relation: empty qualifier")
                 config.relations[kind].append(dict(spec))
@@ -214,9 +223,15 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
     batch = Batch()
     qualifiers: set = set()
 
-    def add_qualifier(name: str) -> str:
-        qualifiers.add(name)
-        return f"q:{name}"
+    def related(spec, *columns):
+        """(qualifier, its id, the rows of the relation spec's source with
+        both endpoints); notes the qualifier. Its rows share one id string."""
+        qualifier = spec["qualifier"]
+        qualifiers.add(qualifier)
+        return qualifier, f"q:{qualifier}", src.keyed(
+            spec["source"], (spec["from_column"], spec["to_column"]),
+            f"empty endpoint for {qualifier}", *columns,
+        )
 
     def add_value(type_name, raw_id, attr, timestamp, value) -> None:
         batch.add(
@@ -229,16 +244,9 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         )
 
     for name, spec in sorted(config.event_types.items()):
-        batch.add("event_types", id=f"et:{name}", description=name)
         attributes = sorted(spec["attributes"].items())
-        for attr, attr_spec in attributes:
-            batch.add(
-                "event_attributes",
-                id=f"ea:{name}.{attr}",
-                event_type_id=f"et:{name}",
-                description=attr,
-                datatype=attr_spec["datatype"],
-            )
+        add_type(batch, "event", name,
+                 [(attr, attr_spec["datatype"]) for attr, attr_spec in attributes])
         file = spec["source"]
         for line_no, raw_id, row in src.ids(
             file, "event", spec["id_column"], spec["timestamp_column"],
@@ -269,20 +277,11 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                     )
 
     for name, spec in sorted(config.object_types.items()):
-        batch.add("object_types", id=f"ot:{name}", description=name)
-        declared_attrs = dict(spec["attributes"])
+        datatypes = {attr: attr_spec["datatype"]
+                     for attr, attr_spec in spec["attributes"].items()}
         for update in spec["updates"]:
-            declared_attrs.setdefault(
-                update["attribute"], {"column": None, "datatype": "string"}
-            )
-        for attr, attr_spec in sorted(declared_attrs.items()):
-            batch.add(
-                "object_attributes",
-                id=f"oa:{name}.{attr}",
-                object_type_id=f"ot:{name}",
-                description=attr,
-                datatype=attr_spec["datatype"],
-            )
+            datatypes.setdefault(update["attribute"], "string")
+        add_type(batch, "object", name, sorted(datatypes.items()))
         file = spec["source"]
         attributes = sorted(spec["attributes"].items())
         ts_column = spec["attribute_timestamp_column"]
@@ -325,13 +324,8 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 add_value(name, raw_id, attr, value_ts, value)
 
     for spec in config.relations["event_to_object"]:
-        file = spec["source"]
-        qualifier = spec["qualifier"]
-        qualifier_id = add_qualifier(qualifier)
-        for _, (from_val, to_val), _ in src.keyed(
-            file, (spec["from_column"], spec["to_column"]),
-            f"empty endpoint for {qualifier}",
-        ):
+        qualifier, qualifier_id, rows = related(spec)
+        for _, (from_val, to_val), _ in rows:
             batch.add(
                 "event_to_object",
                 id=f"e2o:{spec['event_type']}:{from_val}:"
@@ -343,15 +337,10 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
             )
 
     for spec in config.relations["object_to_object"]:
-        file = spec["source"]
-        qualifier = spec["qualifier"]
-        qualifier_id = add_qualifier(qualifier)
-        ts_column = spec.get("timestamp_column")
-        for line_no, (from_val, to_val), row in src.keyed(
-            file, (spec["from_column"], spec["to_column"]),
-            f"empty endpoint for {qualifier}",
-            *filter(None, [ts_column, spec.get("value_column")]),
-        ):
+        file, ts_column = spec["source"], spec.get("timestamp_column")
+        qualifier, qualifier_id, rows = related(
+            spec, *filter(None, [ts_column, spec.get("value_column")]))
+        for line_no, (from_val, to_val), row in rows:
             timestamp = EPOCH_TS
             if ts_column:
                 timestamp = _ts(row.get(ts_column), f"{file} line {line_no}")
@@ -371,12 +360,8 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
 
     for spec in config.relations["event_to_object_attribute_value"]:
         file = spec["source"]
-        qualifier = spec["qualifier"]
-        qualifier_id = add_qualifier(qualifier)
-        for line_no, (from_val, to_val), row in src.keyed(
-            file, (spec["from_column"], spec["to_column"]),
-            f"empty endpoint for {qualifier}", spec["timestamp_column"],
-        ):
+        qualifier, qualifier_id, rows = related(spec, spec["timestamp_column"])
+        for line_no, (from_val, to_val), row in rows:
             value_ts = _ts(
                 row.get(spec["timestamp_column"]), f"{file} line {line_no}"
             )
@@ -392,11 +377,7 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                 qualifier_value=qualifier,
             )
 
-    for name in sorted(qualifiers):
-        batch.add(
-            "relation_qualifiers", id=f"q:{name}", description=name,
-            datatype="string",
-        )
+    add_qualifiers(batch, qualifiers)
 
     return AppendableBatch(
         batch=batch.canonicalize(), skipped=sorted(src.skipped)

@@ -6,8 +6,8 @@ Source layout: master tables ``event(ocel_id, ocel_type)`` and
 and one ``event_<map>`` / ``object_<map>`` table per mapped type.
 
 Mapping notes:
-  - ids are namespaced deterministically (type "A" -> "et:A", event "e1" ->
-    "ev:e1", ...) so re-imports are idempotent;
+  - ids follow the scheme in ``ochub.importers``, keyed by ``ocel_id``, so
+    re-imports are idempotent;
   - object rows with an empty ``ocel_changed_field`` are initial-value rows
     (one attribute value per filled column at that row's time); rows with a
     changed field yield exactly one value for that field;
@@ -25,7 +25,9 @@ from __future__ import annotations
 import sqlite3
 from pathlib import Path
 
-from ochub.importers import AppendableBatch, ImportError_
+from ochub.importers import (
+    AppendableBatch, ImportError_, add_qualifiers, add_type,
+)
 from ochub.schema import Batch
 from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
 
@@ -38,8 +40,12 @@ REQUIRED_TABLES = (
     "object_object",
 )
 
-_RESERVED_EVENT_COLS = {"ocel_id", "ocel_time"}
-_RESERVED_OBJECT_COLS = {"ocel_id", "ocel_time", "ocel_changed_field"}
+_CHANGED = "ocel_changed_field"
+# kind -> the columns of its per-type tables that hold no attribute
+_RESERVED_COLS = {
+    "event": {"ocel_id", "ocel_time"},
+    "object": {"ocel_id", "ocel_time", _CHANGED},
+}
 
 
 def _is_absent(value) -> bool:
@@ -54,6 +60,10 @@ def _text(value) -> str:
     return str(value)
 
 
+def _qualifier(value) -> str:
+    return "related" if _is_absent(value) else value
+
+
 def _datatype_for(decl_type) -> str:
     decl = (decl_type or "").upper()
     if "INT" in decl:
@@ -65,17 +75,6 @@ def _datatype_for(decl_type) -> str:
     if "TIME" in decl or "DATE" in decl:
         return "timestamp"
     return "string"
-
-
-def _table_columns(conn, table):
-    return conn.execute(f"PRAGMA table_info({table})").fetchall()
-
-
-def _normalize(value, context):
-    try:
-        return normalize_timestamp(value)
-    except TimestampError as exc:
-        raise ImportError_(f"{context}: {exc}") from exc
 
 
 def import_ocel2(file) -> AppendableBatch:
@@ -103,28 +102,26 @@ def _import(conn) -> AppendableBatch:
         raise ImportError_(f"missing OCEL 2.0 tables: {', '.join(missing)}")
 
     batch = Batch()
-    qualifiers: set = set()
-
     event_maps = _type_maps(conn, "event_map_type", present, "event")
     object_maps = _type_maps(conn, "object_map_type", present, "object")
-
-    for type_name, table in sorted(event_maps.items()):
-        batch.add("event_types", id=f"et:{type_name}", description=type_name)
-    for type_name, table in sorted(object_maps.items()):
-        batch.add("object_types", id=f"ot:{type_name}", description=type_name)
-
     # Master rows drive event/object existence; per-type tables carry the
     # timestamps and attribute payloads.
-    event_types = {
-        row["ocel_id"]: row["ocel_type"]
-        for row in conn.execute("SELECT ocel_id, ocel_type FROM event")
-    }
-    object_types = {
-        row["ocel_id"]: row["ocel_type"]
-        for row in conn.execute("SELECT ocel_id, ocel_type FROM object")
-    }
+    event_types = _master(conn, "event")
+    object_types = _master(conn, "object")
 
-    event_times = _import_event_payloads(conn, batch, event_maps)
+    event_times: dict = {}
+    for type_name, ocel_id, timestamp, values in _per_type_rows(
+        conn, batch, "event", event_maps
+    ):
+        event_times[ocel_id] = timestamp
+        for name, value in values:
+            batch.add(
+                "event_attribute_values",
+                id=f"eav:{ocel_id}:{name}",
+                event_id=f"ev:{ocel_id}",
+                event_attribute_id=f"ea:{type_name}.{name}",
+                attribute_value=value,
+            )
     for ocel_id, type_name in event_types.items():
         timestamp = event_times.get(ocel_id)
         if timestamp is None:
@@ -139,7 +136,18 @@ def _import(conn) -> AppendableBatch:
             description=None,
         )
 
-    _import_object_payloads(conn, batch, object_maps)
+    for type_name, ocel_id, timestamp, values in _per_type_rows(
+        conn, batch, "object", object_maps
+    ):
+        for name, value in values:
+            batch.add(
+                "object_attribute_values",
+                id=f"oav:{ocel_id}:{name}:{timestamp}",
+                object_id=f"obj:{ocel_id}",
+                object_attribute_id=f"oa:{type_name}.{name}",
+                timestamp=timestamp,
+                attribute_value=value,
+            )
     for ocel_id, type_name in object_types.items():
         batch.add(
             "objects",
@@ -148,46 +156,35 @@ def _import(conn) -> AppendableBatch:
             description=None,
         )
 
-    for row in conn.execute(
+    qualifiers: set = set()
+    for event_id, object_id, qualifier in conn.execute(
         "SELECT ocel_event_id, ocel_object_id, ocel_qualifier FROM event_object"
     ):
-        qualifier = row["ocel_qualifier"]
-        if _is_absent(qualifier):
-            qualifier = "related"
+        qualifier = _qualifier(qualifier)
         qualifiers.add(qualifier)
         batch.add(
             "event_to_object",
-            id=f"e2o:{row['ocel_event_id']}:{row['ocel_object_id']}:{qualifier}",
-            event_id=f"ev:{row['ocel_event_id']}",
-            object_id=f"obj:{row['ocel_object_id']}",
+            id=f"e2o:{event_id}:{object_id}:{qualifier}",
+            event_id=f"ev:{event_id}",
+            object_id=f"obj:{object_id}",
             qualifier_id=f"q:{qualifier}",
             qualifier_value=qualifier,
         )
-
-    for row in conn.execute(
+    for source_id, target_id, qualifier in conn.execute(
         "SELECT ocel_source_id, ocel_target_id, ocel_qualifier FROM object_object"
     ):
-        qualifier = row["ocel_qualifier"]
-        if _is_absent(qualifier):
-            qualifier = "related"
+        qualifier = _qualifier(qualifier)
         qualifiers.add(qualifier)
         batch.add(
             "object_to_object",
-            id=f"o2o:{row['ocel_source_id']}:{row['ocel_target_id']}:{qualifier}",
-            source_object_id=f"obj:{row['ocel_source_id']}",
-            target_object_id=f"obj:{row['ocel_target_id']}",
+            id=f"o2o:{source_id}:{target_id}:{qualifier}",
+            source_object_id=f"obj:{source_id}",
+            target_object_id=f"obj:{target_id}",
             timestamp=EPOCH_TS,
             qualifier_id=f"q:{qualifier}",
             qualifier_value=qualifier,
         )
-
-    for qualifier in sorted(qualifiers):
-        batch.add(
-            "relation_qualifiers",
-            id=f"q:{qualifier}",
-            description=qualifier,
-            datatype="string",
-        )
+    add_qualifiers(batch, qualifiers)
 
     batch.canonicalize()
     return AppendableBatch(batch=batch)
@@ -207,82 +204,50 @@ def _type_maps(conn, map_table: str, present: set, prefix: str) -> dict:
     return maps
 
 
-def _import_event_payloads(conn, batch: Batch, event_maps: dict) -> dict:
-    """Emit event attribute definitions and values; return ocel_id -> time."""
-    event_times: dict = {}
-    for type_name, table in sorted(event_maps.items()):
-        columns = _table_columns(conn, table)
-        attr_cols = [
-            (c["name"], _datatype_for(c["type"]))
-            for c in columns
-            if c["name"] not in _RESERVED_EVENT_COLS
-        ]
-        for name, datatype in attr_cols:
-            batch.add(
-                "event_attributes",
-                id=f"ea:{type_name}.{name}",
-                event_type_id=f"et:{type_name}",
-                description=name,
-                datatype=datatype,
-            )
-        for row in conn.execute(f"SELECT * FROM {table} ORDER BY rowid"):
-            ocel_id = row["ocel_id"]
-            event_times[ocel_id] = _normalize(
-                row["ocel_time"], f"{table}.ocel_time for {ocel_id!r}"
-            )
-            for name, _ in attr_cols:
-                value = row[name]
-                if _is_absent(value):
-                    continue
-                batch.add(
-                    "event_attribute_values",
-                    id=f"eav:{ocel_id}:{name}",
-                    event_id=f"ev:{ocel_id}",
-                    event_attribute_id=f"ea:{type_name}.{name}",
-                    attribute_value=_text(value),
-                )
-    return event_times
+def _master(conn, table: str) -> dict:
+    """ocel_id -> ocel_type of a master table; a repeated id keeps its last
+    type."""
+    return {
+        ocel_id: type_name
+        for ocel_id, type_name in conn.execute(
+            f"SELECT ocel_id, ocel_type FROM {table}"
+        )
+    }
 
 
-def _import_object_payloads(conn, batch: Batch, object_maps: dict) -> None:
-    for type_name, table in sorted(object_maps.items()):
-        columns = _table_columns(conn, table)
-        attr_cols = [
+def _per_type_rows(conn, batch: Batch, kind: str, maps: dict):
+    """Add each ``kind`` type of ``maps`` with its attribute definitions,
+    then yield (type name, ``ocel_id``, normalized ``ocel_time``, [(attribute,
+    value as text)]) for each row of its per-type table; types in name
+    order, rows in rowid order. An object row with a changed field gives
+    that field alone, every other row each attribute column; absent values
+    are left out."""
+    for type_name, table in sorted(maps.items()):
+        columns = conn.execute(f"PRAGMA table_info({table})").fetchall()
+        attributes = [
             (c["name"], _datatype_for(c["type"]))
             for c in columns
-            if c["name"] not in _RESERVED_OBJECT_COLS
+            if c["name"] not in _RESERVED_COLS[kind]
         ]
-        for name, datatype in attr_cols:
-            batch.add(
-                "object_attributes",
-                id=f"oa:{type_name}.{name}",
-                object_type_id=f"ot:{type_name}",
-                description=name,
-                datatype=datatype,
-            )
+        add_type(batch, kind, type_name, attributes)
+        every = [name for name, _ in attributes]
+        has_changed = kind == "object" and any(
+            c["name"] == _CHANGED for c in columns)
         for row in conn.execute(f"SELECT * FROM {table} ORDER BY rowid"):
-            ocel_id = row["ocel_id"]
-            timestamp = _normalize(
-                row["ocel_time"], f"{table}.ocel_time for {ocel_id!r}"
-            )
-            changed = row["ocel_changed_field"] if "ocel_changed_field" in row.keys() else None
-            if _is_absent(changed):
-                targets = [n for n, _ in attr_cols]
-            else:
-                targets = [changed]
-            for name in targets:
-                if name not in row.keys():
+            try:
+                timestamp = normalize_timestamp(row["ocel_time"])
+            except TimestampError as exc:
+                raise ImportError_(
+                    f"{table}.ocel_time for {row['ocel_id']!r}: {exc}"
+                ) from exc
+            names = every
+            if has_changed and not _is_absent(row[_CHANGED]):
+                names = [row[_CHANGED]]
+                if names[0] not in row.keys():
                     raise ImportError_(
-                        f"{table}: changed field {name!r} is not a column"
+                        f"{table}: changed field {names[0]!r} is not a column"
                     )
-                value = row[name]
-                if _is_absent(value):
-                    continue
-                batch.add(
-                    "object_attribute_values",
-                    id=f"oav:{ocel_id}:{name}:{timestamp}",
-                    object_id=f"obj:{ocel_id}",
-                    object_attribute_id=f"oa:{type_name}.{name}",
-                    timestamp=timestamp,
-                    attribute_value=_text(value),
-                )
+            yield type_name, row["ocel_id"], timestamp, [
+                (name, _text(row[name]))
+                for name in names if not _is_absent(row[name])
+            ]

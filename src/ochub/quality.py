@@ -226,10 +226,12 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport,
 
 
 def _graph_rows(target):
-    """(nodes.csv rows, edges.csv rows) of a built graph (its ``rows()``),
-    or read from a directory holding both files; a missing file is an
-    OSError naming it. A row leads with its node id, or with its edge's
-    start and end."""
+    """(nodes.csv rows, edges.csv rows): the pair itself, those of a built
+    graph (its ``rows()``), or read from a directory holding both files; a
+    missing file is an OSError naming it. A row leads with its node id, or
+    with its edge's start and end."""
+    if isinstance(target, tuple):
+        return target
     if not isinstance(target, (str, Path)):
         return target.rows()
     tables = []
@@ -278,9 +280,9 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
                  the rows above the clean-row watermark are checked, the
                  same violations a full scan finds, and a clean report
                  moves the watermark to the store's last row.
-    graph     -- target is a built graph (anything with ``rows()``) or a
-                 directory with nodes.csv and edges.csv (OSError if
-                 either is missing).
+    graph     -- target is a built graph (anything with ``rows()``), its
+                 (nodes, edges) rows as a pair, or a directory with
+                 nodes.csv and edges.csv (OSError if either is missing).
 
     ``scanned`` counts the rows actually checked per table or file.
     """

@@ -47,13 +47,14 @@ UNKNOWN_OBJECT_TYPE_ID = "ot:unknown"  # the type of placeholder objects
 
 _TS_COLS = {table: col for table, col in TIMESTAMP_COLUMNS}
 
+# Each serves a lookup by its column. Stores of the same layout version
+# made earlier may also hold idx_e2o_event and idx_e2oav_event; no
+# statement needs them, so they stay where they are.
 _INDEXES = (
     ("idx_e2o_object", "event_to_object", "object_id"),
-    ("idx_e2o_event", "event_to_object", "event_id"),
     ("idx_oav_object", "object_attribute_values", "object_id"),
     ("idx_eav_event", "event_attribute_values", "event_id"),
     ("idx_o2o_source", "object_to_object", "source_object_id"),
-    ("idx_e2oav_event", "event_to_object_attribute_value", "event_id"),
 )
 
 # StatsReport field -> (table, column) whose rows it counts per value

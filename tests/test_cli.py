@@ -23,7 +23,7 @@ from ochub.schema import Batch, TABLES
 from ochub.store import HubStore, open_store
 from conftest import clean_fixture_batch
 from test_acceptance import tiny_log
-from test_importers import shop_mapping, shop_sources
+from test_importers import MALFORMED_CONFIGS, shop_mapping, shop_sources
 
 
 @pytest.fixture
@@ -205,6 +205,21 @@ class TestIngest:
             "--input", str(tmp_path), "--mapping", str(path),
         ]) == EXIT_IO
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", MALFORMED_CONFIGS)
+    def test_malformed_mapping_exits_3(self, store_path, tmp_path, capsys,
+                                       text, message):
+        """A config of the wrong shape used to end in a TypeError or
+        AttributeError traceback and exit 1, the quality-failure code."""
+        (tmp_path / "ticks.csv").write_text("id,at\nt1,2024-01-01T00:00:00Z\n")
+        path = tmp_path / "mapping.yml"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run([
+            "ingest", "--store", str(store_path), "--format", "mapped",
+            "--input", str(tmp_path), "--mapping", str(path),
+        ]) == EXIT_IO
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_reingest_is_idempotent(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK

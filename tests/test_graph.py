@@ -302,6 +302,23 @@ class TestOverviewGraph:
             ("ot:x|et:b|", 1),
         ]
 
+    def test_null_type_is_not_the_text_none(self, store):
+        """A NULL event type shows as empty in overview ids and details, as
+        a NULL attribute id does, so it no longer shares a node with an
+        event type whose id is the text ``None``."""
+        b = minimal_batch()
+        b.rows["events"] = []
+        b.add("events", id="ev:1", event_type_id=None,
+              timestamp="2024-01-01T10:00:00.000Z")
+        b.add("events", id="ev:2", event_type_id="None",
+              timestamp="2024-01-01T11:00:00.000Z")
+        store.append_batch(b)
+        nodes, _ = build_overview_graph(build_case_graph(store)).rows()
+        assert [(row[0], row[4]) for row in nodes] == [
+            ("et:", ""), ("et:None", "None"),
+            ("g:ot:x|None|", "ot:x|None|"), ("g:ot:x||", "ot:x||"),
+        ]
+
     def test_edge_frequencies_conserve_case_edges(self, store):
         store.append_batch(clean_fixture_batch())
         case = build_case_graph(store)
@@ -397,6 +414,17 @@ class TestGraphCsvExport:
                     write_csv(out / "edges.csv", EDGES_HEADER, edges)
                     report = assert_same_checkpoint(graph, out)
                     assert not any(report.check_status.values())
+
+    def test_rows_built_once(self, store, tmp_path, monkeypatch):
+        """The export checks the very rows it writes."""
+        store.append_batch(clean_fixture_batch())
+        graph = build_case_graph(store)
+        calls = []
+        rows = SnapshotGraph.rows
+        monkeypatch.setattr(
+            SnapshotGraph, "rows", lambda self: calls.append(self) or rows(self))
+        export_graph_csv(graph, tmp_path / "graph")
+        assert calls == [graph]
 
     def test_checkpoint_aborts_before_writing(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())

@@ -134,6 +134,37 @@ class TestImportOcel2:
         with pytest.raises(ImportError_, match="ocel_time"):
             import_ocel2(path)
 
+    def test_changed_field_must_be_a_column(self, tmp_path):
+        log = simple_ocel_log()
+        log["object_types"]["parcel"]["rows"].append(
+            ("p1", "2024-01-03 10:00:00", "colour", {"weight": 2.0})
+        )
+        path = tmp_path / "log.sqlite"
+        build_ocel2_sqlite(path, log)
+        with pytest.raises(ImportError_) as err:
+            import_ocel2(path)
+        assert str(err.value) == \
+            "object_parcel: changed field 'colour' is not a column"
+
+    def test_repeated_master_id_gives_one_row_of_its_last_type(self, tmp_path):
+        """An id listed twice in a master table is one event or object, of
+        the type its last master row names."""
+        log = simple_ocel_log()
+        log["event_types"]["pack"] = {
+            "attrs": {}, "events": [("e1", "2024-01-05 10:00:00", {})],
+        }
+        log["object_types"]["box"] = {
+            "attrs": {}, "rows": [("p1", "2024-01-05 10:00:00", None, {})],
+        }
+        path = tmp_path / "log.sqlite"
+        build_ocel2_sqlite(path, log)
+        rows = import_ocel2(path).batch.rows
+        assert [(r["id"], r["event_type_id"]) for r in rows["events"]] == \
+            [("ev:e1", "et:pack"), ("ev:e2", "et:ship")]
+        assert [(r["id"], r["object_type_id"]) for r in rows["objects"]] == \
+            [("obj:p1", "ot:box")]
+        assert [r["id"] for r in rows["event_types"]] == ["et:pack", "et:ship"]
+
 
 def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -376,6 +407,42 @@ def contract_mapping():
             }],
         },
     }
+
+
+TICK = """\
+event_types:
+  tick:
+    source: ticks.csv
+    id_column: id
+    timestamp_column: at
+"""
+
+# mapping configs of a malformed shape, and the MappingError each gives
+MALFORMED_CONFIGS = [
+    pytest.param("event_types:\n  tick:\n",
+                 "event type tick: spec None is not a mapping", id="no_spec"),
+    pytest.param(TICK.replace("ticks.csv", "5"),
+                 "event type tick: source 5 is not a string", id="source"),
+    pytest.param(TICK + "    attributes: [a, b]\n",
+                 "event type tick: attributes ['a', 'b'] is not a mapping",
+                 id="attributes"),
+    pytest.param("object_types:\n  thing:\n    source: ticks.csv\n"
+                 "    id_column: id\n    updates: {a: b}\n",
+                 "object type thing: updates {'a': 'b'} is not a list",
+                 id="updates"),
+    pytest.param("relations:\n  event_to_object: {source: ticks.csv}\n",
+                 "relations: event_to_object {'source': 'ticks.csv'} "
+                 "is not a list", id="relation_kind"),
+    pytest.param("event_types: [1, 2]\n",
+                 "event_types [1, 2] is not a mapping", id="event_types"),
+    pytest.param("relations: [1]\n", "relations [1] is not a mapping",
+                 id="relations"),
+    pytest.param(TICK.replace("id_column: id", "id_column: [id]"),
+                 "event type tick: id_column ['id'] is not a string",
+                 id="id_column"),
+    pytest.param(TICK + "    attributes:\n      a: {column: id, datatype: [x]}\n",
+                 "attribute a: unknown datatype ['x']", id="datatype"),
+]
 
 
 class TestImportMappedCsv:
@@ -752,6 +819,15 @@ class TestMappedImportContract:
             spec[last] = value
         with pytest.raises(MappingError) as err:
             MappingConfig.from_dict(mapping)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", MALFORMED_CONFIGS)
+    def test_malformed_config_shapes(self, text, message):
+        """A spec that is no mapping, a section of the wrong shape and a
+        source file or column that is no text are mapping errors naming the
+        spec, not a TypeError or AttributeError from deeper down."""
+        with pytest.raises(MappingError) as err:
+            MappingConfig.from_dict(yaml.safe_load(text))
         assert str(err.value) == message
 
     def test_columns_checked_against_header(self, tmp_path):
