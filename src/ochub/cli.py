@@ -4,10 +4,14 @@ Commands: init, ingest, check, stats, export. Ingest runs the staging
 checkpoint before appending and the transform checkpoint after, over the
 rows added since the store's last clean check, printing the quality report
 on failure. ``check --checkpoint transform`` is the full, read-only audit.
-The graph module is imported only by the graph exports.
+
+Each command imports only the modules it runs. The importers, exporters and
+``run_checkpoint`` are names of this module imported on first use
+(``__getattr__``), and the commands call them through the module, so a name
+rebound here is the one called; the graph exports import ``ochub.graph``.
 
 Exit codes: 0 success, 1 quality-check failure, 2 usage error, 3 I/O error
-(including an unreadable or corrupt store file), 4 append conflict.
+(including an unreadable, corrupt or locked store file), 4 append conflict.
 """
 
 from __future__ import annotations
@@ -18,21 +22,25 @@ import sys
 
 import click
 
-from ochub.exporters import ExportError, export_docel, export_flat_csv, export_ocel2
-from ochub.importers import (
-    ImportError_,
-    MappingConfig,
-    import_hub_csv,
-    import_mapped_csv,
-    import_ocel2,
-)
-from ochub.quality import run_checkpoint
 from ochub.store import (
     AppendConflictError,
     StoreError,
     StoreNotFoundError,
     open_store,
 )
+from ochub.util import FormatError, lazy_names
+
+__getattr__ = lazy_names(__name__, {
+    "MappingConfig": "ochub.importers.mapped",
+    "import_hub_csv": "ochub.importers.hubcsv",
+    "import_mapped_csv": "ochub.importers.mapped",
+    "import_ocel2": "ochub.importers.ocel2",
+    "export_docel": "ochub.exporters.docel",
+    "export_flat_csv": "ochub.exporters.flatcsv",
+    "export_ocel2": "ochub.exporters.ocel2",
+    "run_checkpoint": "ochub.quality",
+})
+_this = sys.modules[__name__]  # the commands reach the names above through it
 
 EXIT_OK = 0
 EXIT_QUALITY = 1
@@ -63,13 +71,14 @@ def cmd_init(path):
 
 def _load_batch(fmt, input_path, mapping):
     if fmt == "hubcsv":
-        return import_hub_csv(input_path)
+        return _this.import_hub_csv(input_path)
     if fmt == "ocel2":
-        return import_ocel2(input_path)
+        return _this.import_ocel2(input_path)
     if fmt == "mapped":
         if not mapping:
             raise click.UsageError("--mapping is required for --format mapped")
-        return import_mapped_csv(MappingConfig.from_file(mapping), input_path)
+        return _this.import_mapped_csv(
+            _this.MappingConfig.from_file(mapping), input_path)
     raise click.UsageError(f"unknown format: {fmt}")
 
 
@@ -93,7 +102,7 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
         # staged once: the staging checkpoint, the repair and the append
         # all work on the same TEMP tables
         staged = store.stage(imported.batch)
-        report = run_checkpoint(staged, "staging", store=store)
+        report = _this.run_checkpoint(staged, "staging", store=store)
         if not report.passed and repair_missing_objects and all(
             v.check == "referential_integrity" and v.ref_table == "objects"
             for v in report.violations
@@ -101,7 +110,7 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
             missing = {v.ref_id for v in report.violations}
             click.echo(f"repairing {len(missing)} missing object(s)")
             staged = store.stage_placeholder_objects(missing)
-            report = run_checkpoint(staged, "staging", store=store)
+            report = _this.run_checkpoint(staged, "staging", store=store)
         if not report.passed:
             click.echo(report.summary())
             raise QualityFailure(report)
@@ -110,7 +119,7 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
         click.echo(f"appended: {json.dumps(added) if added else 'nothing new'}")
         if imported.skipped:
             click.echo(f"skipped {len(imported.skipped)} source row(s)")
-        post = run_checkpoint(store, "transform", since_clean=True)
+        post = _this.run_checkpoint(store, "transform", since_clean=True)
         if not post.passed:
             click.echo(post.summary())
             raise QualityFailure(post)
@@ -144,15 +153,15 @@ def cmd_check(store_path, checkpoint, input_path, fmt, mapping, report_path):
             if not input_path:
                 raise click.UsageError("staging checkpoint needs --input")
             batch = _load_batch(fmt, input_path, mapping).batch
-            report = run_checkpoint(batch, "staging", store=store)
+            report = _this.run_checkpoint(batch, "staging", store=store)
         elif checkpoint == "transform":
-            report = run_checkpoint(store, "transform")
+            report = _this.run_checkpoint(store, "transform")
         else:
             if not input_path:
                 raise click.UsageError(
                     "graph checkpoint needs --input (directory with nodes.csv/edges.csv)"
                 )
-            report = run_checkpoint(input_path, "graph")
+            report = _this.run_checkpoint(input_path, "graph")
         click.echo(report.summary())
         if report_path:
             report.write_json(report_path)
@@ -205,24 +214,20 @@ def cmd_export(store_path, fmt, out, case_type):
     store = open_store(store_path, create_if_missing=False)
     try:
         if fmt == "ocel2":
-            summary = export_ocel2(store, out)
+            summary = _this.export_ocel2(store, out)
         elif fmt == "docel":
-            summary = export_docel(store, out)
+            summary = _this.export_docel(store, out)
         elif fmt == "flat":
             if not case_type:
                 raise click.UsageError("--case-type is required for --format flat")
-            summary = export_flat_csv(store, case_type, out)
+            summary = _this.export_flat_csv(store, case_type, out)
         else:
             from ochub import graph as graph_mod
 
-            case_graph = graph_mod.build_case_graph(store)
-            graph = (
-                case_graph
-                if fmt == "graph-case"
-                else graph_mod.build_overview_graph(case_graph)
-            )
+            walk = graph_mod.walk_case_graph(store)
+            rows = walk.case_rows() if fmt == "graph-case" else walk.overview().rows()
             try:
-                summary = graph_mod.export_graph_csv(graph, out)
+                summary = graph_mod.export_graph_csv(rows, out)
             except graph_mod.GraphExportError as exc:
                 click.echo(exc.report.summary(), err=True)
                 raise QualityFailure(exc.report) from exc
@@ -254,7 +259,7 @@ def run(argv) -> int:
     except StoreNotFoundError as exc:
         click.echo(str(exc), err=True)
         return EXIT_IO
-    except (StoreError, ImportError_, ExportError, OSError, sqlite3.Error) as exc:
+    except (StoreError, FormatError, OSError, sqlite3.Error) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_IO
 

@@ -1,7 +1,8 @@
 """Extractors from the hub into external event-log formats.
 
 All exporters are read-only over the store and deterministic: same store
-contents produce byte-identical output.
+contents produce byte-identical output. Each exporter's module is imported
+on first use of its name, so a caller of ``write_csv`` loads none of them.
 """
 
 from __future__ import annotations
@@ -9,10 +10,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from ochub.util import dedupe_name
+from ochub.util import FormatError, dedupe_name, lazy_names
 
 
-class ExportError(Exception):
+class ExportError(FormatError):
     """Output cannot be produced (bad target, name collision, ...)."""
 
 
@@ -64,9 +65,11 @@ def event_attribute_columns(store, reserved) -> list:
     ]
 
 
-from ochub.exporters.ocel2 import export_ocel2
-from ochub.exporters.docel import export_docel
-from ochub.exporters.flatcsv import export_flat_csv
+__getattr__ = lazy_names(__name__, {
+    "export_ocel2": "ochub.exporters.ocel2",
+    "export_docel": "ochub.exporters.docel",
+    "export_flat_csv": "ochub.exporters.flatcsv",
+})
 
 __all__ = [
     "ExportError",

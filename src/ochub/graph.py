@@ -11,14 +11,18 @@ same-timestamp snapshots whose relation is valid at that instant.
 Simultaneous events are serialized by (event_type_id, event_id), never
 modeled as parallel.
 
-The case graph comes from two reads of the store: the store's timeline
-sweep (``HubStore.timelines``, the entries ``object_timeline`` returns, for
-every object at once) and one scan of object-to-object rows ordered by
-(source, target, qualifier, timestamp, id). One pass along each object's
-entries draws its nodes and directly-follows edges; an O2O edge costs one
-binary search of the relation's history at each timestamp where both
-objects have a snapshot. Rows with a NULL timestamp have no place on a
-timeline and are left out; the transform checkpoint reports them.
+The case graph comes from one walk (``walk_case_graph``) over two reads of
+the store: the store's timeline sweep (``HubStore.timelines``, the entries
+``object_timeline`` returns, for every object at once) and one scan of
+object-to-object rows ordered by (source, target, qualifier, timestamp,
+id). One pass along each object's entries draws its nodes and
+directly-follows edges; an O2O edge costs one binary search of the
+relation's history at each timestamp where both objects have a snapshot.
+Rows with a NULL timestamp have no place on a timeline and are left out;
+the transform checkpoint reports them. The walk keeps plain tuples
+(``CaseWalk``): nodes by id, directly-follows edges in a list, since each
+is drawn once, and O2O edges in a set, since two qualifier ids can share a
+name.
 
 The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
@@ -26,11 +30,15 @@ START, set of updated attributes), and edge frequencies count the case-level
 edges behind each overview edge. A NULL type shows as empty in overview ids
 and details, as a NULL attribute id does.
 
-Each graph gives its nodes.csv and edges.csv rows in one place, ``rows()``,
-already in file order: nodes by id (``e:`` before ``s:``), edges by (start,
-end, type, object, qualifier), as the builders sort them and since at most
-one edge kind joins a (start, end) pair. The export writes those rows, and
-the graph checkpoint checks the same rows.
+The export takes nodes.csv and edges.csv rows in file order: nodes by id
+(``e:`` before ``s:``), edges by (start, end, type, object, qualifier),
+since at most one edge kind joins a (start, end) pair. ``CaseWalk.case_rows``
+sorts the walk's rows into that order once, and ``CaseWalk.overview`` counts
+the overview straight from the walk, never building the case rows; the
+graph checkpoint checks the rows the export writes. ``build_case_graph`` and
+``build_overview_graph`` build the graph classes from the same walk for
+library callers; each graph's ``rows()`` gives the rows its lists hold, in
+their order.
 """
 
 from __future__ import annotations
@@ -82,6 +90,19 @@ class GraphEdge:
     qualifier: Optional[str] = None  # set for O2O
 
 
+def _event_row(node_id, timestamp, event_type_id) -> tuple:
+    return (node_id, "event", "Event", timestamp, event_type_id)
+
+
+def _snapshot_row(node_id, timestamp, attribute_ids) -> tuple:
+    return (node_id, "snapshot", "Snapshot", timestamp, _attribute_list(attribute_ids))
+
+
+def _edge_row(kind, start, end, object_id, qualifier, frequency=1) -> tuple:
+    return (start, end, "O2O" if kind == O2O else "DF", object_id or "",
+            qualifier or "", frequency)
+
+
 @dataclass
 class SnapshotGraph:
     event_nodes: list = field(default_factory=list)
@@ -92,16 +113,14 @@ class SnapshotGraph:
         """(nodes.csv rows, edges.csv rows) in the order the lists hold
         them: event nodes, then snapshot nodes."""
         nodes = [
-            (n.node_id, "event", "Event", n.timestamp, n.event_type_id)
+            _event_row(n.node_id, n.timestamp, n.event_type_id)
             for n in self.event_nodes
         ] + [
-            (n.node_id, "snapshot", "Snapshot", n.timestamp,
-             _attribute_list(n.updated_attributes))
+            _snapshot_row(n.node_id, n.timestamp, n.updated_attributes)
             for n in self.snapshot_nodes
         ]
         edges = [
-            (e.start, e.end, "O2O" if e.kind == O2O else "DF",
-             e.object_id or "", e.qualifier or "", 1)
+            _edge_row(e.kind, e.start, e.end, e.object_id, e.qualifier)
             for e in self.edges
         ]
         return nodes, edges
@@ -137,8 +156,7 @@ class OverviewGraph:
             for n in self.nodes
         ]
         edges = [
-            (e.start, e.end, "O2O" if e.kind == O2O else "DF", "",
-             e.qualifier or "", e.frequency)
+            _edge_row(e.kind, e.start, e.end, None, e.qualifier, e.frequency)
             for e in self.edges
         ]
         return nodes, edges
@@ -154,15 +172,75 @@ class GraphExportError(Exception):
         )
 
 
+@dataclass
+class CaseWalk:
+    """The case graph as plain tuples, from one walk over the store:
+    ``events`` maps an event node id to (event id, event type id,
+    timestamp), ``snapshots`` a snapshot node id to (object id, object type
+    id, timestamp, updated attribute ids, previous event type id or START),
+    and ``edges`` holds each edge's ``GraphEdge`` fields as a tuple."""
+
+    events: dict
+    snapshots: dict
+    edges: list
+
+    def case_rows(self):
+        """(nodes.csv rows, edges.csv rows) of the case graph, each sorted
+        once into file order."""
+        nodes = [
+            _event_row(node_id, timestamp, event_type_id)
+            for node_id, (_, event_type_id, timestamp) in sorted(self.events.items())
+        ] + [
+            _snapshot_row(node_id, timestamp, attribute_ids)
+            for node_id, (_, _, timestamp, attribute_ids, _)
+            in sorted(self.snapshots.items())
+        ]
+        edges = [_edge_row(*edge) for edge in self.edges]
+        edges.sort()
+        return nodes, edges
+
+    def overview(self) -> "OverviewGraph":
+        """The overview graph, counted from the walk's nodes and edges."""
+        groups = {  # case node id -> (overview node id, kind, detail)
+            node_id: (f"et:{event_type_id or ''}", "event_type", event_type_id or "")
+            for node_id, (_, event_type_id, _) in self.events.items()
+        }
+        for node_id, (_, object_type_id, _, attribute_ids, prev_type) \
+                in self.snapshots.items():
+            detail = (
+                f"{object_type_id or ''}|{prev_type or ''}|"
+                f"{_attribute_list(attribute_ids)}"
+            )
+            groups[node_id] = (f"g:{detail}", "snapshot_group", detail)
+        # an overview id determines its kind and detail, so counting the
+        # groups counts the case nodes behind each overview node
+        node_freq = Counter(groups.values())
+        edge_freq = Counter(
+            (groups[start][0], groups[end][0], kind, qualifier)
+            for kind, start, end, _, qualifier in self.edges
+        )
+        return OverviewGraph(
+            nodes=[OverviewNode(*group, frequency=n)
+                   for group, n in sorted(node_freq.items())],
+            edges=[
+                OverviewEdge(kind=kind, start=start, end=end, qualifier=qualifier,
+                             frequency=n)
+                for (start, end, kind, qualifier), n in sorted(
+                    edge_freq.items(), key=lambda item: (*item[0][:3], item[0][3] or ""))
+            ],
+        )
+
+
 def _snapshot_id(object_id: str, timestamp: str) -> str:
     return f"s:{object_id}@{timestamp}"
 
 
-def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
-    """Build the case-level graph for the selected objects (all by default)."""
-    object_type_of = {
-        row["id"]: row["object_type_id"] for row in store.table_rows("objects")
-    }
+def walk_case_graph(store: HubStore, object_ids=None) -> CaseWalk:
+    """Walk the timelines and the O2O rows once for the selected objects
+    (all by default)."""
+    conn = store.connection()
+    object_type_of = dict(conn.execute(
+        "SELECT id, object_type_id FROM objects ORDER BY id"))
     if object_ids is None:
         selection = object_type_of.keys()
     else:
@@ -171,33 +249,35 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
             if not store.has_id("objects", object_id):
                 raise UnknownIdError(f"unknown object id: {object_id}")
     qualifier_names = {
-        row["id"]: row["description"] or row["id"]
-        for row in store.table_rows("relation_qualifiers")
+        qualifier_id: description or qualifier_id
+        for qualifier_id, description in conn.execute(
+            "SELECT id, description FROM relation_qualifiers ORDER BY id")
     }
-    event_nodes: dict = {}
-    snapshot_nodes: dict = {}
-    edges: set = set()
+    events: dict = {}
+    snapshots: dict = {}
+    edges: list = []  # directly-follows edges, each drawn once
     snapshot_times: dict = {}  # object id -> timestamps of its snapshots
     for object_id, entries in store.timelines():
         if object_id not in selection:
             continue
+        object_type_id = object_type_of[object_id]
         prev_type, pending = START, []  # pending: snapshots awaiting the next event
         for entry in entries:
-            snap_id = _snapshot_id(object_id, entry.timestamp)
+            timestamp = entry.timestamp
+            snap_id = _snapshot_id(object_id, timestamp)
             if entry.kind == "event":
                 node_id = f"e:{entry.event_id}"
-                event_nodes[node_id] = EventNode(
-                    node_id, entry.event_id, entry.event_type_id, entry.timestamp
-                )
-                edges.update(
-                    GraphEdge(DF_SNAPSHOT_TO_EVENT, waiting, node_id, object_id)
+                prev_type = entry.event_type_id
+                events[node_id] = (entry.event_id, prev_type, timestamp)
+                edges += [
+                    (DF_SNAPSHOT_TO_EVENT, waiting, node_id, object_id, None)
                     for waiting in pending
-                )
-                edges.add(GraphEdge(DF_EVENT_TO_SNAPSHOT, node_id, snap_id, object_id))
-                prev_type, pending = entry.event_type_id, []
-            snapshot_nodes[snap_id] = SnapshotNode(
-                snap_id, object_id, object_type_of[object_id], entry.timestamp,
-                frozenset(entry.updated_attribute_ids), prev_type,
+                ]
+                edges.append((DF_EVENT_TO_SNAPSHOT, node_id, snap_id, object_id, None))
+                pending = []
+            snapshots[snap_id] = (
+                object_id, object_type_id, timestamp,
+                entry.updated_attribute_ids, prev_type,
             )
             pending.append(snap_id)
         snapshot_times[object_id] = {entry.timestamp for entry in entries}
@@ -206,8 +286,9 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
     # greatest (timestamp, id) at or before the instant decides, and a NULL
     # value (termination) draws none. Stored text is compared as is, so a
     # timestamp kept verbatim because it did not parse orders like any text.
+    o2o_edges: set = set()  # two qualifier ids can share a name
     for (source_id, target_id, qualifier_id), rows in groupby(
-        store.connection().execute(
+        conn.execute(
             "SELECT source_object_id, target_object_id, qualifier_id, timestamp, "
             "qualifier_value FROM object_to_object WHERE timestamp IS NOT NULL "
             "ORDER BY source_object_id, target_object_id, qualifier_id, timestamp, id"
@@ -223,17 +304,31 @@ def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
         for timestamp in shared:
             position = bisect_right(instants, timestamp)
             if position and rows[position - 1][4] is not None:
-                edges.add(GraphEdge(
+                o2o_edges.add((
                     O2O, _snapshot_id(source_id, timestamp),
-                    _snapshot_id(target_id, timestamp),
-                    qualifier=qualifier_names[qualifier_id],
+                    _snapshot_id(target_id, timestamp), None,
+                    qualifier_names[qualifier_id],
                 ))
 
+    edges.extend(o2o_edges)
+    return CaseWalk(events, snapshots, edges)
+
+
+def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
+    """Build the case-level graph for the selected objects (all by default)."""
+    walk = walk_case_graph(store, object_ids)
     return SnapshotGraph(
-        event_nodes=sorted(event_nodes.values(), key=lambda n: n.node_id),
-        snapshot_nodes=sorted(snapshot_nodes.values(), key=lambda n: n.node_id),
+        event_nodes=[
+            EventNode(node_id, *fields) for node_id, fields in sorted(walk.events.items())
+        ],
+        snapshot_nodes=[
+            SnapshotNode(node_id, object_id, object_type_id, timestamp,
+                         frozenset(attribute_ids), prev_type)
+            for node_id, (object_id, object_type_id, timestamp, attribute_ids, prev_type)
+            in sorted(walk.snapshots.items())
+        ],
         edges=sorted(
-            edges,
+            (GraphEdge(*edge) for edge in walk.edges),
             key=lambda e: (e.start, e.end, e.kind, e.object_id or "", e.qualifier or ""),
         ),
     )
@@ -247,40 +342,19 @@ def _attribute_list(attribute_ids) -> str:
 
 def build_overview_graph(case_graph: SnapshotGraph) -> OverviewGraph:
     """Aggregate a case-level graph into the overview graph."""
-    groups: dict = {}  # case node id -> (overview node id, kind, detail)
-    for node in case_graph.event_nodes:
-        event_type = node.event_type_id or ""
-        groups[node.node_id] = (f"et:{event_type}", "event_type", event_type)
-    for node in case_graph.snapshot_nodes:
-        detail = (
-            f"{node.object_type_id or ''}|{node.prev_event_type_id or ''}|"
-            f"{_attribute_list(node.updated_attributes)}"
-        )
-        groups[node.node_id] = (f"g:{detail}", "snapshot_group", detail)
-    node_freq = Counter(node_id for node_id, _, _ in groups.values())
-    edge_freq = Counter(
-        (groups[e.start][0], groups[e.end][0], e.kind, e.qualifier)
-        for e in case_graph.edges
-    )
-    # one node per overview id, the last group mapped onto it giving the rest
-    nodes = {group[0]: group for group in groups.values()}
-    return OverviewGraph(
-        nodes=[
-            OverviewNode(node_id=node_id, kind=kind, detail=detail,
-                         frequency=node_freq[node_id])
-            for node_id, kind, detail in sorted(nodes.values())
-        ],
-        edges=[
-            OverviewEdge(kind=kind, start=start, end=end, qualifier=qualifier, frequency=n)
-            for (start, end, kind, qualifier), n in sorted(
-                edge_freq.items(), key=lambda item: (*item[0][:3], item[0][3] or ""))
-        ],
-    )
+    return CaseWalk(
+        {n.node_id: (n.event_id, n.event_type_id, n.timestamp)
+         for n in case_graph.event_nodes},
+        {n.node_id: (n.object_id, n.object_type_id, n.timestamp,
+                     n.updated_attributes, n.prev_event_type_id)
+         for n in case_graph.snapshot_nodes},
+        [(e.kind, e.start, e.end, e.object_id, e.qualifier) for e in case_graph.edges],
+    ).overview()
 
 
-def export_graph_csv(graph, out_dir) -> "ExportSummary":
-    """Write the graph's ``rows()`` as nodes.csv and edges.csv for the
-    external bulk importer.
+def export_graph_csv(rows, out_dir) -> "ExportSummary":
+    """Write (nodes.csv rows, edges.csv rows), or a graph's ``rows()``, as
+    nodes.csv and edges.csv for the external bulk importer.
 
     The graph checkpoint (node uniqueness, edge endpoints) runs first, on
     those same rows; any violation aborts the export before files are
@@ -289,7 +363,9 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
     from ochub.exporters import ExportSummary, write_csv
     from ochub.quality import run_checkpoint
 
-    node_rows, edge_rows = rows = graph.rows()
+    if not isinstance(rows, tuple):
+        rows = rows.rows()
+    node_rows, edge_rows = rows
     report = run_checkpoint(rows, "graph")
     if not report.passed:
         raise GraphExportError(report)

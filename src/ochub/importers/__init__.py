@@ -17,6 +17,7 @@ OCEL 2.0 import; ``<ts>`` is a normalized timestamp, ``<q>`` a qualifier.
 
 Hub CSV keeps the ids it carries. ``add_type`` and ``add_qualifiers`` emit
 the type, attribute definition and qualifier rows of both other importers.
+Each importer's module is imported on first use of its name.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ochub.schema import Batch
+from ochub.util import FormatError, lazy_names
 
 
-class ImportError_(Exception):
+class ImportError_(FormatError):
     """An input file does not match the expected layout or content."""
 
 
@@ -68,9 +70,12 @@ def add_qualifiers(batch: Batch, names) -> None:
         )
 
 
-from ochub.importers.hubcsv import import_hub_csv
-from ochub.importers.ocel2 import import_ocel2
-from ochub.importers.mapped import MappingConfig, import_mapped_csv
+__getattr__ = lazy_names(__name__, {
+    "import_hub_csv": "ochub.importers.hubcsv",
+    "import_ocel2": "ochub.importers.ocel2",
+    "MappingConfig": "ochub.importers.mapped",
+    "import_mapped_csv": "ochub.importers.mapped",
+})
 
 __all__ = [
     "AppendableBatch",

@@ -2,9 +2,9 @@
 
 Four structural checks guard the store and incoming batches (unique primary
 keys, non-null foreign keys, referential integrity, timestamp validity); two
-more guard graph exports (node id uniqueness, edge endpoints) over the rows a
-graph gives (its ``rows()``) or an exported directory's two CSVs hold, read
-by position. Checks are read-only and report every violation instead of
+more guard graph exports (node id uniqueness, edge endpoints) over the
+(nodes, edges) rows an export writes, a graph's ``rows()``, or the rows an
+exported directory's two CSVs hold, read by position. Checks are read-only and report every violation instead of
 failing fast. Repairing missing objects is a separate, explicit step: the
 missing ids that the referential-integrity check reports go to
 ``HubStore.stage_placeholder_objects``, which adds placeholder objects to

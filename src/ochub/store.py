@@ -152,7 +152,9 @@ class TimelineEntry:
 @dataclass
 class StatsReport:
     """Row counts broken down the way analysts ask for them; each breakdown
-    in key order as SQL gives it, NULL first."""
+    in key order as SQL gives it. A NULL key counts as "" (first), as the
+    overview graph shows it, so it is not the type named ``None``; only the
+    type pairs keep NULL."""
 
     table_counts: dict = field(default_factory=dict)
     events_per_type: dict = field(default_factory=dict)
@@ -234,12 +236,20 @@ def _create_layout(conn: sqlite3.Connection) -> None:
         )
 
 
+# SQLite's messages for SQLITE_BUSY and SQLITE_LOCKED (Python 3.10's
+# sqlite3 errors carry no error code)
+_LOCKED_MESSAGES = ("database is locked", "database table is locked")
+
+
 def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
     try:
         row = conn.execute(
             "SELECT value FROM hub_meta WHERE key = 'layout_version'"
         ).fetchone()
     except sqlite3.Error as exc:
+        if str(exc) in _LOCKED_MESSAGES:
+            raise StoreError(
+                f"store is locked by another connection: {db_file}") from exc
         raise StoreLayoutError(f"not a hub store: {db_file}") from exc
     if row is None or row["value"] != LAYOUT_VERSION:
         found = None if row is None else row["value"]
@@ -609,7 +619,8 @@ class HubStore:
             report.table_counts[table] = self.row_count(table)
         for attr, (table, column) in _PER_VALUE_STATS.items():
             getattr(report, attr).update(self._conn.execute(
-                f"SELECT {column}, COUNT(*) FROM {table} GROUP BY 1 ORDER BY 1"
+                f"SELECT coalesce({column}, ''), COUNT(*) FROM {table} "
+                "GROUP BY 1 ORDER BY 1"
             ).fetchall())
         pair_sql = (
             "SELECT e.event_type_id AS et, o.object_type_id AS ot, COUNT(*) AS n "

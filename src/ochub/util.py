@@ -8,6 +8,7 @@ queries rely on.
 
 from __future__ import annotations
 
+import importlib
 import re
 from datetime import datetime, timezone
 
@@ -18,6 +19,11 @@ _CANONICAL_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z\Z")
 
 class TimestampError(ValueError):
     """Raised when a value cannot be interpreted as a timestamp."""
+
+
+class FormatError(Exception):
+    """An input cannot be read, or an output cannot be written, in its
+    interchange format (the importers' and exporters' errors)."""
 
 
 def parse_timestamp(value) -> datetime:
@@ -85,3 +91,15 @@ def dedupe_name(name: str, taken: set) -> str:
         counter += 1
     taken.add(candidate)
     return candidate
+
+
+def lazy_names(module: str, sources: dict):
+    """A module-level ``__getattr__`` (PEP 562) for ``module`` that gives each
+    name of ``sources`` from the module it maps to, imported on first use."""
+
+    def __getattr__(name):
+        if name not in sources:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(sources[name]), name)
+
+    return __getattr__

@@ -4,6 +4,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,11 @@ def ingest(store_path, batch_dir, *extra):
     ])
 
 
+# modules a graph command never needs
+GRAPH_ABSENT = ["ochub.exporters.ocel2", "ochub.exporters.docel",
+                "ochub.exporters.flatcsv", "yaml"]
+
+
 class TestBasics:
     def test_init_and_stats(self, store_path):
         assert run(["stats", "--store", str(store_path)]) == EXIT_OK
@@ -83,24 +89,31 @@ class TestBasics:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stats_with_null_event_types(self, tmp_path, capsys, seed):
-        """Events of a NULL type beside typed ones: each breakdown lists
-        NULL first, then the ids in order, in text and JSON alike."""
+        """Events of a NULL type beside typed ones, one of them the type
+        whose id is the text ``None``: each breakdown lists NULL first, as
+        "", then the ids in order, in text and JSON alike."""
         batch, _ = tiny_log(seed, n_objects=8, n_events=16, n_instants=6,
                             nulls=True)
+        batch.add("event_types", id="None", description="None")
+        batch.add("events", id="ev:named-None", event_type_id="None",
+                  timestamp="2024-01-01T01:00:00.000Z")
         path = tmp_path / "hub.db"
         with open_store(path) as store:
             store.append_batch(batch)
-        types = sorted({row["event_type_id"] for row in batch.rows["events"]}
-                       - {None})
+        counts = Counter(row["event_type_id"] or ""
+                         for row in batch.rows["events"])
+        types = sorted(counts)
+        assert types[:2] == ["", "None"]
         capsys.readouterr()
         assert run(["stats", "--store", str(path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         per_type = lines[1:lines.index(f"objects: {len(batch.rows['objects'])}")]
-        assert [line.rsplit(":", 1)[0].strip() for line in per_type] == \
-            ["None", *types]
+        assert [line.rsplit(":", 1) for line in per_type] == \
+            [[f"  {type_id}", f" {counts[type_id]}"] for type_id in types]
         assert run(["stats", "--store", str(path), "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert list(report["events_per_type"]) == ["null", *types]
+        assert report["events_per_type"] == counts
+        assert list(report["events_per_type"]) == types
         pairs = [(p["event_type_id"], p["object_type_id"])
                  for p in report["e2o_per_type_pair"]]
         assert pairs[0][0] is None and pairs[1:] == sorted(pairs[1:])
@@ -147,6 +160,73 @@ class TestBasics:
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert loaded.strip() == "[]"
+
+    @pytest.mark.parametrize("command, absent", [
+        (["stats"], ["ochub.importers", "ochub.exporters", "ochub.quality",
+                     "ochub.graph"]),
+        (["export", "--format", "graph-case", "--out", "{tmp}/case"],
+         ["ochub.importers", *GRAPH_ABSENT]),
+        (["export", "--format", "graph-overview", "--out", "{tmp}/overview"],
+         ["ochub.importers", *GRAPH_ABSENT]),
+        (["check", "--checkpoint", "graph", "--input", "{tmp}/case"],
+         ["ochub.importers", "ochub.graph", *GRAPH_ABSENT]),
+    ], ids=["stats", "graph-case", "graph-overview", "check-graph"])
+    def test_each_command_imports_what_it_runs(self, tmp_path, command, absent):
+        """A command run in a fresh process leaves the modules it does not
+        run unimported."""
+        store = tmp_path / "hub.db"
+        with open_store(store) as hub:
+            hub.append_batch(clean_fixture_batch())
+        (tmp_path / "case").mkdir()
+        for name, header in (("nodes.csv", "id:ID"), ("edges.csv", ":START_ID,:END_ID")):
+            (tmp_path / "case" / name).write_text(header + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ochub.__file__).parents[1]))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom ochub.cli import run\ncode = run(sys.argv[1:])\n"
+             "print(*sorted(sys.modules))\nsys.exit(code)",
+             *[arg.format(tmp=tmp_path) for arg in command], "--store", str(store)],
+            env=env, capture_output=True, text=True,
+        )
+        assert probe.returncode == EXIT_OK, probe.stdout + probe.stderr
+        loaded = set(probe.stdout.splitlines()[-1].split())
+        assert "ochub.cli" in loaded
+        assert not loaded & set(absent)
+
+    def test_lazy_names_resolve(self):
+        """Each public name imported on first use resolves, from the
+        packages and from the CLI module; any other name is an
+        AttributeError."""
+        import ochub.cli as cli
+        import ochub.exporters as exporters
+        import ochub.importers as importers
+        from ochub.exporters.docel import export_docel
+
+        for module in (exporters, importers):
+            for name in module.__all__:
+                getattr(module, name)
+        assert cli.export_docel is export_docel
+        for module in (cli, exporters, importers):
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    def test_locked_store_is_io_error(self, tmp_path, capsys):
+        """A store another connection holds an EXCLUSIVE lock on is an I/O
+        error that says so once the busy timeout has passed, not a file
+        that is no hub store."""
+        path = tmp_path / "hub.db"
+        with open_store(path) as store:
+            store.append_batch(clean_fixture_batch())
+        holder = sqlite3.connect(path, isolation_level=None)
+        try:
+            holder.execute("BEGIN EXCLUSIVE")
+            capsys.readouterr()
+            assert run(["stats", "--store", str(path)]) == EXIT_IO
+            err = capsys.readouterr().err
+        finally:
+            holder.close()
+        assert err == f"error: store is locked by another connection: {path}\n"
+        assert run(["stats", "--store", str(path)]) == EXIT_OK
 
     def test_bad_usage(self, store_path):
         assert run(["ingest", "--store", str(store_path)]) == EXIT_USAGE
@@ -477,14 +557,13 @@ class TestExport:
     def test_failing_graph_export_exits_1(self, store_path, batch_dir,
                                           tmp_path, monkeypatch, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
-        build = graph_mod.build_case_graph
+        case_rows = graph_mod.CaseWalk.case_rows
 
-        def duplicated_node(store):
-            graph = build(store)
-            graph.snapshot_nodes.append(graph.snapshot_nodes[0])
-            return graph
+        def duplicated_node(walk):
+            nodes, edges = case_rows(walk)
+            return nodes + nodes[-1:], edges
 
-        monkeypatch.setattr(graph_mod, "build_case_graph", duplicated_node)
+        monkeypatch.setattr(graph_mod.CaseWalk, "case_rows", duplicated_node)
         out = tmp_path / "graph"
         capsys.readouterr()
         assert run([

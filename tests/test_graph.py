@@ -415,6 +415,33 @@ class TestGraphCsvExport:
                     report = assert_same_checkpoint(graph, out)
                     assert not any(report.check_status.values())
 
+    @pytest.mark.parametrize("nulls", [False, True], ids=["plain", "nulls"])
+    def test_cli_files_hold_the_graph_rows(self, tmp_path, nulls):
+        """The CLI renders the case export and counts the overview straight
+        from the walk; its files hold exactly the rows of
+        ``build_case_graph`` and ``build_overview_graph``, also with NULL
+        types and timestamps and with objects missing from ``objects``."""
+        for seed in range(100):
+            batch, _ = tiny_log(seed, n_objects=3 + seed % 6,
+                                n_events=4 + seed % 13, ghosts=seed % 3,
+                                nulls=nulls)
+            path = tmp_path / f"{seed}.db"
+            with open_store(path) as store:
+                store.append_batch(batch)
+                case = build_case_graph(store)
+            for fmt, graph in (("graph-case", case),
+                               ("graph-overview", build_overview_graph(case))):
+                out = tmp_path / f"{seed}-{fmt}"
+                assert run(["export", "--store", str(path), "--format", fmt,
+                            "--out", str(out)]) == EXIT_OK
+                for name, rows in zip(("nodes.csv", "edges.csv"), graph.rows()):
+                    with open(out / name, newline="") as handle:
+                        written = list(csv.reader(handle))[1:]
+                    assert written == [
+                        ["" if value is None else str(value) for value in row]
+                        for row in rows
+                    ], (seed, fmt, name)
+
     def test_rows_built_once(self, store, tmp_path, monkeypatch):
         """The export checks the very rows it writes."""
         store.append_batch(clean_fixture_batch())

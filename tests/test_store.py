@@ -65,14 +65,19 @@ class TestOpenStore:
             open_store(tmp_path / "nope.db", create_if_missing=False)
 
     def test_non_store_file_errors(self, tmp_path):
+        """A database without ``hub_meta``, or a file that is no SQLite
+        database, is no hub store."""
         path = tmp_path / "junk.db"
         import sqlite3
         conn = sqlite3.connect(path)
         conn.execute("CREATE TABLE t (x)")
         conn.commit()
         conn.close()
-        with pytest.raises(StoreLayoutError):
-            open_store(path, create_if_missing=False)
+        text = tmp_path / "text.db"
+        text.write_text("not a database, " * 100)
+        for path in (path, text):
+            with pytest.raises(StoreLayoutError, match="not a hub store"):
+                open_store(path, create_if_missing=False)
 
 
 class TestAppendBatch:
