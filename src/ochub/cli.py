@@ -224,10 +224,11 @@ def cmd_export(store_path, fmt, out, case_type):
         else:
             from ochub import graph as graph_mod
 
-            walk = graph_mod.walk_case_graph(store)
-            rows = walk.case_rows() if fmt == "graph-case" else walk.overview().rows()
+            graph = graph_mod.build_case_graph(store)
+            if fmt == "graph-overview":
+                graph = graph_mod.build_overview_graph(graph)
             try:
-                summary = graph_mod.export_graph_csv(rows, out)
+                summary = graph_mod.export_graph_csv(graph, out)
             except graph_mod.GraphExportError as exc:
                 click.echo(exc.report.summary(), err=True)
                 raise QualityFailure(exc.report) from exc

@@ -7,7 +7,9 @@ on first use of its name, so a caller of ``write_csv`` loads none of them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass, field
 
 from ochub.util import FormatError, dedupe_name, lazy_names
@@ -41,13 +43,22 @@ def attribute_cells(kind: str, outer: str, count: int, match: str = "IS") -> str
 
 def write_csv(path, header, rows) -> int:
     """Write ``header`` and ``rows`` (None as "") to ``path``; returns the
-    number of rows."""
+    number of rows. The file is written beside ``path`` and renamed onto it
+    once complete, so an exception leaves no partial file and whatever
+    ``path`` held before."""
     count = 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for count, row in enumerate(rows, 1):
-            writer.writerow(row)
+    temp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for count, row in enumerate(rows, 1):
+                writer.writerow(row)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
     return count
 
 

@@ -11,45 +11,43 @@ same-timestamp snapshots whose relation is valid at that instant.
 Simultaneous events are serialized by (event_type_id, event_id), never
 modeled as parallel.
 
-The case graph comes from one walk (``walk_case_graph``) over two reads of
-the store: the store's timeline sweep (``HubStore.timelines``, the entries
-``object_timeline`` returns, for every object at once) and one scan of
-object-to-object rows ordered by (source, target, qualifier, timestamp,
-id). One pass along each object's entries draws its nodes and
-directly-follows edges; an O2O edge costs one binary search of the
-relation's history at each timestamp where both objects have a snapshot.
-Rows with a NULL timestamp have no place on a timeline and are left out;
-the transform checkpoint reports them. The walk keeps plain tuples
-(``CaseWalk``): nodes by id, directly-follows edges in a list, since each
-is drawn once, and O2O edges in a set, since two qualifier ids can share a
-name.
+The case graph (``CaseGraph``) comes from one walk (``build_case_graph``)
+over two reads of the store: the store's timeline sweep
+(``HubStore.timelines``, the entries ``object_timeline`` returns, for every
+object at once) and one scan of object-to-object rows ordered by (source,
+target, qualifier, timestamp, id). One pass along each object's entries
+draws its nodes and directly-follows edges; an O2O edge costs one binary
+search of the relation's history at each timestamp where both objects have
+a snapshot. Rows with a NULL timestamp have no place on a timeline and are
+left out; the transform checkpoint reports them. The graph keeps plain
+tuples: nodes by id, and edges in a list. Each directly-follows edge is
+drawn once; O2O edges pass through a set first, since two qualifier ids
+can share a name.
 
 The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
 START, set of updated attributes), and edge frequencies count the case-level
 edges behind each overview edge. A NULL type shows as empty in overview ids
-and details, as a NULL attribute id does.
+and details, as a NULL attribute id does. ``build_overview_graph`` counts it
+straight from the case graph's tuples (``OverviewGraph``: node and edge
+tuples with their frequencies).
 
 The export takes nodes.csv and edges.csv rows in file order: nodes by id
 (``e:`` before ``s:``), edges by (start, end, type, object, qualifier),
-since at most one edge kind joins a (start, end) pair. ``CaseWalk.case_rows``
-sorts the walk's rows into that order once, and ``CaseWalk.overview`` counts
-the overview straight from the walk, never building the case rows; the
-graph checkpoint checks the rows the export writes. ``build_case_graph`` and
-``build_overview_graph`` build the graph classes from the same walk for
-library callers; each graph's ``rows()`` gives the rows its lists hold, in
-their order.
+since at most one edge kind joins a (start, end) pair. ``CaseGraph.rows``
+sorts the case graph's rows into that order once; ``OverviewGraph.rows``
+gives its lists' rows, already in that order. The graph checkpoint checks
+the rows the export writes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional
 
 from ochub.store import HubStore, UnknownIdError
 
@@ -61,33 +59,6 @@ START = "START"
 
 NODES_HEADER = ("id:ID", "kind", ":LABEL", "timestamp", "detail")
 EDGES_HEADER = (":START_ID", ":END_ID", ":TYPE", "object", "qualifier", "frequency")
-
-
-@dataclass(frozen=True)
-class EventNode:
-    node_id: str
-    event_id: str
-    event_type_id: str
-    timestamp: str
-
-
-@dataclass(frozen=True)
-class SnapshotNode:
-    node_id: str
-    object_id: str
-    object_type_id: str
-    timestamp: str
-    updated_attributes: frozenset
-    prev_event_type_id: str  # START when no event precedes the snapshot
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    kind: str  # DF_EVENT_TO_SNAPSHOT | DF_SNAPSHOT_TO_EVENT | O2O
-    start: str
-    end: str
-    object_id: Optional[str] = None  # set for DF kinds
-    qualifier: Optional[str] = None  # set for O2O
 
 
 def _event_row(node_id, timestamp, event_type_id) -> tuple:
@@ -104,60 +75,24 @@ def _edge_row(kind, start, end, object_id, qualifier, frequency=1) -> tuple:
 
 
 @dataclass
-class SnapshotGraph:
-    event_nodes: list = field(default_factory=list)
-    snapshot_nodes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
-
-    def rows(self):
-        """(nodes.csv rows, edges.csv rows) in the order the lists hold
-        them: event nodes, then snapshot nodes."""
-        nodes = [
-            _event_row(n.node_id, n.timestamp, n.event_type_id)
-            for n in self.event_nodes
-        ] + [
-            _snapshot_row(n.node_id, n.timestamp, n.updated_attributes)
-            for n in self.snapshot_nodes
-        ]
-        edges = [
-            _edge_row(e.kind, e.start, e.end, e.object_id, e.qualifier)
-            for e in self.edges
-        ]
-        return nodes, edges
-
-
-@dataclass(frozen=True)
-class OverviewNode:
-    node_id: str
-    kind: str  # "event_type" | "snapshot_group"
-    detail: str
-    frequency: int  # case-level nodes mapped onto this node
-
-
-@dataclass(frozen=True)
-class OverviewEdge:
-    kind: str
-    start: str
-    end: str
-    qualifier: Optional[str]
-    frequency: int
-
-
-@dataclass
 class OverviewGraph:
-    nodes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
+    """The overview graph: ``nodes`` holds (id, kind, detail, frequency)
+    tuples and ``edges`` (kind, start, end, qualifier, frequency) tuples,
+    both in file order."""
+
+    nodes: list
+    edges: list
 
     def rows(self):
         """(nodes.csv rows, edges.csv rows) in the order the lists hold them."""
         nodes = [
-            (n.node_id, n.kind,
-             "EventType" if n.kind == "event_type" else "SnapshotGroup", "", n.detail)
-            for n in self.nodes
+            (node_id, kind,
+             "EventType" if kind == "event_type" else "SnapshotGroup", "", detail)
+            for node_id, kind, detail, _ in self.nodes
         ]
         edges = [
-            _edge_row(e.kind, e.start, e.end, None, e.qualifier, e.frequency)
-            for e in self.edges
+            _edge_row(kind, start, end, None, qualifier, frequency)
+            for kind, start, end, qualifier, frequency in self.edges
         ]
         return nodes, edges
 
@@ -173,40 +108,42 @@ class GraphExportError(Exception):
 
 
 @dataclass
-class CaseWalk:
-    """The case graph as plain tuples, from one walk over the store:
-    ``events`` maps an event node id to (event id, event type id,
-    timestamp), ``snapshots`` a snapshot node id to (object id, object type
-    id, timestamp, updated attribute ids, previous event type id or START),
-    and ``edges`` holds each edge's ``GraphEdge`` fields as a tuple."""
+class CaseGraph:
+    """The case graph as plain tuples: ``event_nodes`` maps an event node
+    id to (event id, event type id, timestamp), ``snapshot_nodes`` a
+    snapshot node id to (object id, object type id, timestamp, updated
+    attribute ids, previous event type id or START), and ``edges`` holds
+    (kind, start, end, object id or None, qualifier or None) tuples, the
+    object id set for the directly-follows kinds and the qualifier for O2O."""
 
-    events: dict
-    snapshots: dict
+    event_nodes: dict
+    snapshot_nodes: dict
     edges: list
 
-    def case_rows(self):
-        """(nodes.csv rows, edges.csv rows) of the case graph, each sorted
-        once into file order."""
+    def rows(self):
+        """(nodes.csv rows, edges.csv rows), each sorted once into file
+        order."""
         nodes = [
             _event_row(node_id, timestamp, event_type_id)
-            for node_id, (_, event_type_id, timestamp) in sorted(self.events.items())
+            for node_id, (_, event_type_id, timestamp)
+            in sorted(self.event_nodes.items())
         ] + [
             _snapshot_row(node_id, timestamp, attribute_ids)
             for node_id, (_, _, timestamp, attribute_ids, _)
-            in sorted(self.snapshots.items())
+            in sorted(self.snapshot_nodes.items())
         ]
         edges = [_edge_row(*edge) for edge in self.edges]
         edges.sort()
         return nodes, edges
 
-    def overview(self) -> "OverviewGraph":
-        """The overview graph, counted from the walk's nodes and edges."""
+    def overview(self) -> OverviewGraph:
+        """The overview graph, counted from the case graph's nodes and edges."""
         groups = {  # case node id -> (overview node id, kind, detail)
             node_id: (f"et:{event_type_id or ''}", "event_type", event_type_id or "")
-            for node_id, (_, event_type_id, _) in self.events.items()
+            for node_id, (_, event_type_id, _) in self.event_nodes.items()
         }
         for node_id, (_, object_type_id, _, attribute_ids, prev_type) \
-                in self.snapshots.items():
+                in self.snapshot_nodes.items():
             detail = (
                 f"{object_type_id or ''}|{prev_type or ''}|"
                 f"{_attribute_list(attribute_ids)}"
@@ -220,11 +157,9 @@ class CaseWalk:
             for kind, start, end, _, qualifier in self.edges
         )
         return OverviewGraph(
-            nodes=[OverviewNode(*group, frequency=n)
-                   for group, n in sorted(node_freq.items())],
+            nodes=[(*group, n) for group, n in sorted(node_freq.items())],
             edges=[
-                OverviewEdge(kind=kind, start=start, end=end, qualifier=qualifier,
-                             frequency=n)
+                (kind, start, end, qualifier, n)
                 for (start, end, kind, qualifier), n in sorted(
                     edge_freq.items(), key=lambda item: (*item[0][:3], item[0][3] or ""))
             ],
@@ -235,9 +170,9 @@ def _snapshot_id(object_id: str, timestamp: str) -> str:
     return f"s:{object_id}@{timestamp}"
 
 
-def walk_case_graph(store: HubStore, object_ids=None) -> CaseWalk:
-    """Walk the timelines and the O2O rows once for the selected objects
-    (all by default)."""
+def build_case_graph(store: HubStore, object_ids=None) -> CaseGraph:
+    """Build the case graph for the selected objects (all by default) in
+    one walk over the timelines and the O2O rows."""
     conn = store.connection()
     object_type_of = dict(conn.execute(
         "SELECT id, object_type_id FROM objects ORDER BY id"))
@@ -311,27 +246,7 @@ def walk_case_graph(store: HubStore, object_ids=None) -> CaseWalk:
                 ))
 
     edges.extend(o2o_edges)
-    return CaseWalk(events, snapshots, edges)
-
-
-def build_case_graph(store: HubStore, object_ids=None) -> SnapshotGraph:
-    """Build the case-level graph for the selected objects (all by default)."""
-    walk = walk_case_graph(store, object_ids)
-    return SnapshotGraph(
-        event_nodes=[
-            EventNode(node_id, *fields) for node_id, fields in sorted(walk.events.items())
-        ],
-        snapshot_nodes=[
-            SnapshotNode(node_id, object_id, object_type_id, timestamp,
-                         frozenset(attribute_ids), prev_type)
-            for node_id, (object_id, object_type_id, timestamp, attribute_ids, prev_type)
-            in sorted(walk.snapshots.items())
-        ],
-        edges=sorted(
-            (GraphEdge(*edge) for edge in walk.edges),
-            key=lambda e: (e.start, e.end, e.kind, e.object_id or "", e.qualifier or ""),
-        ),
-    )
+    return CaseGraph(events, snapshots, edges)
 
 
 def _attribute_list(attribute_ids) -> str:
@@ -340,21 +255,14 @@ def _attribute_list(attribute_ids) -> str:
     return ",".join(sorted(attribute_id or "" for attribute_id in attribute_ids))
 
 
-def build_overview_graph(case_graph: SnapshotGraph) -> OverviewGraph:
-    """Aggregate a case-level graph into the overview graph."""
-    return CaseWalk(
-        {n.node_id: (n.event_id, n.event_type_id, n.timestamp)
-         for n in case_graph.event_nodes},
-        {n.node_id: (n.object_id, n.object_type_id, n.timestamp,
-                     n.updated_attributes, n.prev_event_type_id)
-         for n in case_graph.snapshot_nodes},
-        [(e.kind, e.start, e.end, e.object_id, e.qualifier) for e in case_graph.edges],
-    ).overview()
+def build_overview_graph(case: CaseGraph) -> OverviewGraph:
+    """Aggregate a case graph into the overview graph."""
+    return case.overview()
 
 
-def export_graph_csv(rows, out_dir) -> "ExportSummary":
-    """Write (nodes.csv rows, edges.csv rows), or a graph's ``rows()``, as
-    nodes.csv and edges.csv for the external bulk importer.
+def export_graph_csv(graph, out_dir) -> "ExportSummary":
+    """Write a case or overview graph's ``rows()`` as nodes.csv and
+    edges.csv for the external bulk importer.
 
     The graph checkpoint (node uniqueness, edge endpoints) runs first, on
     those same rows; any violation aborts the export before files are
@@ -363,9 +271,7 @@ def export_graph_csv(rows, out_dir) -> "ExportSummary":
     from ochub.exporters import ExportSummary, write_csv
     from ochub.quality import run_checkpoint
 
-    if not isinstance(rows, tuple):
-        rows = rows.rows()
-    node_rows, edge_rows = rows
+    node_rows, edge_rows = rows = graph.rows()
     report = run_checkpoint(rows, "graph")
     if not report.passed:
         raise GraphExportError(report)

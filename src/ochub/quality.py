@@ -3,12 +3,13 @@
 Four structural checks guard the store and incoming batches (unique primary
 keys, non-null foreign keys, referential integrity, timestamp validity); two
 more guard graph exports (node id uniqueness, edge endpoints) over the
-(nodes, edges) rows an export writes, a graph's ``rows()``, or the rows an
-exported directory's two CSVs hold, read by position. Checks are read-only and report every violation instead of
-failing fast. Repairing missing objects is a separate, explicit step: the
-missing ids that the referential-integrity check reports go to
-``HubStore.stage_placeholder_objects``, which adds placeholder objects to
-the staged batch, and the staging checkpoint runs again on the new handle.
+(nodes, edges) rows a graph export writes, or the rows an exported
+directory's two CSVs hold, read by position. Checks are read-only and
+report every violation instead of failing fast. Repairing missing objects
+is a separate, explicit step: the missing ids that the referential-integrity
+check reports go to ``HubStore.stage_placeholder_objects``, which adds
+placeholder objects to the staged batch, and the staging checkpoint runs
+again on the new handle.
 
 The store checks are SQL, one statement per table, foreign key or timestamp
 column, generated from the schema: ``GROUP BY id HAVING`` for duplicate ids,
@@ -226,14 +227,11 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport,
 
 
 def _graph_rows(target):
-    """(nodes.csv rows, edges.csv rows): the pair itself, those of a built
-    graph (its ``rows()``), or read from a directory holding both files; a
-    missing file is an OSError naming it. A row leads with its node id, or
-    with its edge's start and end."""
-    if isinstance(target, tuple):
-        return target
+    """(nodes.csv rows, edges.csv rows): the pair itself, or read from a
+    directory holding both files; a missing file is an OSError naming it.
+    A row leads with its node id, or with its edge's start and end."""
     if not isinstance(target, (str, Path)):
-        return target.rows()
+        return target
     tables = []
     for name in ("nodes.csv", "edges.csv"):
         with open(Path(target) / name, newline="", encoding="utf-8") as handle:
@@ -280,9 +278,9 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
                  the rows above the clean-row watermark are checked, the
                  same violations a full scan finds, and a clean report
                  moves the watermark to the store's last row.
-    graph     -- target is a built graph (anything with ``rows()``), its
-                 (nodes, edges) rows as a pair, or a directory with
-                 nodes.csv and edges.csv (OSError if either is missing).
+    graph     -- target is a graph's (nodes, edges) rows as a pair (its
+                 ``rows()``), or a directory with nodes.csv and edges.csv
+                 (OSError if either is missing).
 
     ``scanned`` counts the rows actually checked per table or file.
     """

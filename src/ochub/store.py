@@ -193,7 +193,9 @@ def open_store(path: str, create_if_missing: bool = True) -> "HubStore":
     """Open (or create) a hub store at a filesystem location.
 
     ``path`` is the database file; an existing directory is also accepted,
-    in which case ``hub.db`` inside it is used.
+    in which case ``hub.db`` inside it is used. With ``create_if_missing``,
+    an existing file that holds no schema at all (say, an ``init`` killed
+    before its layout committed) is laid out as a new store.
     """
     db_file = _db_path(path)
     exists = os.path.exists(db_file)
@@ -209,10 +211,11 @@ def open_store(path: str, create_if_missing: bool = True) -> "HubStore":
         "is_valid_timestamp", 1, is_valid_timestamp, deterministic=True
     )
     try:
-        if exists:
-            _check_layout(conn, db_file)
-        else:
+        if not exists or create_if_missing and _first_row(
+                conn, db_file, "SELECT 1 FROM sqlite_master") is None:
             _create_layout(conn)
+        else:
+            _check_layout(conn, db_file)
     except Exception:
         conn.close()
         raise
@@ -220,7 +223,10 @@ def open_store(path: str, create_if_missing: bool = True) -> "HubStore":
 
 
 def _create_layout(conn: sqlite3.Connection) -> None:
+    """Create the tables, indexes and ``hub_meta`` in one transaction:
+    sqlite3 opens none before DDL, so each statement would commit alone."""
     with conn:
+        conn.execute("BEGIN")
         for table, cols in TABLE_COLUMNS.items():
             defs = ", ".join(
                 f"{col} TEXT PRIMARY KEY" if col == "id" else f"{col} TEXT"
@@ -241,16 +247,22 @@ def _create_layout(conn: sqlite3.Connection) -> None:
 _LOCKED_MESSAGES = ("database is locked", "database table is locked")
 
 
-def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
+def _first_row(conn: sqlite3.Connection, db_file: str, sql: str):
+    """The first row of ``sql`` on a store file being opened; a busy or
+    locked file is a StoreError saying so, any other SQLite error a
+    StoreLayoutError."""
     try:
-        row = conn.execute(
-            "SELECT value FROM hub_meta WHERE key = 'layout_version'"
-        ).fetchone()
+        return conn.execute(sql).fetchone()
     except sqlite3.Error as exc:
         if str(exc) in _LOCKED_MESSAGES:
             raise StoreError(
                 f"store is locked by another connection: {db_file}") from exc
         raise StoreLayoutError(f"not a hub store: {db_file}") from exc
+
+
+def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
+    row = _first_row(
+        conn, db_file, "SELECT value FROM hub_meta WHERE key = 'layout_version'")
     if row is None or row["value"] != LAYOUT_VERSION:
         found = None if row is None else row["value"]
         raise StoreLayoutError(

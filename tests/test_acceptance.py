@@ -227,32 +227,28 @@ def test_criterion_quality_detection(store):
             assert len(hits) == 1 and hits[0].check == "timestamp_validity"
 
         store.append_batch(base)
-        clean_graph = build_case_graph(store)
-        assert run_checkpoint(clean_graph, "graph").passed
-        all_nodes = clean_graph.event_nodes + clean_graph.snapshot_nodes
+        clean_rows = build_case_graph(store).rows()
+        assert run_checkpoint(clean_rows, "graph").passed
+        all_nodes = clean_rows[0]
 
         for trial in range(50):
             rng = random.Random(2000 + trial)
 
-            # graph_node_uniqueness: duplicate one node
-            graph = build_case_graph(store)
+            # graph_node_uniqueness: duplicate one node (in the rows: a
+            # dict holds no repeated node)
+            nodes, edges = build_case_graph(store).rows()
             node = rng.choice(all_nodes)
-            target = (graph.event_nodes if hasattr(node, "event_id")
-                      else graph.snapshot_nodes)
-            target.append(node)
-            hits = run_checkpoint(graph, "graph").violations
+            nodes.append(node)
+            hits = run_checkpoint((nodes, edges), "graph").violations
             assert len(hits) == 1 and hits[0].check == "graph_node_uniqueness"
-            assert hits[0].key == node.node_id
+            assert hits[0].key == node[0]
 
             # graph_edge_endpoints: point one edge at a missing node
-            graph = build_case_graph(store)
-            edge = rng.choice(graph.edges)
+            nodes, edges = build_case_graph(store).rows()
+            edge = rng.choice(edges)
             ghost = f"ghost:{trial}"
-            graph.edges.append(edge.__class__(
-                kind=edge.kind, start=ghost, end=edge.end,
-                object_id=edge.object_id, qualifier=edge.qualifier,
-            ))
-            hits = run_checkpoint(graph, "graph").violations
+            edges.append((ghost, *edge[1:]))
+            hits = run_checkpoint((nodes, edges), "graph").violations
             assert len(hits) == 1 and hits[0].check == "graph_edge_endpoints"
             assert hits[0].key == ghost
 
@@ -519,25 +515,24 @@ def test_criterion_graph_oracle_equivalence(tmp_path):
                 graph = build_case_graph(store, object_ids=scope)
                 event_ids, snapshots, edges = brute_case_graph(
                     store, sorted(scope or objects))
-                assert {node.node_id for node in graph.event_nodes} == \
-                    event_ids, (name, scope)
+                assert set(graph.event_nodes) == event_ids, (name, scope)
                 assert {
-                    node.node_id: (node.object_id, node.timestamp,
-                                   node.updated_attributes,
-                                   node.prev_event_type_id)
-                    for node in graph.snapshot_nodes
+                    node_id: (object_id, timestamp, frozenset(attribute_ids),
+                              prev_type)
+                    for node_id, (object_id, _, timestamp, attribute_ids,
+                                  prev_type) in graph.snapshot_nodes.items()
                 } == snapshots, (name, scope)
                 got_edges = {
-                    (e.kind, e.start, e.end,
-                     e.qualifier if e.kind == "O2O" else e.object_id)
-                    for e in graph.edges
+                    (kind, start, end,
+                     qualifier if kind == "O2O" else object_id)
+                    for kind, start, end, object_id, qualifier in graph.edges
                 }
                 assert got_edges == edges, (name, scope)
 
                 overview = build_overview_graph(graph)
-                assert sum(e.frequency for e in overview.edges) == \
+                assert sum(edge[4] for edge in overview.edges) == \
                     len(graph.edges)
-                assert sum(n.frequency for n in overview.nodes) == \
+                assert sum(node[3] for node in overview.nodes) == \
                     len(graph.event_nodes) + len(graph.snapshot_nodes)
             store.close()
         assert time.monotonic() - started < 120
@@ -582,11 +577,11 @@ def test_criterion_tie_break_conformance(store, tmp_path):
 
         graph = build_case_graph(store)
         assert len(graph.snapshot_nodes) == 1
-        snapshot = graph.snapshot_nodes[0]
+        [snapshot] = graph.snapshot_nodes.values()
         # ties are serialized: the snapshot's previous event is the last in
         # tie-break order (et:b / ev:2)
-        assert snapshot.prev_event_type_id == "et:b"
-        successors = {e.end for e in graph.edges
-                      if e.kind == DF_SNAPSHOT_TO_EVENT}
+        assert snapshot[4] == "et:b"
+        successors = {end for kind, _, end, _, _ in graph.edges
+                      if kind == DF_SNAPSHOT_TO_EVENT}
         # ev:9 comes first, so it is never a directly-follows successor
         assert successors == {"e:ev:1", "e:ev:2"}

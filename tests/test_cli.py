@@ -557,13 +557,13 @@ class TestExport:
     def test_failing_graph_export_exits_1(self, store_path, batch_dir,
                                           tmp_path, monkeypatch, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
-        case_rows = graph_mod.CaseWalk.case_rows
+        rows = graph_mod.CaseGraph.rows
 
-        def duplicated_node(walk):
-            nodes, edges = case_rows(walk)
+        def duplicated_node(graph):
+            nodes, edges = rows(graph)
             return nodes + nodes[-1:], edges
 
-        monkeypatch.setattr(graph_mod.CaseWalk, "case_rows", duplicated_node)
+        monkeypatch.setattr(graph_mod.CaseGraph, "rows", duplicated_node)
         out = tmp_path / "graph"
         capsys.readouterr()
         assert run([
@@ -574,6 +574,39 @@ class TestExport:
         assert "checkpoint graph: FAILED" in err
         assert "graph_node_uniqueness: 1 violation(s)" in err
         assert not (out / "nodes.csv").exists()
+
+    def test_graph_exports_call_the_builders(self, store_path, batch_dir,
+                                             tmp_path, monkeypatch):
+        """Both graph exports build through ``ochub.graph.build_case_graph``
+        and the overview through ``build_overview_graph``, and write one
+        row per node and edge of the case graph, or of the overview."""
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        calls = []
+
+        def recorded(name):
+            original = getattr(graph_mod, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls.append((name, result))
+                return result
+            return wrapper
+
+        for name in ("build_case_graph", "build_overview_graph"):
+            monkeypatch.setattr(graph_mod, name, recorded(name))
+        for fmt, names in (("graph-case", ["build_case_graph"]),
+                           ("graph-overview", ["build_case_graph",
+                                               "build_overview_graph"])):
+            calls.clear()
+            out = tmp_path / fmt
+            assert run(["export", "--store", str(store_path), "--format", fmt,
+                        "--out", str(out)]) == EXIT_OK
+            assert [name for name, _ in calls] == names
+            graph = calls[-1][1]
+            nodes = (len(graph.event_nodes) + len(graph.snapshot_nodes)
+                     if fmt == "graph-case" else len(graph.nodes))
+            assert len(read_rows(out / "nodes.csv")) - 1 == nodes > 0
+            assert len(read_rows(out / "edges.csv")) - 1 == len(graph.edges) > 0
 
     def test_flat_needs_case_type(self, store_path, batch_dir, tmp_path):
         assert ingest(store_path, batch_dir) == EXIT_OK

@@ -9,6 +9,7 @@ from ochub.exporters import (
     export_docel,
     export_flat_csv,
     export_ocel2,
+    write_csv,
 )
 from ochub.cli import EXIT_OK, run
 from ochub.importers import import_ocel2
@@ -458,3 +459,26 @@ class TestFlatCsvExport:
         store.append_batch(clean_fixture_batch())
         with pytest.raises(ExportError, match="unknown object type"):
             export_flat_csv(store, "ot:nope", tmp_path / "flat.csv")
+
+
+def test_write_csv_is_atomic(tmp_path):
+    """A row iterator that raises halfway leaves the earlier file at the
+    path as it was, and no temporary file beside it."""
+    path = tmp_path / "out.csv"
+    assert write_csv(path, ["id"], [["old"]]) == 1
+    before = path.read_bytes()
+
+    def rows():
+        yield ["a"]
+        yield ["b"]
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_csv(path, ["id"], rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    with pytest.raises(RuntimeError):
+        write_csv(tmp_path / "new.csv", ["id"], rows())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert write_csv(path, ["id"], [["a"], ["b"]]) == 2
+    assert read_csv(path) == [{"id": "a"}, {"id": "b"}]

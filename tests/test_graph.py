@@ -1,5 +1,4 @@
 import csv
-from dataclasses import replace
 
 import pytest
 
@@ -10,9 +9,8 @@ from ochub.graph import (
     NODES_HEADER,
     O2O,
     START,
+    CaseGraph,
     GraphExportError,
-    SnapshotGraph,
-    SnapshotNode,
     build_case_graph,
     build_overview_graph,
     export_graph_csv,
@@ -27,8 +25,8 @@ from oracles import brute_case_graph
 from test_acceptance import tiny_log
 
 
-def assert_same_checkpoint(graph, directory):
-    from_graph = run_checkpoint(graph, "graph")
+def assert_same_checkpoint(rows, directory):
+    from_graph = run_checkpoint(rows, "graph")
     from_files = run_checkpoint(directory, "graph")
     assert from_graph.scanned == from_files.scanned
     assert from_graph.violations == from_files.violations
@@ -37,8 +35,18 @@ def assert_same_checkpoint(graph, directory):
 
 def edge_tuples(graph):
     return {
-        (e.kind, e.start, e.end, e.object_id if e.kind != O2O else e.qualifier)
-        for e in graph.edges
+        (kind, start, end, object_id if kind != O2O else qualifier)
+        for kind, start, end, object_id, qualifier in graph.edges
+    }
+
+
+def snapshot_fields(graph):
+    """Snapshot node id -> (object id, timestamp, updated attribute ids,
+    previous event type id), as ``brute_case_graph`` gives them."""
+    return {
+        node_id: (object_id, timestamp, frozenset(attribute_ids), prev_type)
+        for node_id, (object_id, _, timestamp, attribute_ids, prev_type)
+        in graph.snapshot_nodes.items()
     }
 
 
@@ -79,7 +87,7 @@ class TestCaseGraph:
     def test_snapshot_prev_event_and_start(self, store):
         store.append_batch(minimal_batch())
         graph = build_case_graph(store)
-        prev = {n.node_id: n.prev_event_type_id for n in graph.snapshot_nodes}
+        prev = {node_id: fields[4] for node_id, fields in graph.snapshot_nodes.items()}
         assert prev["s:obj:1@2024-01-01T10:00:00.000Z"] == "et:a"
         assert prev["s:obj:1@2024-01-01T11:00:00.000Z"] == "et:b"
 
@@ -92,12 +100,13 @@ class TestCaseGraph:
               timestamp="2024-01-01T09:00:00.000Z", attribute_value="v")
         store.append_batch(b)
         graph = build_case_graph(store)
-        snap = next(n for n in graph.snapshot_nodes
-                    if n.timestamp == "2024-01-01T09:00:00.000Z")
-        assert snap.prev_event_type_id == START
-        assert snap.updated_attributes == frozenset({"oa:x.c"})
+        snap_id, snap = next((node_id, fields) for node_id, fields
+                             in graph.snapshot_nodes.items()
+                             if fields[2] == "2024-01-01T09:00:00.000Z")
+        assert snap[4] == START
+        assert frozenset(snap[3]) == frozenset({"oa:x.c"})
         # the update snapshot still points forward to the next event
-        assert (DF_SNAPSHOT_TO_EVENT, snap.node_id, "e:ev:1", "obj:1") \
+        assert (DF_SNAPSHOT_TO_EVENT, snap_id, "e:ev:1", "obj:1") \
             in edge_tuples(graph)
 
     def test_multi_object_event_fans_out(self, store):
@@ -108,8 +117,8 @@ class TestCaseGraph:
         store.append_batch(b)
         graph = build_case_graph(store)
         outgoing = [e for e in graph.edges
-                    if e.kind == DF_EVENT_TO_SNAPSHOT and e.start == "e:ev:1"]
-        assert {(e.end, e.object_id) for e in outgoing} == {
+                    if e[0] == DF_EVENT_TO_SNAPSHOT and e[1] == "e:ev:1"]
+        assert {(end, object_id) for _, _, end, object_id, _ in outgoing} == {
             ("s:obj:1@2024-01-01T10:00:00.000Z", "obj:1"),
             ("s:obj:2@2024-01-01T10:00:00.000Z", "obj:2"),
         }
@@ -123,12 +132,12 @@ class TestCaseGraph:
               qualifier_id="q:r", qualifier_value="r")
         store.append_batch(b)
         graph = build_case_graph(store)
-        at_ten = [n for n in graph.snapshot_nodes
-                  if n.timestamp == "2024-01-01T10:00:00.000Z"]
+        at_ten = [fields for fields in graph.snapshot_nodes.values()
+                  if fields[2] == "2024-01-01T10:00:00.000Z"]
         assert len(at_ten) == 1
         # both simultaneous events attach to the single snapshot; ties are
         # serialized (et:a sorts before et:b), so prev is the later one
-        assert at_ten[0].prev_event_type_id == "et:b"
+        assert at_ten[0][4] == "et:b"
 
     def test_o2o_edge_between_same_timestamp_snapshots(self, store):
         b = minimal_batch()
@@ -140,9 +149,9 @@ class TestCaseGraph:
               qualifier_id="q:r", qualifier_value="linked")
         store.append_batch(b)
         graph = build_case_graph(store)
-        o2o = [e for e in graph.edges if e.kind == O2O]
+        o2o = [e for e in graph.edges if e[0] == O2O]
         # only the 11:00 instant has snapshots for both objects
-        assert [(e.start, e.end, e.qualifier) for e in o2o] == [
+        assert [(start, end, qualifier) for _, start, end, _, qualifier in o2o] == [
             ("s:obj:1@2024-01-01T11:00:00.000Z",
              "s:obj:2@2024-01-01T11:00:00.000Z", "r"),
         ]
@@ -160,7 +169,7 @@ class TestCaseGraph:
               qualifier_id="q:r", qualifier_value=None)
         store.append_batch(b)
         graph = build_case_graph(store)
-        assert not any(e.kind == O2O for e in graph.edges)
+        assert not any(e[0] == O2O for e in graph.edges)
 
     def test_unparseable_timestamp_still_builds(self, store):
         # append_batch keeps an unparseable timestamp verbatim (the transform
@@ -179,12 +188,8 @@ class TestCaseGraph:
         graph = build_case_graph(store)
         event_ids, snapshots, edges = brute_case_graph(
             store, sorted(store.id_set("objects")))
-        assert {n.node_id for n in graph.event_nodes} == event_ids
-        assert {
-            n.node_id: (n.object_id, n.timestamp, n.updated_attributes,
-                        n.prev_event_type_id)
-            for n in graph.snapshot_nodes
-        } == snapshots
+        assert set(graph.event_nodes) == event_ids
+        assert snapshot_fields(graph) == snapshots
         assert edge_tuples(graph) == edges
         assert (O2O, "s:obj:1@not-a-time", "s:obj:2@not-a-time", "r") in edges
 
@@ -203,8 +208,9 @@ class TestCaseGraph:
               qualifier_id="q:r", qualifier_value="linked")
         store.append_batch(b)
         graph = build_case_graph(store)
-        assert [(e.start, e.end, e.qualifier) for e in graph.edges
-                if e.kind == O2O] == [
+        assert [(start, end, qualifier)
+                for kind, start, end, _, qualifier in graph.edges
+                if kind == O2O] == [
             ("s:obj:2@2024-01-01T11:00:00.000Z",
              "s:obj:1@2024-01-01T11:00:00.000Z", "r"),
         ]
@@ -220,7 +226,7 @@ class TestCaseGraph:
               qualifier_id="q:r", qualifier_value="linked")
         store.append_batch(b)
         graph = build_case_graph(store)
-        assert not any(e.kind == O2O for e in graph.edges)
+        assert not any(e[0] == O2O for e in graph.edges)
 
     def test_rows_without_timestamp_are_left_out(self, store):
         # an event and an attribute update with a NULL timestamp beside
@@ -239,13 +245,8 @@ class TestCaseGraph:
         store.append_batch(b)
         graph = build_case_graph(store)
         event_ids, snapshots, edges = brute_case_graph(store, ["obj:1"])
-        assert {n.node_id for n in graph.event_nodes} == event_ids == \
-            {"e:ev:1", "e:ev:2"}
-        assert {
-            n.node_id: (n.object_id, n.timestamp, n.updated_attributes,
-                        n.prev_event_type_id)
-            for n in graph.snapshot_nodes
-        } == snapshots
+        assert set(graph.event_nodes) == event_ids == {"e:ev:1", "e:ev:2"}
+        assert snapshot_fields(graph) == snapshots
         assert edge_tuples(graph) == edges
         assert [e.event_id for e in store.object_timeline("obj:1")] == \
             ["ev:1", "ev:2"]
@@ -257,7 +258,7 @@ class TestCaseGraph:
     def test_object_scope_selection(self, store):
         store.append_batch(clean_fixture_batch())
         graph = build_case_graph(store, object_ids=["obj:i2"])
-        assert [n.event_id for n in graph.event_nodes] == ["ev:2"]
+        assert [fields[0] for fields in graph.event_nodes.values()] == ["ev:2"]
         assert len(graph.snapshot_nodes) == 1
 
     def test_matches_brute_force_on_fixture(self, store):
@@ -265,12 +266,8 @@ class TestCaseGraph:
         graph = build_case_graph(store)
         objects = sorted(store.id_set("objects"))
         event_ids, snapshots, edges = brute_case_graph(store, objects)
-        assert {n.node_id for n in graph.event_nodes} == event_ids
-        assert {
-            n.node_id: (n.object_id, n.timestamp, n.updated_attributes,
-                        n.prev_event_type_id)
-            for n in graph.snapshot_nodes
-        } == snapshots
+        assert set(graph.event_nodes) == event_ids
+        assert snapshot_fields(graph) == snapshots
         assert edge_tuples(graph) == edges
 
 
@@ -283,8 +280,8 @@ class TestOverviewGraph:
               qualifier_id="q:r", qualifier_value="r")
         store.append_batch(b)
         overview = build_overview_graph(build_case_graph(store))
-        freq = {n.node_id: n.frequency for n in overview.nodes
-                if n.kind == "event_type"}
+        freq = {node_id: n for node_id, kind, _, n in overview.nodes
+                if kind == "event_type"}
         assert freq == {"et:et:a": 2, "et:et:b": 1}
 
     def test_snapshot_grouping_key(self, store):
@@ -294,10 +291,10 @@ class TestOverviewGraph:
               qualifier_id="q:r", qualifier_value="r")
         store.append_batch(b)
         overview = build_overview_graph(build_case_graph(store))
-        groups = [n for n in overview.nodes if n.kind == "snapshot_group"]
+        groups = [node for node in overview.nodes if node[1] == "snapshot_group"]
         # obj:1@10:00 and obj:2@10:00 share (type, prev=et:a, attrs={}) and
         # collapse; obj:1@11:00 has prev=et:b and stays separate
-        assert sorted((n.detail, n.frequency) for n in groups) == [
+        assert sorted((detail, n) for _, _, detail, n in groups) == [
             ("ot:x|et:a|", 2),
             ("ot:x|et:b|", 1),
         ]
@@ -323,8 +320,8 @@ class TestOverviewGraph:
         store.append_batch(clean_fixture_batch())
         case = build_case_graph(store)
         overview = build_overview_graph(case)
-        assert sum(e.frequency for e in overview.edges) == len(case.edges)
-        assert sum(n.frequency for n in overview.nodes) == \
+        assert sum(edge[4] for edge in overview.edges) == len(case.edges)
+        assert sum(node[3] for node in overview.nodes) == \
             len(case.event_nodes) + len(case.snapshot_nodes)
 
     def test_deterministic(self, store):
@@ -403,24 +400,23 @@ class TestGraphCsvExport:
                 assert edges == sorted(edges, key=lambda row: row[:5])
                 out = tmp_path / f"{seed}-{type(graph).__name__}"
                 export_graph_csv(graph, out)
-                assert_same_checkpoint(graph, out)
-                listed = (graph.snapshot_nodes if isinstance(graph, SnapshotGraph)
-                          else graph.nodes)
-                if listed and graph.edges:
-                    listed.append(listed[0])
-                    graph.edges.append(replace(graph.edges[0], start="ghost"))
-                    nodes, edges = graph.rows()
+                assert_same_checkpoint((nodes, edges), out)
+                # a dict holds no repeated node: repeat the first snapshot
+                # row of a case graph, or the first row of an overview
+                first = len(graph.event_nodes) if isinstance(graph, CaseGraph) else 0
+                if nodes[first:] and edges:
+                    nodes.append(nodes[first])
+                    edges.append(("ghost", *edges[0][1:]))
                     write_csv(out / "nodes.csv", NODES_HEADER, nodes)
                     write_csv(out / "edges.csv", EDGES_HEADER, edges)
-                    report = assert_same_checkpoint(graph, out)
+                    report = assert_same_checkpoint((nodes, edges), out)
                     assert not any(report.check_status.values())
 
     @pytest.mark.parametrize("nulls", [False, True], ids=["plain", "nulls"])
     def test_cli_files_hold_the_graph_rows(self, tmp_path, nulls):
-        """The CLI renders the case export and counts the overview straight
-        from the walk; its files hold exactly the rows of
-        ``build_case_graph`` and ``build_overview_graph``, also with NULL
-        types and timestamps and with objects missing from ``objects``."""
+        """The CLI's files hold exactly the rows of ``build_case_graph``
+        and ``build_overview_graph``, also with NULL types and timestamps
+        and with objects missing from ``objects``."""
         for seed in range(100):
             batch, _ = tiny_log(seed, n_objects=3 + seed % 6,
                                 n_events=4 + seed % 13, ghosts=seed % 3,
@@ -447,17 +443,19 @@ class TestGraphCsvExport:
         store.append_batch(clean_fixture_batch())
         graph = build_case_graph(store)
         calls = []
-        rows = SnapshotGraph.rows
+        rows = CaseGraph.rows
         monkeypatch.setattr(
-            SnapshotGraph, "rows", lambda self: calls.append(self) or rows(self))
+            CaseGraph, "rows", lambda self: calls.append(self) or rows(self))
         export_graph_csv(graph, tmp_path / "graph")
         assert calls == [graph]
 
     def test_checkpoint_aborts_before_writing(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())
         graph = build_case_graph(store)
-        # duplicate node id -> graph checkpoint violation
-        graph.snapshot_nodes.append(graph.snapshot_nodes[0])
+        # duplicate node id -> graph checkpoint violation; a dict holds no
+        # repeated node, so the first snapshot row is repeated in the rows
+        nodes, edges = graph.rows()
+        graph.rows = lambda: (nodes + [nodes[len(graph.event_nodes)]], edges)
         out = tmp_path / "graph"
         with pytest.raises(GraphExportError) as err:
             export_graph_csv(graph, out)
@@ -467,10 +465,7 @@ class TestGraphCsvExport:
     def test_dangling_edge_detected(self, store, tmp_path):
         store.append_batch(clean_fixture_batch())
         graph = build_case_graph(store)
-        broken = graph.edges[0].__class__(
-            kind=graph.edges[0].kind, start="e:ghost",
-            end=graph.edges[0].end, object_id="obj:i1",
-        )
-        graph.edges.append(broken)
+        kind, _, end, _, _ = graph.edges[0]
+        graph.edges.append((kind, "e:ghost", end, "obj:i1", None))
         with pytest.raises(GraphExportError):
             export_graph_csv(graph, tmp_path / "graph")

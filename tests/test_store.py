@@ -80,6 +80,27 @@ class TestOpenStore:
                 open_store(path, create_if_missing=False)
 
 
+    def test_failed_layout_leaves_no_table(self, tmp_path, monkeypatch):
+        """The layout is one transaction: a statement failing late leaves a
+        file without tables, which ``ochub init`` then lays out."""
+        import ochub.store as store_mod
+        from ochub.cli import EXIT_OK, run
+
+        path = tmp_path / "hub.db"
+        monkeypatch.setattr(store_mod, "_INDEXES", store_mod._INDEXES + (
+            ("idx_late", "events", "no_such_column"),))
+        with pytest.raises(sqlite3.OperationalError, match="no_such_column"):
+            open_store(path)
+        with sqlite3.connect(path) as conn:
+            assert conn.execute("SELECT count(*) FROM sqlite_master").fetchone() == (0,)
+        monkeypatch.undo()
+        with pytest.raises(StoreLayoutError, match="not a hub store"):
+            open_store(path, create_if_missing=False)
+        assert run(["init", str(path)]) == EXIT_OK
+        with open_store(path, create_if_missing=False) as store:
+            assert set(store.table_inventory()) == set(TABLES)
+
+
 class TestAppendBatch:
     def test_additive(self, store):
         summary = store.append_batch(two_events_batch())
@@ -381,9 +402,9 @@ class TestObjectTimeline:
         assert [e.event_id for e in store.object_timeline("o1")] == ["eN", "eA"]
         # the graph serializes the tie the same way: eA comes last
         graph = build_case_graph(store)
-        assert [n.prev_event_type_id for n in graph.snapshot_nodes] == ["et:a"]
-        assert {(e.start, e.end) for e in graph.edges
-                if e.kind == DF_SNAPSHOT_TO_EVENT} == {(f"s:o1@{t}", "e:eA")}
+        assert [fields[4] for fields in graph.snapshot_nodes.values()] == ["et:a"]
+        assert {(start, end) for kind, start, end, _, _ in graph.edges
+                if kind == DF_SNAPSHOT_TO_EVENT} == {(f"s:o1@{t}", "e:eA")}
 
     def test_update_between_events_is_standalone_entry(self, store):
         store.append_batch(clean_fixture_batch())
