@@ -147,28 +147,29 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
 @click.option("--report", "report_path", default=None, help="write a JSON report")
 def cmd_check(store_path, checkpoint, input_path, fmt, mapping, report_path):
     """Run a quality checkpoint and report every violation."""
-    store = open_store(store_path, create_if_missing=False)
-    try:
-        if checkpoint == "staging":
-            if not input_path:
+    if checkpoint == "graph":  # reads the graph files alone, not the store
+        if not input_path:
+            raise click.UsageError(
+                "graph checkpoint needs --input (directory with nodes.csv/edges.csv)"
+            )
+        report = _this.run_checkpoint(input_path, "graph")
+    else:
+        store = open_store(store_path, create_if_missing=False)
+        try:
+            if checkpoint == "transform":
+                report = _this.run_checkpoint(store, "transform")
+            elif not input_path:
                 raise click.UsageError("staging checkpoint needs --input")
-            batch = _load_batch(fmt, input_path, mapping).batch
-            report = _this.run_checkpoint(batch, "staging", store=store)
-        elif checkpoint == "transform":
-            report = _this.run_checkpoint(store, "transform")
-        else:
-            if not input_path:
-                raise click.UsageError(
-                    "graph checkpoint needs --input (directory with nodes.csv/edges.csv)"
-                )
-            report = _this.run_checkpoint(input_path, "graph")
-        click.echo(report.summary())
-        if report_path:
-            report.write_json(report_path)
-        if not report.passed:
-            raise QualityFailure(report)
-    finally:
-        store.close()
+            else:
+                batch = _load_batch(fmt, input_path, mapping).batch
+                report = _this.run_checkpoint(batch, "staging", store=store)
+        finally:
+            store.close()
+    click.echo(report.summary())
+    if report_path:
+        report.write_json(report_path)
+    if not report.passed:
+        raise QualityFailure(report)
 
 
 @cli.command("stats")

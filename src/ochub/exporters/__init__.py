@@ -41,24 +41,34 @@ def attribute_cells(kind: str, outer: str, count: int, match: str = "IS") -> str
     ) * count
 
 
-def write_csv(path, header, rows) -> int:
-    """Write ``header`` and ``rows`` (None as "") to ``path``; returns the
-    number of rows. The file is written beside ``path`` and renamed onto it
-    once complete, so an exception leaves no partial file and whatever
-    ``path`` held before."""
-    count = 0
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary path beside ``path`` to write, renamed onto
+    ``path`` once the block completes; an exception removes it and leaves
+    whatever ``path`` held before. A temporary file left by a killed run is
+    deleted first, as SQLite would open it rather than start afresh."""
     temp = f"{os.fspath(path)}.tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(temp)
     try:
-        with open(temp, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for count, row in enumerate(rows, 1):
-                writer.writerow(row)
+        yield temp
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
         raise
+
+
+def write_csv(path, header, rows) -> int:
+    """Write ``header`` and ``rows`` (None as "") to ``path`` through
+    ``replacing``; returns the number of rows."""
+    count = 0
+    with (replacing(path) as temp,
+          open(temp, "w", newline="", encoding="utf-8") as handle):
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
     return count
 
 
@@ -85,6 +95,7 @@ __getattr__ = lazy_names(__name__, {
 __all__ = [
     "ExportError",
     "ExportSummary",
+    "replacing",
     "export_ocel2",
     "export_docel",
     "export_flat_csv",

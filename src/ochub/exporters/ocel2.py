@@ -18,11 +18,11 @@ flattened to static rows labeled with the qualifier description.
 
 from __future__ import annotations
 
-import os
 import sqlite3
+from contextlib import closing
 from pathlib import Path
 
-from ochub.exporters import ExportError, ExportSummary, attribute_cells
+from ochub.exporters import ExportError, ExportSummary, attribute_cells, replacing
 from ochub.store import HubStore
 from ochub.util import dedupe_name, sanitize_name
 
@@ -53,23 +53,13 @@ def _quote(identifier: str) -> str:
 
 
 def export_ocel2(store: HubStore, out) -> ExportSummary:
-    """Write the store as an OCEL 2.0 SQLite file."""
+    """Write the store as an OCEL 2.0 SQLite file, renamed onto ``out`` once
+    complete (``replacing``)."""
     out_path = Path(out)
-    if out_path.exists():
-        os.remove(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     summary = ExportSummary(format="ocel2", path=str(out_path))
-
-    conn = sqlite3.connect(out_path)
-    try:
-        with conn:
-            _export(store, conn, summary)
-    except Exception:
-        conn.close()
-        if out_path.exists():
-            os.remove(out_path)
-        raise
-    conn.close()
+    with replacing(out_path) as temp, closing(sqlite3.connect(temp)) as conn, conn:
+        _export(store, conn, summary)
     return summary
 
 

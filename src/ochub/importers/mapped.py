@@ -7,12 +7,13 @@ and the three relation kinds as (source file, from-column, to-column,
 qualifier) specs. ``MappingConfig.from_dict`` checks each spec by one rule
 (``_spec``): a mapping with the keys its kind requires, strings as names
 and ``source``, a string or null as a column; each section is a mapping or
-a list as expected. The importer walks the declarations and emits hub rows
-with the ids ``ochub.importers`` describes. A source row without its key
-columns (an id, or both relation endpoints) yields no hub row and is listed
-in ``skipped`` with the reason (no silent drops); a repeated source id, an
-unparseable timestamp or a mapped column missing from a file's header
-stops the import, naming the file and, where there is one, the line.
+a list as expected. The importer walks the declarations and emits each hub
+row through an emitter of ``ochub.importers``, an event or object keyed
+``<type>:<source id>``. A source row without its key columns (an id, or
+both relation endpoints) yields no hub row and is listed in ``skipped``
+with the reason (no silent drops); a repeated source id, an unparseable
+timestamp or a mapped column missing from a file's header stops the
+import, naming the file and, where there is one, the line.
 
 Derived attributes (values not present as plain columns) must be
 precomputed into the source CSVs upstream; the config stays declarative.
@@ -25,7 +26,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ochub.importers import (
-    AppendableBatch, ImportError_, add_qualifiers, add_type,
+    AppendableBatch, ImportError_, add_e2o, add_e2oav, add_event,
+    add_event_value, add_o2o, add_object, add_object_value, add_qualifiers,
+    add_type, object_value_id,
 )
 from ochub.schema import Batch, DATATYPES
 from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
@@ -205,17 +208,8 @@ def _ts(value, context: str) -> str:
         raise MappingError(f"{context}: {exc}") from exc
 
 
-def _oav_id(object_type: str, raw_id: str, attribute: str,
-            timestamp: str) -> str:
-    """The id of an object attribute value, as an object row, an update row
-    and an event-to-attribute-value link name it."""
-    return f"oav:{object_type}:{raw_id}:{attribute}:{timestamp}"
-
-
 def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
     """Apply a mapping config to a directory of source CSVs."""
-    if isinstance(config, (str, Path)):
-        config = MappingConfig.from_file(config)
     root = Path(sources)
     if not root.is_dir():
         raise MappingError(f"not a directory: {root}")
@@ -224,23 +218,13 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
     qualifiers: set = set()
 
     def related(spec, *columns):
-        """(qualifier, its id, the rows of the relation spec's source with
-        both endpoints); notes the qualifier. Its rows share one id string."""
+        """(qualifier, the rows of the relation spec's source with both
+        endpoints); notes the qualifier."""
         qualifier = spec["qualifier"]
         qualifiers.add(qualifier)
-        return qualifier, f"q:{qualifier}", src.keyed(
+        return qualifier, src.keyed(
             spec["source"], (spec["from_column"], spec["to_column"]),
             f"empty endpoint for {qualifier}", *columns,
-        )
-
-    def add_value(type_name, raw_id, attr, timestamp, value) -> None:
-        batch.add(
-            "object_attribute_values",
-            id=_oav_id(type_name, raw_id, attr, timestamp),
-            object_id=f"obj:{type_name}:{raw_id}",
-            object_attribute_id=f"oa:{type_name}.{attr}",
-            timestamp=timestamp,
-            attribute_value=value,
         )
 
     for name, spec in sorted(config.event_types.items()):
@@ -253,28 +237,16 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
             *filter(None, [spec["description_column"]]),
         ):
+            key = f"{name}:{raw_id}"
             description = None
             if spec["description_column"]:
                 description = row.get(spec["description_column"])
-            batch.add(
-                "events",
-                id=f"ev:{name}:{raw_id}",
-                event_type_id=f"et:{name}",
-                timestamp=_ts(
-                    row.get(spec["timestamp_column"]), f"{file} line {line_no}"
-                ),
-                description=description,
-            )
+            timestamp = _ts(row.get(spec["timestamp_column"]), f"{file} line {line_no}")
+            add_event(batch, key, name, timestamp, description)
             for attr, attr_spec in attributes:
                 value = row.get(attr_spec["column"])
                 if value:
-                    batch.add(
-                        "event_attribute_values",
-                        id=f"eav:{name}:{raw_id}:{attr}",
-                        event_id=f"ev:{name}:{raw_id}",
-                        event_attribute_id=f"ea:{name}.{attr}",
-                        attribute_value=value,
-                    )
+                    add_event_value(batch, key, name, attr, value)
 
     for name, spec in sorted(config.object_types.items()):
         datatypes = {attr: attr_spec["datatype"]
@@ -290,22 +262,18 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
             *filter(None, [ts_column, spec["description_column"]]),
         ):
+            key = f"{name}:{raw_id}"
             description = None
             if spec["description_column"]:
                 description = row.get(spec["description_column"])
-            batch.add(
-                "objects",
-                id=f"obj:{name}:{raw_id}",
-                object_type_id=f"ot:{name}",
-                description=description,
-            )
+            add_object(batch, key, name, description)
             value_ts = EPOCH_TS
             if ts_column:
                 value_ts = _ts(row.get(ts_column), f"{file} line {line_no}")
             for attr, attr_spec in attributes:
                 value = row.get(attr_spec["column"])
                 if value:
-                    add_value(name, raw_id, attr, value_ts, value)
+                    add_object_value(batch, key, name, attr, value_ts, value)
         for update in spec["updates"]:
             ufile = update["source"]
             attr = update["attribute"]
@@ -321,24 +289,18 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
                     row.get(update["timestamp_column"]),
                     f"{ufile} line {line_no}",
                 )
-                add_value(name, raw_id, attr, value_ts, value)
+                add_object_value(batch, f"{name}:{raw_id}", name, attr,
+                                 value_ts, value)
 
     for spec in config.relations["event_to_object"]:
-        qualifier, qualifier_id, rows = related(spec)
+        qualifier, rows = related(spec)
         for _, (from_val, to_val), _ in rows:
-            batch.add(
-                "event_to_object",
-                id=f"e2o:{spec['event_type']}:{from_val}:"
-                   f"{spec['object_type']}:{to_val}:{qualifier}",
-                event_id=f"ev:{spec['event_type']}:{from_val}",
-                object_id=f"obj:{spec['object_type']}:{to_val}",
-                qualifier_id=qualifier_id,
-                qualifier_value=qualifier,
-            )
+            add_e2o(batch, f"{spec['event_type']}:{from_val}",
+                    f"{spec['object_type']}:{to_val}", qualifier)
 
     for spec in config.relations["object_to_object"]:
         file, ts_column = spec["source"], spec.get("timestamp_column")
-        qualifier, qualifier_id, rows = related(
+        qualifier, rows = related(
             spec, *filter(None, [ts_column, spec.get("value_column")]))
         for line_no, (from_val, to_val), row in rows:
             timestamp = EPOCH_TS
@@ -347,35 +309,22 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
             value = qualifier
             if spec.get("value_column"):
                 value = row.get(spec["value_column"]) or None
-            batch.add(
-                "object_to_object",
-                id=f"o2o:{spec['from_object_type']}:{from_val}:"
-                   f"{spec['to_object_type']}:{to_val}:{qualifier}:{timestamp}",
-                source_object_id=f"obj:{spec['from_object_type']}:{from_val}",
-                target_object_id=f"obj:{spec['to_object_type']}:{to_val}",
-                timestamp=timestamp,
-                qualifier_id=qualifier_id,
-                qualifier_value=value,
-            )
+            add_o2o(batch, f"{spec['from_object_type']}:{from_val}",
+                    f"{spec['to_object_type']}:{to_val}", qualifier, value,
+                    timestamp)
 
     for spec in config.relations["event_to_object_attribute_value"]:
         file = spec["source"]
-        qualifier, qualifier_id, rows = related(spec, spec["timestamp_column"])
+        qualifier, rows = related(spec, spec["timestamp_column"])
         for line_no, (from_val, to_val), row in rows:
             value_ts = _ts(
                 row.get(spec["timestamp_column"]), f"{file} line {line_no}"
             )
-            oav_id = _oav_id(
-                spec["object_type"], to_val, spec["attribute"], value_ts
+            value_id = object_value_id(
+                f"{spec['object_type']}:{to_val}", spec["attribute"], value_ts
             )
-            batch.add(
-                "event_to_object_attribute_value",
-                id=f"e2oav:{spec['event_type']}:{from_val}:{oav_id}:{qualifier}",
-                event_id=f"ev:{spec['event_type']}:{from_val}",
-                object_attribute_value_id=oav_id,
-                qualifier_id=qualifier_id,
-                qualifier_value=qualifier,
-            )
+            add_e2oav(batch, f"{spec['event_type']}:{from_val}", value_id,
+                      qualifier)
 
     add_qualifiers(batch, qualifiers)
 

@@ -6,8 +6,8 @@ Source layout: master tables ``event(ocel_id, ocel_type)`` and
 and one ``event_<map>`` / ``object_<map>`` table per mapped type.
 
 Mapping notes:
-  - ids follow the scheme in ``ochub.importers``, keyed by ``ocel_id``, so
-    re-imports are idempotent;
+  - every hub row comes from an emitter of ``ochub.importers``, keyed by
+    ``ocel_id``, so re-imports are idempotent;
   - object rows with an empty ``ocel_changed_field`` are initial-value rows
     (one attribute value per filled column at that row's time); rows with a
     changed field yield exactly one value for that field;
@@ -26,10 +26,11 @@ import sqlite3
 from pathlib import Path
 
 from ochub.importers import (
-    AppendableBatch, ImportError_, add_qualifiers, add_type,
+    AppendableBatch, ImportError_, add_e2o, add_event, add_event_value,
+    add_o2o, add_object, add_object_value, add_qualifiers, add_type,
 )
 from ochub.schema import Batch
-from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
+from ochub.util import TimestampError, normalize_timestamp
 
 REQUIRED_TABLES = (
     "event",
@@ -115,46 +116,22 @@ def _import(conn) -> AppendableBatch:
     ):
         event_times[ocel_id] = timestamp
         for name, value in values:
-            batch.add(
-                "event_attribute_values",
-                id=f"eav:{ocel_id}:{name}",
-                event_id=f"ev:{ocel_id}",
-                event_attribute_id=f"ea:{type_name}.{name}",
-                attribute_value=value,
-            )
+            add_event_value(batch, ocel_id, type_name, name, value)
     for ocel_id, type_name in event_types.items():
         timestamp = event_times.get(ocel_id)
         if timestamp is None:
             raise ImportError_(
                 f"event {ocel_id!r} has no row in its per-type table"
             )
-        batch.add(
-            "events",
-            id=f"ev:{ocel_id}",
-            event_type_id=f"et:{type_name}",
-            timestamp=timestamp,
-            description=None,
-        )
+        add_event(batch, ocel_id, type_name, timestamp)
 
     for type_name, ocel_id, timestamp, values in _per_type_rows(
         conn, batch, "object", object_maps
     ):
         for name, value in values:
-            batch.add(
-                "object_attribute_values",
-                id=f"oav:{ocel_id}:{name}:{timestamp}",
-                object_id=f"obj:{ocel_id}",
-                object_attribute_id=f"oa:{type_name}.{name}",
-                timestamp=timestamp,
-                attribute_value=value,
-            )
+            add_object_value(batch, ocel_id, type_name, name, timestamp, value)
     for ocel_id, type_name in object_types.items():
-        batch.add(
-            "objects",
-            id=f"obj:{ocel_id}",
-            object_type_id=f"ot:{type_name}",
-            description=None,
-        )
+        add_object(batch, ocel_id, type_name)
 
     qualifiers: set = set()
     for event_id, object_id, qualifier in conn.execute(
@@ -162,28 +139,13 @@ def _import(conn) -> AppendableBatch:
     ):
         qualifier = _qualifier(qualifier)
         qualifiers.add(qualifier)
-        batch.add(
-            "event_to_object",
-            id=f"e2o:{event_id}:{object_id}:{qualifier}",
-            event_id=f"ev:{event_id}",
-            object_id=f"obj:{object_id}",
-            qualifier_id=f"q:{qualifier}",
-            qualifier_value=qualifier,
-        )
+        add_e2o(batch, event_id, object_id, qualifier)
     for source_id, target_id, qualifier in conn.execute(
         "SELECT ocel_source_id, ocel_target_id, ocel_qualifier FROM object_object"
     ):
         qualifier = _qualifier(qualifier)
         qualifiers.add(qualifier)
-        batch.add(
-            "object_to_object",
-            id=f"o2o:{source_id}:{target_id}:{qualifier}",
-            source_object_id=f"obj:{source_id}",
-            target_object_id=f"obj:{target_id}",
-            timestamp=EPOCH_TS,
-            qualifier_id=f"q:{qualifier}",
-            qualifier_value=qualifier,
-        )
+        add_o2o(batch, source_id, target_id, qualifier, qualifier)
     add_qualifiers(batch, qualifiers)
 
     batch.canonicalize()

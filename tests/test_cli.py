@@ -539,6 +539,22 @@ class TestCheck:
             assert str(directory / missing) in captured.err
             assert "PASSED" not in captured.out
 
+    def test_graph_check_opens_no_store(self, store_path, batch_dir, tmp_path):
+        """The graph checkpoint reads only its files: a missing --store path
+        does not fail it, and no store is created there."""
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        out = tmp_path / "graph"
+        assert run([
+            "export", "--store", str(store_path), "--format", "graph-case",
+            "--out", str(out),
+        ]) == EXIT_OK
+        absent = tmp_path / "none.db"
+        assert run([
+            "check", "--store", str(absent), "--checkpoint", "graph",
+            "--input", str(out),
+        ]) == EXIT_OK
+        assert not absent.exists()
+
 
 class TestExport:
     def test_all_formats(self, store_path, batch_dir, tmp_path):

@@ -304,6 +304,25 @@ class TestOcel2Export:
             export_ocel2(store, out)
         assert not out.exists()  # partial output removed
 
+    def test_failed_export_keeps_the_earlier_file(self, store, tmp_path):
+        """A colliding export onto a good log raises, leaves the log's bytes
+        as they were and no temporary file; a stale temporary file from a
+        killed run does not stop the good export."""
+        store.append_batch(clean_fixture_batch())
+        out = tmp_path / "out" / "log.sqlite"
+        out.parent.mkdir()
+        (out.parent / "log.sqlite.tmp").write_bytes(b"partial")
+        export_ocel2(store, out)
+        before = out.read_bytes()
+        batch = Batch()
+        batch.add("event_attributes", id="ea:pick.qty2", event_type_id="et:pick",
+                  description="qty", datatype="integer")
+        store.append_batch(batch)
+        with pytest.raises(ExportError, match="collision"):
+            export_ocel2(store, out)
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in out.parent.iterdir()) == ["log.sqlite"]
+
 
 class TestDocelExport:
     def test_file_layout(self, store, tmp_path):

@@ -4,8 +4,13 @@ import re
 import pytest
 import yaml
 
-from ochub.importers import ImportError_, import_hub_csv, import_ocel2
+from ochub.importers import (
+    ImportError_, add_e2o, add_e2oav, add_event, add_event_value, add_o2o,
+    add_object, add_object_value, add_qualifiers, add_type, import_hub_csv,
+    import_ocel2, object_value_id,
+)
 from ochub.importers.mapped import MappingConfig, MappingError, import_mapped_csv
+from ochub.schema import Batch
 from ochub.util import EPOCH_TS
 from conftest import build_ocel2_sqlite
 
@@ -853,3 +858,115 @@ class TestMappedImportContract:
         with pytest.raises(MappingError) as err:
             import_mapped_csv(config, tmp_path)
         assert str(err.value) == "orders.csv: missing source column None"
+
+
+TS = "2024-02-01T10:00:00.000Z"
+OAV = f"oav:store:s1:count:{TS}"
+# each emitter, its arguments for one key, and the rows it adds; the id
+# scheme as the ochub.importers docstring tabulates it
+EMITTED = {
+    "type": (add_type, ("object", "order", [("total", "float")]), {
+        "object_types": [{"id": "ot:order", "description": "order"}],
+        "object_attributes": [{"id": "oa:order.total", "object_type_id": "ot:order",
+                               "description": "total", "datatype": "float"}],
+    }),
+    "qualifiers": (add_qualifiers, ({"new_order"},), {"relation_qualifiers": [
+        {"id": "q:new_order", "description": "new_order", "datatype": "string"}]}),
+    "event": (add_event, ("place_order:o1", "place_order", TS), {"events": [
+        {"id": "ev:place_order:o1", "event_type_id": "et:place_order",
+         "timestamp": TS, "description": None}]}),
+    "object": (add_object, ("order:o1", "order", "Order 1"), {"objects": [
+        {"id": "obj:order:o1", "object_type_id": "ot:order",
+         "description": "Order 1"}]}),
+    "event_value": (add_event_value, ("place_order:o1", "place_order", "channel",
+                                      "web"), {"event_attribute_values": [
+        {"id": "eav:place_order:o1:channel", "event_id": "ev:place_order:o1",
+         "event_attribute_id": "ea:place_order.channel", "attribute_value": "web"}]}),
+    "object_value": (add_object_value, ("store:s1", "store", "count", TS, "3"), {
+        "object_attribute_values": [
+            {"id": OAV, "object_id": "obj:store:s1",
+             "object_attribute_id": "oa:store.count", "timestamp": TS,
+             "attribute_value": "3"}]}),
+    "e2o": (add_e2o, ("place_order:o1", "order:o1", "new_order"), {"event_to_object": [
+        {"id": "e2o:place_order:o1:order:o1:new_order",
+         "event_id": "ev:place_order:o1", "object_id": "obj:order:o1",
+         "qualifier_id": "q:new_order", "qualifier_value": "new_order"}]}),
+    "e2oav": (add_e2oav, ("place_order:o1", OAV, "visit"), {
+        "event_to_object_attribute_value": [
+            {"id": f"e2oav:place_order:o1:{OAV}:visit",
+             "event_id": "ev:place_order:o1", "object_attribute_value_id": OAV,
+             "qualifier_id": "q:visit", "qualifier_value": "visit"}]}),
+    "o2o_timed": (add_o2o, ("order:o1", "store:s1", "placed_in", "Main", TS), {
+        "object_to_object": [
+            {"id": f"o2o:order:o1:store:s1:placed_in:{TS}",
+             "source_object_id": "obj:order:o1", "target_object_id": "obj:store:s1",
+             "timestamp": TS, "qualifier_id": "q:placed_in",
+             "qualifier_value": "Main"}]}),
+    "o2o_untimed": (add_o2o, ("order:o1", "store:s1", "placed_in", None), {
+        "object_to_object": [
+            {"id": "o2o:order:o1:store:s1:placed_in",
+             "source_object_id": "obj:order:o1", "target_object_id": "obj:store:s1",
+             "timestamp": EPOCH_TS, "qualifier_id": "q:placed_in",
+             "qualifier_value": None}]}),
+}
+
+
+@pytest.mark.parametrize("emitter, args, rows", EMITTED.values(), ids=EMITTED)
+def test_emitter_rows(emitter, args, rows):
+    """Each emitter adds exactly the rows of the id scheme, every column."""
+    batch = Batch()
+    emitter(batch, *args)
+    assert {table: got for table, got in batch.rows.items() if got} == rows
+
+
+def test_object_value_id_and_shared_qualifier_id():
+    """The value id of an e2oav link is the one its value row carries, and
+    every row of one qualifier holds the same qualifier id string."""
+    assert object_value_id("store:s1", "count", TS) == OAV
+    batch = Batch()
+    add_e2o(batch, "a:1", "b:1", "new_" + "order")
+    add_e2o(batch, "a:2", "b:2", "".join(["new_", "order"]))
+    first, second = batch.rows["event_to_object"]
+    assert first["qualifier_id"] is second["qualifier_id"]
+
+
+def test_importers_agree_on_ids(tmp_path):
+    """An OCEL 2.0 log whose ocel_ids are mapped keys gives the events,
+    objects, values and E2O rows of the mapped import of the same data."""
+    write_csv(tmp_path / "orders.csv", ["id", "ordered_at", "channel", "subtotal"],
+              [["o1", "2024-02-01T10:00:00Z", "web", "12.5"],
+               ["o2", "2024-02-02T10:00:00Z", "", "7.0"]])
+    mapped = import_mapped_csv(MappingConfig.from_dict({
+        "event_types": {"place_order": {
+            "source": "orders.csv", "id_column": "id",
+            "timestamp_column": "ordered_at", "attributes": {"channel": "channel"},
+        }},
+        "object_types": {"order": {
+            "source": "orders.csv", "id_column": "id",
+            "attribute_timestamp_column": "ordered_at",
+            "attributes": {"subtotal": "subtotal"},
+        }},
+        "relations": {"event_to_object": [{
+            "source": "orders.csv", "event_type": "place_order",
+            "object_type": "order", "from_column": "id", "to_column": "id",
+            "qualifier": "new_order",
+        }]},
+    }), tmp_path).batch
+    build_ocel2_sqlite(tmp_path / "log.sqlite", {
+        "event_types": {"place_order": {"attrs": {"channel": "TEXT"}, "events": [
+            ("place_order:o1", "2024-02-01 10:00:00", {"channel": "web"}),
+            ("place_order:o2", "2024-02-02 10:00:00", {"channel": None}),
+        ]}},
+        "object_types": {"order": {"attrs": {"subtotal": "TEXT"}, "rows": [
+            ("order:o1", "2024-02-01 10:00:00", None, {"subtotal": "12.5"}),
+            ("order:o2", "2024-02-02 10:00:00", None, {"subtotal": "7.0"}),
+        ]}},
+        "event_object": [("place_order:o1", "order:o1", "new_order"),
+                         ("place_order:o2", "order:o2", "new_order")],
+        "object_object": [],
+    })
+    ocel = import_ocel2(tmp_path / "log.sqlite").batch
+    for table in ("events", "objects", "event_attribute_values",
+                  "object_attribute_values", "event_to_object"):
+        assert ocel.rows[table] == mapped.rows[table], table
+        assert len(ocel.rows[table]) in (1, 2)
