@@ -41,6 +41,12 @@ def attribute_cells(kind: str, outer: str, count: int, match: str = "IS") -> str
     ) * count
 
 
+def display_name(alias: str, fallback: str) -> str:
+    """SQL for a display name: the description of the row aliased ``alias``,
+    else ``fallback``."""
+    return f"coalesce(nullif({alias}.description, ''), {fallback})"
+
+
 @contextlib.contextmanager
 def replacing(path):
     """Yield a temporary path beside ``path`` to write, renamed onto
@@ -80,8 +86,8 @@ def event_attribute_columns(store, reserved) -> list:
     return [
         (dedupe_name(name, taken), attr_id)
         for attr_id, name in store.connection().execute(
-            "SELECT id, coalesce(nullif(description, ''), id) AS name "
-            "FROM event_attributes ORDER BY name, id"
+            f"SELECT id, {display_name('a', 'id')} AS name "
+            "FROM event_attributes a ORDER BY name, id"
         )
     ]
 

@@ -30,6 +30,7 @@ from pathlib import Path
 from ochub.exporters import (
     ExportSummary,
     attribute_cells,
+    display_name,
     event_attribute_columns,
     write_csv,
 )
@@ -54,7 +55,7 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
 
     attr_columns = event_attribute_columns(store, ("id", "activity", "timestamp"))
     events = read(
-        "SELECT e.id, coalesce(nullif(t.description, ''), e.event_type_id), "
+        f"SELECT e.id, {display_name('t', 'e.event_type_id')}, "
         f"e.timestamp{attribute_cells('event', 'e.id', len(attr_columns))} "
         "FROM events e LEFT JOIN event_types t ON t.id = e.event_type_id "
         "ORDER BY e.timestamp, e.event_type_id, e.id",
@@ -70,12 +71,12 @@ def export_docel(store: HubStore, out_dir) -> ExportSummary:
     taken_files: set = set()
     dynamic_attrs = []
     for type_id, type_name in read(
-        "SELECT id, coalesce(nullif(description, ''), id) FROM object_types ORDER BY id"
+        f"SELECT id, {display_name('t', 'id')} FROM object_types t ORDER BY id"
     ):
         header, seen_cols, static_ids = ["id"], {"id"}, []
         for attr_id, name in read(
-            "SELECT id, coalesce(nullif(description, ''), id) AS name "
-            "FROM object_attributes WHERE object_type_id = ? ORDER BY name, id",
+            f"SELECT id, {display_name('a', 'id')} AS name "
+            "FROM object_attributes a WHERE object_type_id = ? ORDER BY name, id",
             (type_id,),
         ):
             if attr_id in dynamic:

@@ -15,6 +15,7 @@ from ochub.exporters import (
     ExportError,
     ExportSummary,
     attribute_cells,
+    display_name,
     event_attribute_columns,
     write_csv,
 )
@@ -37,7 +38,7 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
         "WITH p AS (SELECT DISTINCT r.object_id, r.event_id FROM event_to_object r "
         "JOIN objects o ON o.id = r.object_id WHERE o.object_type_id = ?), "
         "ev AS (SELECT e.id, e.event_type_id, "
-        "coalesce(nullif(t.description, ''), e.event_type_id), e.timestamp"
+        f"{display_name('t', 'e.event_type_id')}, e.timestamp"
         f"{attribute_cells('event', 'e.id', len(attr_columns))} "
         "FROM (SELECT DISTINCT event_id FROM p) q JOIN events e ON e.id = q.event_id "
         "LEFT JOIN event_types t ON t.id = e.event_type_id) "

@@ -2,8 +2,9 @@
 
 A hub-CSV directory contains up to twelve UTF-8 CSV files named exactly
 after the schema tables, each with a header row carrying the exact column
-names. Timestamps are RFC 3339; an empty ``qualifier_value`` in
-``object_to_object.csv`` encodes NULL (relation termination).
+names (a leading byte-order mark is ignored). Timestamps are RFC 3339;
+an empty ``qualifier_value`` in ``object_to_object.csv`` encodes NULL
+(relation termination).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def import_hub_csv(directory) -> AppendableBatch:
             raise ImportError_(f"unknown file name: {path.name}")
         columns = TABLE_COLUMNS[table]
         ts_col = _TS_COLS.get(table)
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
             missing = [c for c in columns if c not in header]

@@ -171,7 +171,7 @@ class _Sources:
             path = self.root / name
             if not path.exists():
                 raise MappingError(f"missing source file: {name}")
-            with open(path, newline="", encoding="utf-8") as handle:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 reader = csv.DictReader(handle)
                 self._cache[name] = (list(reader), reader.fieldnames or [])
         rows, header = self._cache[name]

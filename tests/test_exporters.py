@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -12,9 +13,13 @@ from ochub.exporters import (
     write_csv,
 )
 from ochub.cli import EXIT_OK, run
-from ochub.importers import import_ocel2
+from ochub.importers import (
+    add_e2o, add_event, add_event_value, add_o2o, add_object, add_object_value,
+    add_qualifiers, add_type, import_ocel2,
+)
 from ochub.schema import Batch
 from ochub.store import open_store
+from ochub.util import sanitize_name
 from conftest import clean_fixture_batch
 from test_acceptance import tiny_log
 from test_graph import minimal_batch
@@ -322,6 +327,109 @@ class TestOcel2Export:
             export_ocel2(store, out)
         assert out.read_bytes() == before
         assert sorted(p.name for p in out.parent.iterdir()) == ["log.sqlite"]
+
+    def test_types_named_like_fixed_tables(self, store, tmp_path):
+        """Event types named ``object`` and ``map type`` and an object type
+        named ``object`` get suffixed per-type tables instead of the
+        format's ``event_object``, ``event_map_type`` and ``object_object``;
+        the map tables name them, so the log reads back."""
+        original = Batch()
+        for n, name in enumerate(("object", "map type", "object 2", "plain")):
+            add_type(original, "event", name, [])
+            add_event(original, f"e{n}", name, f"2024-01-01T0{n}:00:00.000Z")
+        for name in ("object", "box"):
+            add_type(original, "object", name, [])
+            add_object(original, f"{name}-1", name)
+        original.canonicalize()
+        store.append_batch(original)
+        out = tmp_path / "log.sqlite"
+        assert run(["export", "--store", str(store.path), "--format", "ocel2",
+                    "--out", str(out)]) == EXIT_OK
+        with closing(sqlite3.connect(out)) as conn:
+            maps = [conn.execute(f"SELECT * FROM {kind}_map_type ORDER BY rowid")
+                    .fetchall() for kind in ("event", "object")]
+        assert maps == [[("map type", "map_type_2"), ("object", "object_2"),
+                         ("object 2", "object_2_2"), ("plain", "plain")],
+                        [("box", "box"), ("object", "object_2")]]
+        reimported = import_ocel2(out).batch
+        for table in ("event_types", "events", "object_types", "objects"):
+            assert reimported.rows[table] == original.rows[table], table
+
+    def test_store_connection_is_left_as_found(self, store, tmp_path):
+        """The log is attached to the store's connection only while it is
+        written: after a good and a failed export the connection holds no
+        attached file and no transaction, and the store still appends and
+        exports."""
+        conn = store.connection()
+
+        def as_found():
+            schemas = [row[1] for row in conn.execute("PRAGMA database_list")]
+            assert schemas == ["main", "temp"]
+            assert not conn.in_transaction
+
+        store.append_batch(clean_fixture_batch())
+        out = tmp_path / "log.sqlite"
+        assert export_ocel2(store, out).counts["event"] == 3
+        as_found()
+        batch = Batch()
+        batch.add("events", id="ev:4", event_type_id="et:pack",
+                  timestamp="2024-03-04T08:00:00.000Z", description=None)
+        store.append_batch(batch)
+        assert export_ocel2(store, out).counts["event"] == 4
+
+        batch = Batch()
+        batch.add("object_types", id="ot:x", description="x")
+        for attr_id in ("oa:x.1", "oa:x.2"):
+            batch.add("object_attributes", id=attr_id, object_type_id="ot:x",
+                      description="x", datatype="string")
+        store.append_batch(batch)
+        for _ in range(2):
+            with pytest.raises(ExportError, match="collision"):
+                export_ocel2(store, out)
+            as_found()
+        batch = Batch()
+        batch.add("events", id="ev:5", event_type_id="et:pack",
+                  timestamp="2024-03-05T08:00:00.000Z", description=None)
+        assert store.append_batch(batch)["events"] == 1
+        assert export_docel(store, tmp_path / "docel").counts["events.csv"] == 5
+        with closing(sqlite3.connect(out)) as log:
+            assert log.execute("SELECT COUNT(*) FROM event").fetchone() == (4,)
+
+    def test_types_named_like_store_tables(self, store, tmp_path):
+        """Types named ``types``, ``attributes``, ``attribute values`` and
+        ``to object`` give per-type tables named like store tables
+        (``event_types``, ``object_to_object``, ...); each holds exactly the
+        rows of its type, read from the store's tables."""
+        names = ("types", "attributes", "attribute values", "to object")
+        original = Batch()
+        for n, name in enumerate(names):
+            add_type(original, "event", name, [("colour", "string")])
+            add_type(original, "object", name, [("size", "string")])
+            for key in (f"e{n}", f"e{n}b"):
+                add_event(original, key, name, f"2024-01-0{n + 1}T00:00:00.000Z")
+                add_event_value(original, key, name, "colour", f"c-{key}")
+                add_e2o(original, key, f"o{n}", "q")
+            add_object(original, f"o{n}", name)
+            add_object_value(original, f"o{n}", name, "size",
+                             "2024-01-01T00:00:00.000Z", f"s{n}")
+        add_o2o(original, "o0", "o1", "r", "r")
+        add_qualifiers(original, {"q", "r"})
+        store.append_batch(original)
+        out = tmp_path / "log.sqlite"
+        export_ocel2(store, out)
+        with closing(sqlite3.connect(out)) as conn:
+            for n, name in enumerate(names):
+                table = sanitize_name(name)
+                assert conn.execute(
+                    f"SELECT ocel_id, colour FROM event_{table} ORDER BY rowid"
+                ).fetchall() == [(f"e{n}", f"c-e{n}"), (f"e{n}b", f"c-e{n}b")]
+                assert conn.execute(
+                    f"SELECT ocel_id, ocel_changed_field, size FROM object_{table}"
+                ).fetchall() == [(f"o{n}", "size", f"s{n}")]
+            assert conn.execute("SELECT COUNT(*) FROM event_object").fetchone() == (8,)
+            assert conn.execute("SELECT * FROM object_object").fetchall() == [
+                ("o0", "o1", "r")]
+        assert import_ocel2(out).batch.counts() == original.counts()
 
 
 class TestDocelExport:

@@ -9,10 +9,12 @@ from ochub.importers import (
     add_object, add_object_value, add_qualifiers, add_type, import_hub_csv,
     import_ocel2, object_value_id,
 )
+from ochub.importers.hubcsv import export_hub_csv
 from ochub.importers.mapped import MappingConfig, MappingError, import_mapped_csv
 from ochub.schema import Batch
+from ochub.store import open_store
 from ochub.util import EPOCH_TS
-from conftest import build_ocel2_sqlite
+from conftest import build_ocel2_sqlite, clean_fixture_batch
 
 
 def simple_ocel_log():
@@ -970,3 +972,30 @@ def test_importers_agree_on_ids(tmp_path):
                   "object_attribute_values", "event_to_object"):
         assert ocel.rows[table] == mapped.rows[table], table
         assert len(ocel.rows[table]) in (1, 2)
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    """CSV sources that start with a UTF-8 byte-order mark (Excel's "CSV
+    UTF-8") give the same batch and skipped lines as plain copies, for a
+    hub-CSV batch and for a mapped source."""
+    def with_bom(plain):
+        marked = plain.parent / f"{plain.name}-bom"
+        marked.mkdir()
+        for path in plain.glob("*.csv"):
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return marked
+
+    hub = tmp_path / "hub"
+    with open_store(tmp_path / "hub.db") as store:
+        store.append_batch(clean_fixture_batch())
+        export_hub_csv(store, hub)
+    mapped = tmp_path / "mapped"
+    mapped.mkdir()
+    contract_sources(mapped)
+    config = MappingConfig.from_dict(contract_mapping())
+    for read, plain, skips in ((import_hub_csv, hub, 0),
+                               (lambda d: import_mapped_csv(config, d), mapped, 13)):
+        expected, got = read(plain), read(with_bom(plain))
+        assert got.batch.rows == expected.batch.rows
+        assert got.skipped == expected.skipped
+        assert expected.batch.rows["events"] and len(expected.skipped) == skips
