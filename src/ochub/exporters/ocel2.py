@@ -84,20 +84,23 @@ def export_ocel2(store: HubStore, out) -> ExportSummary:
 def _columns(store: HubStore, kind: str, type_id: str, type_name: str) -> tuple:
     """([attribute id], [column declaration]) of one event or object type's
     table: the ``_LEAD`` columns, then its attributes in (name, id) order, a
-    NULL name being ""; a name taken twice is an ExportError."""
+    NULL name being ""; a name taken twice is an ExportError. Names are
+    compared as SQLite compares column names, folding ASCII letters only
+    (``casefold`` would also merge ``ß`` and ``ss``)."""
     ids, decls = [], list(_LEAD[kind])
-    seen = {decl.split()[0] for decl in decls}
+    seen = {decl.split()[0].encode() for decl in decls}
     for attr_id, name, datatype in store.connection().execute(
         f"SELECT id, {display_name('a', 'id')} AS name, datatype "
         f"FROM {kind}_attributes a WHERE {kind}_type_id = ? ORDER BY name, id",
         (type_id,),
     ):
         name = name or ""  # a NULL id and no description
-        if name in seen:
+        folded = name.encode().lower()
+        if folded in seen:
             raise ExportError(
                 f"{kind} attribute name collision in type {type_name!r}: {name!r}"
             )
-        seen.add(name)
+        seen.add(folded)
         ids.append(attr_id)
         decls.append(f"{_quote(name)} {_DECL.get(datatype, 'TEXT')}")
     return ids, decls

@@ -27,8 +27,10 @@ first use of its name.
 
 from __future__ import annotations
 
+import csv
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ochub.schema import Batch
 from ochub.util import EPOCH_TS, FormatError, lazy_names
@@ -36,6 +38,39 @@ from ochub.util import EPOCH_TS, FormatError, lazy_names
 
 class ImportError_(FormatError):
     """An input file does not match the expected layout or content."""
+
+
+def not_utf8(name: str, data: bytes) -> str:
+    """``<name> line <n>: byte 0x<hh> is not UTF-8`` for the first byte of
+    ``data`` (the content of file ``name``) that UTF-8 cannot decode."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{name} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+    return f"{name}: not UTF-8"
+
+
+def read_csv(path: Path, name: str) -> tuple:
+    """(columns, rows) of the UTF-8 CSV file ``path``, a leading byte-order
+    mark ignored, read as csv.DictReader reads it: ``columns`` maps each
+    header name to the position of its last cell; each row is a list at
+    least as wide as the header, blank lines left out and the cells a short
+    row lacks None. A byte that is not UTF-8, or a record the csv module
+    rejects (a field over its size limit), raises ImportError_ naming the
+    file as ``name`` and the line."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            width = len(header)
+            rows = [row if len(row) >= width else row + [None] * (width - len(row))
+                    for row in reader if row]
+        except UnicodeDecodeError:
+            raise ImportError_(not_utf8(name, path.read_bytes())) from None
+        except csv.Error as exc:
+            raise ImportError_(f"{name} line {reader.line_num}: {exc}") from exc
+    return {column: i for i, column in enumerate(header)}, rows
 
 
 @dataclass

@@ -9,12 +9,11 @@ an empty ``qualifier_value`` in ``object_to_object.csv`` encodes NULL
 
 from __future__ import annotations
 
-import csv
 from itertools import chain
 from pathlib import Path
 
 from ochub.exporters import write_csv
-from ochub.importers import AppendableBatch, ImportError_
+from ochub.importers import AppendableBatch, ImportError_, read_csv
 from ochub.schema import Batch, TABLE_COLUMNS, TIMESTAMP_COLUMNS
 from ochub.util import TimestampError, normalize_timestamp
 
@@ -36,28 +35,23 @@ def import_hub_csv(directory) -> AppendableBatch:
             raise ImportError_(f"unknown file name: {path.name}")
         columns = TABLE_COLUMNS[table]
         ts_col = _TS_COLS.get(table)
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            missing = [c for c in columns if c not in header]
-            extra = [c for c in header if c not in columns]
-            if missing or extra:
-                problem = (missing + extra)[0]
-                raise ImportError_(
-                    f"{path.name}: header mismatch on column {problem!r}"
-                )
-            for line_no, raw in enumerate(reader, start=2):
-                row = {col: raw.get(col) for col in columns}
-                if table == "object_to_object" and row["qualifier_value"] == "":
-                    row["qualifier_value"] = None
-                if ts_col:
-                    try:
-                        row[ts_col] = normalize_timestamp(row[ts_col] or "")
-                    except TimestampError as exc:
-                        raise ImportError_(
-                            f"{path.name} line {line_no}: {exc}"
-                        ) from exc
-                batch.rows[table].append(row)
+        header, rows = read_csv(path, path.name)
+        missing = [c for c in columns if c not in header]
+        extra = [c for c in header if c not in columns]
+        if missing or extra:
+            problem = (missing + extra)[0]
+            raise ImportError_(f"{path.name}: header mismatch on column {problem!r}")
+        at = [header[column] for column in columns]
+        for line_no, cells in enumerate(rows, start=2):
+            row = dict(zip(columns, map(cells.__getitem__, at)))
+            if table == "object_to_object" and row["qualifier_value"] == "":
+                row["qualifier_value"] = None
+            if ts_col:
+                try:
+                    row[ts_col] = normalize_timestamp(row[ts_col] or "")
+                except TimestampError as exc:
+                    raise ImportError_(f"{path.name} line {line_no}: {exc}") from exc
+            batch.rows[table].append(row)
 
     return AppendableBatch(batch=batch)
 

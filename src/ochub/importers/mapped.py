@@ -13,7 +13,11 @@ row through an emitter of ``ochub.importers``, an event or object keyed
 both relation endpoints) yields no hub row and is listed in ``skipped``
 with the reason (no silent drops); a repeated source id, an unparseable
 timestamp or a mapped column missing from a file's header stops the
-import, naming the file and, where there is one, the line.
+import, naming the file and, where there is one, the line. So does input
+that cannot be read: a byte that is not UTF-8 in the mapping or a source,
+a CSV field over the csv module's size limit, or malformed YAML. Each
+distinct timestamp text is parsed once per import; a failed parse is not
+remembered, so the first line holding the text is the one named.
 
 Derived attributes (values not present as plain columns) must be
 precomputed into the source CSVs upstream; the config stays declarative.
@@ -21,14 +25,13 @@ precomputed into the source CSVs upstream; the config stays declarative.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ochub.importers import (
     AppendableBatch, ImportError_, add_e2o, add_e2oav, add_event,
     add_event_value, add_o2o, add_object, add_object_value, add_qualifiers,
-    add_type, object_value_id,
+    add_type, not_utf8, object_value_id, read_csv,
 )
 from ochub.schema import Batch, DATATYPES
 from ochub.util import EPOCH_TS, TimestampError, normalize_timestamp
@@ -147,10 +150,23 @@ class MappingConfig:
 
     @classmethod
     def from_file(cls, path) -> "MappingConfig":
+        """The config of the UTF-8 YAML file ``path``. Unreadable text or
+        YAML is a MappingError naming the file and, where the reader knows
+        it, the line."""
         import yaml  # only mapped ingests need it; keeps CLI start-up short
 
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(yaml.safe_load(handle))
+        data = Path(path).read_bytes()
+        try:
+            loaded = yaml.load(data.decode("utf-8"),
+                               Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except UnicodeDecodeError:
+            raise MappingError(not_utf8(str(path), data)) from None
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" line {mark.line + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+            raise MappingError(f"{path}{where}: {problem}") from exc
+        return cls.from_dict(loaded)
 
 
 class _Sources:
@@ -163,34 +179,35 @@ class _Sources:
         self._cache: dict = {}
 
     def keyed(self, name: str, keys, reason: str, *columns):
-        """(line number, key values, row) of each row of ``name`` whose
-        ``keys`` columns are all non-empty once stripped; every other row
-        goes to ``skipped`` with ``reason``. The file's header must have
-        each key and each of ``columns``, checked in that order."""
+        """(line number, key values, the values of ``columns``) of each row
+        of ``name`` whose ``keys`` columns are all non-empty once stripped;
+        every other row goes to ``skipped`` with ``reason``. The file's
+        header must have each key and each of ``columns``, checked in that
+        order."""
         if name not in self._cache:
             path = self.root / name
             if not path.exists():
                 raise MappingError(f"missing source file: {name}")
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                reader = csv.DictReader(handle)
-                self._cache[name] = (list(reader), reader.fieldnames or [])
-        rows, header = self._cache[name]
+            self._cache[name] = read_csv(path, name)
+        header, rows = self._cache[name]
         for column in (*keys, *columns):
             if column not in header:
                 raise MappingError(f"{name}: missing source column {column!r}")
+        key_at = [header[key] for key in keys]
+        value_at = [header[column] for column in columns]
         for line_no, row in enumerate(rows, start=2):
-            values = [(row.get(key) or "").strip() for key in keys]
+            values = [(row[i] or "").strip() for i in key_at]
             if all(values):
-                yield line_no, values, row
+                yield line_no, values, [row[i] for i in value_at]
             else:
                 self.skipped.append((name, line_no, reason))
 
     def ids(self, name: str, kind: str, id_column: str, *columns):
-        """(line number, id, row) of each row of ``name`` that has an id in
-        ``id_column``; a row without one is skipped, a repeated id stops
-        the import."""
+        """(line number, id, the values of ``columns``) of each row of
+        ``name`` that has an id in ``id_column``; a row without one is
+        skipped, a repeated id stops the import."""
         seen: set = set()
-        for line_no, (raw_id,), row in self.keyed(
+        for line_no, (raw_id,), values in self.keyed(
             name, (id_column,), f"empty {kind} id", *columns
         ):
             if raw_id in seen:
@@ -198,14 +215,7 @@ class _Sources:
                     f"{name} line {line_no}: duplicate {kind} id {raw_id!r}"
                 )
             seen.add(raw_id)
-            yield line_no, raw_id, row
-
-
-def _ts(value, context: str) -> str:
-    try:
-        return normalize_timestamp(value if value is not None else "")
-    except TimestampError as exc:
-        raise MappingError(f"{context}: {exc}") from exc
+            yield line_no, raw_id, values
 
 
 def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
@@ -216,6 +226,16 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
     src = _Sources(root)
     batch = Batch()
     qualifiers: set = set()
+    parsed: dict = {}  # timestamp text -> canonical text, one parse per text
+
+    def ts(text, file: str, line_no: int) -> str:
+        canonical = parsed.get(text)
+        if canonical is None:
+            try:
+                canonical = parsed[text] = normalize_timestamp(text or "")
+            except TimestampError as exc:
+                raise MappingError(f"{file} line {line_no}: {exc}") from exc
+        return canonical
 
     def related(spec, *columns):
         """(qualifier, the rows of the relation spec's source with both
@@ -228,25 +248,24 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         )
 
     for name, spec in sorted(config.event_types.items()):
-        attributes = sorted(spec["attributes"].items())
         add_type(batch, "event", name,
-                 [(attr, attr_spec["datatype"]) for attr, attr_spec in attributes])
-        file = spec["source"]
-        for line_no, raw_id, row in src.ids(
+                 [(attr, attr_spec["datatype"])
+                  for attr, attr_spec in sorted(spec["attributes"].items())])
+        file, described = spec["source"], spec["description_column"]
+        # (attribute, position of its value) in attribute order; the values
+        # come in the order asked for: timestamp, attributes as declared
+        slots = sorted((attr, 1 + i) for i, attr in enumerate(spec["attributes"]))
+        for line_no, raw_id, values in src.ids(
             file, "event", spec["id_column"], spec["timestamp_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
-            *filter(None, [spec["description_column"]]),
+            *filter(None, [described]),
         ):
             key = f"{name}:{raw_id}"
-            description = None
-            if spec["description_column"]:
-                description = row.get(spec["description_column"])
-            timestamp = _ts(row.get(spec["timestamp_column"]), f"{file} line {line_no}")
-            add_event(batch, key, name, timestamp, description)
-            for attr, attr_spec in attributes:
-                value = row.get(attr_spec["column"])
-                if value:
-                    add_event_value(batch, key, name, attr, value)
+            add_event(batch, key, name, ts(values[0], file, line_no),
+                      values[-1] if described else None)
+            for attr, slot in slots:
+                if values[slot]:
+                    add_event_value(batch, key, name, attr, values[slot])
 
     for name, spec in sorted(config.object_types.items()):
         datatypes = {attr: attr_spec["datatype"]
@@ -254,43 +273,34 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
         for update in spec["updates"]:
             datatypes.setdefault(update["attribute"], "string")
         add_type(batch, "object", name, sorted(datatypes.items()))
-        file = spec["source"]
-        attributes = sorted(spec["attributes"].items())
+        file, described = spec["source"], spec["description_column"]
         ts_column = spec["attribute_timestamp_column"]
-        for line_no, raw_id, row in src.ids(
+        slots = sorted((attr, i) for i, attr in enumerate(spec["attributes"]))
+        for line_no, raw_id, values in src.ids(
             file, "object", spec["id_column"],
             *(attr_spec["column"] for attr_spec in spec["attributes"].values()),
-            *filter(None, [ts_column, spec["description_column"]]),
+            *filter(None, [ts_column, described]),
         ):
             key = f"{name}:{raw_id}"
-            description = None
-            if spec["description_column"]:
-                description = row.get(spec["description_column"])
-            add_object(batch, key, name, description)
+            add_object(batch, key, name, values[-1] if described else None)
             value_ts = EPOCH_TS
             if ts_column:
-                value_ts = _ts(row.get(ts_column), f"{file} line {line_no}")
-            for attr, attr_spec in attributes:
-                value = row.get(attr_spec["column"])
-                if value:
-                    add_object_value(batch, key, name, attr, value_ts, value)
+                value_ts = ts(values[len(slots)], file, line_no)
+            for attr, slot in slots:
+                if values[slot]:
+                    add_object_value(batch, key, name, attr, value_ts, values[slot])
         for update in spec["updates"]:
             ufile = update["source"]
             attr = update["attribute"]
-            for line_no, (raw_id,), row in src.keyed(
+            for line_no, (raw_id,), (stamp, value) in src.keyed(
                 ufile, (update["id_column"],), "empty object id",
                 update["timestamp_column"], update["value_column"],
             ):
-                value = row.get(update["value_column"])
                 if not value:
                     src.skipped.append((ufile, line_no, f"empty {attr} value"))
                     continue
-                value_ts = _ts(
-                    row.get(update["timestamp_column"]),
-                    f"{ufile} line {line_no}",
-                )
                 add_object_value(batch, f"{name}:{raw_id}", name, attr,
-                                 value_ts, value)
+                                 ts(stamp, ufile, line_no), value)
 
     for spec in config.relations["event_to_object"]:
         qualifier, rows = related(spec)
@@ -300,15 +310,13 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
 
     for spec in config.relations["object_to_object"]:
         file, ts_column = spec["source"], spec.get("timestamp_column")
-        qualifier, rows = related(
-            spec, *filter(None, [ts_column, spec.get("value_column")]))
-        for line_no, (from_val, to_val), row in rows:
+        value_column = spec.get("value_column")
+        qualifier, rows = related(spec, *filter(None, [ts_column, value_column]))
+        for line_no, (from_val, to_val), values in rows:
             timestamp = EPOCH_TS
             if ts_column:
-                timestamp = _ts(row.get(ts_column), f"{file} line {line_no}")
-            value = qualifier
-            if spec.get("value_column"):
-                value = row.get(spec["value_column"]) or None
+                timestamp = ts(values[0], file, line_no)
+            value = (values[-1] or None) if value_column else qualifier
             add_o2o(batch, f"{spec['from_object_type']}:{from_val}",
                     f"{spec['to_object_type']}:{to_val}", qualifier, value,
                     timestamp)
@@ -316,12 +324,10 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
     for spec in config.relations["event_to_object_attribute_value"]:
         file = spec["source"]
         qualifier, rows = related(spec, spec["timestamp_column"])
-        for line_no, (from_val, to_val), row in rows:
-            value_ts = _ts(
-                row.get(spec["timestamp_column"]), f"{file} line {line_no}"
-            )
+        for line_no, (from_val, to_val), (stamp,) in rows:
             value_id = object_value_id(
-                f"{spec['object_type']}:{to_val}", spec["attribute"], value_ts
+                f"{spec['object_type']}:{to_val}", spec["attribute"],
+                ts(stamp, file, line_no),
             )
             add_e2oav(batch, f"{spec['event_type']}:{from_val}", value_id,
                       qualifier)

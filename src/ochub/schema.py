@@ -10,6 +10,7 @@ values are stored as text, with the declared datatype kept as metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 TABLES = (
     "event_types",
@@ -105,6 +106,8 @@ TIMESTAMP_COLUMNS = (
 DATATYPES = ("string", "integer", "float", "boolean", "timestamp")
 
 
+_COLUMN_SETS = {table: frozenset(cols) for table, cols in TABLE_COLUMNS.items()}
+
 # tags the dedupe key of a row whose columns are not the table's, so it
 # cannot equal the values of a row that has them
 _ODD_COLUMNS = object()
@@ -112,6 +115,14 @@ _ODD_COLUMNS = object()
 
 def _empty_rows() -> dict:
     return {table: [] for table in TABLES}
+
+
+def _row_id(row) -> str:
+    return row.get("id") or ""
+
+
+def _row_text(row) -> tuple:
+    return tuple(map(str, row.values()))
 
 
 @dataclass
@@ -130,12 +141,13 @@ class Batch:
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
             raise KeyError(f"unknown table: {table}")
-        unknown = set(columns) - set(cols)
-        if unknown:
+        if not _COLUMN_SETS[table].issuperset(columns):
+            unknown = set(columns) - set(cols)
             raise KeyError(
                 f"unknown columns for {table}: {', '.join(sorted(unknown))}"
             )
-        row = {col: columns.get(col) for col in cols}
+        row = dict.fromkeys(cols)
+        row.update(columns)
         self.rows[table].append(row)
         return row
 
@@ -151,15 +163,16 @@ class Batch:
         the quality checks to flag. Returns self.
 
         The first of each set of duplicates is kept, and the sort is stable
-        on (id, every value as text, in the row's own column order). A row
-        is keyed by its values in column order when it has exactly the
-        table's columns, and by its sorted items otherwise.
+        on (id, every value as text, in the row's own column order): rows
+        are sorted by id, and only rows sharing an id are then ordered by
+        their values as text. A row is keyed by its values in column order
+        when it has exactly the table's columns, and by its sorted items
+        otherwise.
         """
         for table in TABLES:
             cols = TABLE_COLUMNS[table]
-            names = frozenset(cols)
-            seen = set()
-            unique = []
+            names = _COLUMN_SETS[table]
+            first: dict = {}
             for row in self.rows[table]:
                 if tuple(row) == cols:
                     key = tuple(row.values())
@@ -167,10 +180,14 @@ class Batch:
                     key = tuple(map(row.__getitem__, cols))
                 else:
                     key = (_ODD_COLUMNS, tuple(sorted(row.items())))
-                if key in seen:
-                    continue
-                seen.add(key)
-                unique.append(row)
-            unique.sort(key=lambda row: (row.get("id") or "", *map(str, row.values())))
+                first.setdefault(key, row)
+            unique = sorted(first.values(), key=_row_id)
+            ids = list(map(_row_id, unique))
+            if len(set(ids)) < len(ids):  # order each run of one id by text
+                start = 0
+                for _, run in groupby(ids):
+                    end = start + len(list(run))
+                    unique[start:end] = sorted(unique[start:end], key=_row_text)
+                    start = end
             self.rows[table] = unique
         return self

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -237,6 +238,17 @@ class TestBasics:
         ]) == EXIT_USAGE
 
 
+# input that cannot be read, and the message its ingest exits 3 with
+UNREADABLE = {
+    "yaml_syntax": r"mapping\.yml line \d+: ",
+    "yaml_not_utf8": r"mapping\.yml line 2: byte 0xe9 is not UTF-8",
+    "mapped_not_utf8": r"ticks\.csv line 3: byte 0xe9 is not UTF-8",
+    "hubcsv_not_utf8": r"event_types\.csv line 2: byte 0xe9 is not UTF-8",
+    "hubcsv_field_limit":
+        r"events\.csv line 2: field larger than field limit \(131072\)",
+}
+
+
 class TestIngest:
     def test_clean_ingest_passes(self, store_path, batch_dir, capsys, stage_calls):
         assert ingest(store_path, batch_dir) == EXIT_OK
@@ -300,6 +312,43 @@ class TestIngest:
             "--input", str(tmp_path), "--mapping", str(path),
         ]) == EXIT_IO
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe", list(UNREADABLE))
+    def test_undecodable_input_exits_3(self, store_path, tmp_path, capsys,
+                                      probe):
+        """Input that cannot be read as UTF-8 text, as CSV or as YAML is an
+        import error naming the file and the line (exit 3). Each of these
+        used to end in a traceback and exit 1, the quality-failure code."""
+        source = tmp_path / "in"
+        source.mkdir()
+        mapping = tmp_path / "mapping.yml"
+        mapping.write_text("event_types:\n  tick:\n    source: ticks.csv\n"
+                           "    id_column: id\n    timestamp_column: at\n")
+        args = ["--format", "mapped", "--mapping", str(mapping)]
+        if probe.startswith("hubcsv"):
+            args = ["--format", "hubcsv"]
+        else:
+            (source / "ticks.csv").write_text("id,at\nt1,2024-01-01T00:00:00Z\n")
+        if probe == "yaml_syntax":
+            mapping.write_text("tick: [unclosed\n")
+        elif probe == "yaml_not_utf8":
+            mapping.write_bytes(mapping.read_bytes().replace(b"tick", b"tick\xe9"))
+        elif probe == "mapped_not_utf8":
+            with (source / "ticks.csv").open("ab") as handle:
+                handle.write(b"t\xe9,2024-01-02T00:00:00Z\n")
+        elif probe == "hubcsv_not_utf8":
+            (source / "event_types.csv").write_bytes(
+                b"id,description\net:caf\xe9,caf\xe9\n")
+        else:
+            (source / "events.csv").write_text(
+                "id,event_type_id,timestamp,description\n"
+                f"ev:1,et:a,2024-01-01T00:00:00.000Z,{'x' * 131073}\n")
+        capsys.readouterr()
+        assert run(["ingest", "--store", str(store_path), "--input",
+                    str(source), *args]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(UNREADABLE[probe], err), err
+        assert "Traceback" not in err
 
     def test_reingest_is_idempotent(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK

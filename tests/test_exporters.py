@@ -309,6 +309,47 @@ class TestOcel2Export:
             export_ocel2(store, out)
         assert not out.exists()  # partial output removed
 
+    @pytest.mark.parametrize("type_id, names", [
+        ("et:pick", ["Colour", "colour"]),
+        ("et:pick", ["OCEL_ID"]),
+        ("ot:item", ["OCEL_Changed_Field"]),
+    ], ids=["case_pair", "event_lead_column", "object_lead_column"])
+    def test_attribute_names_collide_in_ascii_case(self, store, tmp_path,
+                                                   type_id, names):
+        """Attribute names that differ only in ASCII case, from each other
+        or from a lead column, are one SQLite column name: the export raises
+        the ExportError naming the type, and the CLI exits 3 with it, not
+        with SQLite's ``duplicate column name``."""
+        kind = "event" if type_id.startswith("et:") else "object"
+        batch = clean_fixture_batch()
+        for n, name in enumerate(names):
+            batch.add(f"{kind}_attributes", id=f"{type_id}.case{n}",
+                      description=name, datatype="string",
+                      **{f"{kind}_type_id": type_id})
+        store.append_batch(batch)
+        out = tmp_path / "log.sqlite"
+        with pytest.raises(ExportError, match=f"collision in type .*{names[-1]}"):
+            export_ocel2(store, out)
+        assert not out.exists()
+        assert run(["export", "--store", str(store.path), "--format", "ocel2",
+                    "--out", str(out)]) == 3
+
+    def test_attribute_names_differing_beyond_ascii_case(self, store, tmp_path):
+        """SQLite folds only ASCII letters in column names: ``ß``/``ss`` and
+        ``é``/``É`` are distinct columns, and the export keeps all four."""
+        batch = clean_fixture_batch()
+        for n, name in enumerate(["ß", "ss", "é", "É"]):
+            batch.add("event_attributes", id=f"ea:pick.case{n}",
+                      event_type_id="et:pick", description=name,
+                      datatype="string")
+        store.append_batch(batch)
+        out = tmp_path / "log.sqlite"
+        export_ocel2(store, out)
+        with closing(sqlite3.connect(out)) as conn:
+            names = [row[1] for row in conn.execute(
+                "PRAGMA table_info(event_pick_item)")]
+        assert {"ß", "ss", "é", "É"} <= set(names)
+
     def test_failed_export_keeps_the_earlier_file(self, store, tmp_path):
         """A colliding export onto a good log raises, leaves the log's bytes
         as they were and no temporary file; a stale temporary file from a

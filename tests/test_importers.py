@@ -1,5 +1,6 @@
 import csv
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -999,3 +1000,105 @@ def test_byte_order_mark_is_ignored(tmp_path):
         assert got.batch.rows == expected.batch.rows
         assert got.skipped == expected.skipped
         assert expected.batch.rows["events"] and len(expected.skipped) == skips
+
+
+def test_one_instant_spelt_two_ways_gives_one_text(tmp_path):
+    """Timestamp text is parsed once per distinct text, and two spellings
+    of one instant in two files still give one canonical text: the object
+    value's id built from the update file equals the one the e2oav row
+    builds from the other file."""
+    contract_sources(tmp_path)
+    write_csv(tmp_path / "counts.csv",
+              ["store_id", "at", "count", "order_id", "visit_at"],
+              [["s1", "2024-01-01T00:00:00Z", "5", "o1",
+                "2024-01-01 00:00:00+00:00"]])
+    batch = import_mapped_csv(
+        MappingConfig.from_dict(contract_mapping()), tmp_path).batch
+    value_id = "oav:store:s1:visitors:2024-01-01T00:00:00.000Z"
+    assert value_id in {r["id"] for r in batch.rows["object_attribute_values"]}
+    assert [r["object_attribute_value_id"]
+            for r in batch.rows["event_to_object_attribute_value"]] == [value_id]
+
+
+def test_unparseable_timestamp_stops_at_its_first_line(tmp_path):
+    """A failed parse is not remembered: the same bad text on two lines
+    stops the import naming the first of them, with the parser's message."""
+    write_csv(tmp_path / "ticks.csv", ["id", "at"],
+              [["t1", "2024-01-01T00:00:00Z"], ["t2", "soon"], ["t3", "soon"]])
+    config = MappingConfig.from_dict(yaml.safe_load(TICK))
+    with pytest.raises(MappingError) as err:
+        import_mapped_csv(config, tmp_path)
+    assert str(err.value) == "ticks.csv line 3: unparseable timestamp: 'soon'"
+
+
+def test_pure_python_yaml_loader_reads_the_same_config(tmp_path, monkeypatch):
+    """The shipped config loads to one MappingConfig with and without
+    PyYAML's C loader, from the file and from a copy with a byte-order
+    mark."""
+    path = Path(__file__).parents[1] / "configs" / "jaffle_shop.yml"
+    marked = tmp_path / "bom.yml"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = MappingConfig.from_file(path)
+    assert loaded.event_types and loaded.relations["event_to_object"]
+    assert MappingConfig.from_file(marked) == loaded
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert MappingConfig.from_file(path) == loaded
+    assert MappingConfig.from_file(marked) == loaded
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tick: [unclosed\n", r"mapping\.yml line \d+: "),
+    ("a: *nowhere\n", r"mapping\.yml line 1: found undefined alias"),
+    ("a: \x07\n", r"mapping\.yml: unacceptable character #x0007"),
+], ids=["flow_sequence", "alias", "control_character"])
+@pytest.mark.parametrize("c_loader", [True, False], ids=["c", "python"])
+def test_malformed_yaml_is_a_mapping_error(tmp_path, monkeypatch, text,
+                                           message, c_loader):
+    """Both YAML loaders' errors read ``<file> line <n>: <problem>``, the
+    line left out where the reader has none."""
+    if not c_loader:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "mapping.yml"
+    path.write_text(text)
+    with pytest.raises(MappingError, match=message) as err:
+        MappingConfig.from_file(path)
+    assert str(err.value).startswith(str(path))
+    assert "\n" not in str(err.value)
+
+
+def test_sources_read_as_dict_reader_reads_them(tmp_path):
+    """Blank lines give no row, a short row's missing cells are empty, a
+    repeated header name reads its last cell and cells beyond the header
+    are ignored, in a mapped source and a hub-CSV file alike."""
+    (tmp_path / "ticks.csv").write_text(
+        "id,at,colour,colour\n"
+        "t1,2024-01-01T00:00:00Z,red,blue\n"
+        ",2024-01-04T00:00:00Z\n"
+        "\n"
+        "t2,2024-01-02T00:00:00Z,red\n"
+        "t3,2024-01-03T00:00:00Z,,green,extra\n"
+    )
+    config = MappingConfig.from_dict(yaml.safe_load(
+        TICK + "    attributes: {colour: colour}\n"))
+    result = import_mapped_csv(config, tmp_path)
+    assert [(r["event_id"], r["attribute_value"])
+            for r in result.batch.rows["event_attribute_values"]] == \
+        [("ev:tick:t1", "blue"), ("ev:tick:t3", "green")]
+    assert [r["id"] for r in result.batch.rows["events"]] == \
+        ["ev:tick:t1", "ev:tick:t2", "ev:tick:t3"]
+    assert result.skipped == [("ticks.csv", 3, "empty event id")]
+
+    hub = tmp_path / "hub"
+    hub.mkdir()
+    (hub / "events.csv").write_text(
+        "id,event_type_id,timestamp,description,description\n"
+        "ev:1,et:a,2024-01-01T00:00:00Z,x,y\n"
+        "\n"
+        "ev:2,et:a,2024-01-02T00:00:00Z\n"
+    )
+    assert import_hub_csv(hub).batch.rows["events"] == [
+        {"id": "ev:1", "event_type_id": "et:a",
+         "timestamp": "2024-01-01T00:00:00.000Z", "description": "y"},
+        {"id": "ev:2", "event_type_id": "et:a",
+         "timestamp": "2024-01-02T00:00:00.000Z", "description": None},
+    ]
