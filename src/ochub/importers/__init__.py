@@ -53,24 +53,34 @@ def not_utf8(name: str, data: bytes) -> str:
 
 def read_csv(path: Path, name: str) -> tuple:
     """(columns, rows) of the UTF-8 CSV file ``path``, a leading byte-order
-    mark ignored, read as csv.DictReader reads it: ``columns`` maps each
-    header name to the position of its last cell; each row is a list at
-    least as wide as the header, blank lines left out and the cells a short
-    row lacks None. A byte that is not UTF-8, or a record the csv module
-    rejects (a field over its size limit), raises ImportError_ naming the
-    file as ``name`` and the line."""
+    mark ignored. ``columns`` maps each header name to the position of its
+    cell, or to None for a name the header repeats. ``rows`` holds a
+    (line, cells) pair per record, blank lines left out: ``line`` is the
+    line of the file the record starts on, and ``cells`` a list at least as
+    wide as the header, the cells a short record lacks None. A byte that is
+    not UTF-8, or a record the csv module rejects (a field over its size
+    limit), raises ImportError_ naming the file as ``name`` and the line."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
             width = len(header)
-            rows = [row if len(row) >= width else row + [None] * (width - len(row))
-                    for row in reader if row]
+            rows = []
+            start = reader.line_num + 1
+            for cells in reader:
+                if cells:
+                    if len(cells) < width:
+                        cells += [None] * (width - len(cells))
+                    rows.append((start, cells))
+                start = reader.line_num + 1
         except UnicodeDecodeError:
             raise ImportError_(not_utf8(name, path.read_bytes())) from None
         except csv.Error as exc:
             raise ImportError_(f"{name} line {reader.line_num}: {exc}") from exc
-    return {column: i for i, column in enumerate(header)}, rows
+    columns: dict = {}
+    for i, column in enumerate(header):
+        columns[column] = None if column in columns else i
+    return columns, rows
 
 
 @dataclass

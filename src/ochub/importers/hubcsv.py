@@ -2,9 +2,9 @@
 
 A hub-CSV directory contains up to twelve UTF-8 CSV files named exactly
 after the schema tables, each with a header row carrying the exact column
-names (a leading byte-order mark is ignored). Timestamps are RFC 3339;
-an empty ``qualifier_value`` in ``object_to_object.csv`` encodes NULL
-(relation termination).
+names, each once (a leading byte-order mark is ignored). Timestamps are
+RFC 3339; an empty ``qualifier_value`` in ``object_to_object.csv`` encodes
+NULL (relation termination).
 """
 
 from __future__ import annotations
@@ -34,24 +34,26 @@ def import_hub_csv(directory) -> AppendableBatch:
         if table is None:
             raise ImportError_(f"unknown file name: {path.name}")
         columns = TABLE_COLUMNS[table]
-        ts_col = _TS_COLS.get(table)
         header, rows = read_csv(path, path.name)
-        missing = [c for c in columns if c not in header]
+        # a missing or repeated column, then one the table does not have
+        missing = [c for c in columns if header.get(c) is None]
         extra = [c for c in header if c not in columns]
         if missing or extra:
             problem = (missing + extra)[0]
             raise ImportError_(f"{path.name}: header mismatch on column {problem!r}")
         at = [header[column] for column in columns]
-        for line_no, cells in enumerate(rows, start=2):
-            row = dict(zip(columns, map(cells.__getitem__, at)))
-            if table == "object_to_object" and row["qualifier_value"] == "":
-                row["qualifier_value"] = None
-            if ts_col:
+        null_at = header["qualifier_value"] if table == "object_to_object" else None
+        ts_at = header[_TS_COLS[table]] if table in _TS_COLS else None
+        out = batch.rows[table]
+        for line_no, cells in rows:
+            if null_at is not None and cells[null_at] == "":
+                cells[null_at] = None
+            if ts_at is not None:
                 try:
-                    row[ts_col] = normalize_timestamp(row[ts_col] or "")
+                    cells[ts_at] = normalize_timestamp(cells[ts_at] or "")
                 except TimestampError as exc:
                     raise ImportError_(f"{path.name} line {line_no}: {exc}") from exc
-            batch.rows[table].append(row)
+            out.append(tuple(map(cells.__getitem__, at)))
 
     return AppendableBatch(batch=batch)
 

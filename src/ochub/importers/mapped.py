@@ -12,10 +12,12 @@ row through an emitter of ``ochub.importers``, an event or object keyed
 ``<type>:<source id>``. A source row without its key columns (an id, or
 both relation endpoints) yields no hub row and is listed in ``skipped``
 with the reason (no silent drops); a repeated source id, an unparseable
-timestamp or a mapped column missing from a file's header stops the
-import, naming the file and, where there is one, the line. So does input
-that cannot be read: a byte that is not UTF-8 in the mapping or a source,
-a CSV field over the csv module's size limit, or malformed YAML. Each
+timestamp or a mapped column missing from a file's header or repeated in
+it stops the import, naming the file and, where there is one, the line.
+So does input that cannot be read: a byte that is not UTF-8 in the
+mapping or a source, a CSV field over the csv module's size limit, or
+malformed YAML. A source row's line is the line of the file its record
+starts on, blank lines and quoted fields spanning lines counted. Each
 distinct timestamp text is parsed once per import; a failed parse is not
 remembered, so the first line holding the text is the one named.
 
@@ -193,9 +195,11 @@ class _Sources:
         for column in (*keys, *columns):
             if column not in header:
                 raise MappingError(f"{name}: missing source column {column!r}")
+            if header[column] is None:
+                raise MappingError(f"{name}: repeated source column {column!r}")
         key_at = [header[key] for key in keys]
         value_at = [header[column] for column in columns]
-        for line_no, row in enumerate(rows, start=2):
+        for line_no, row in rows:
             values = [(row[i] or "").strip() for i in key_at]
             if all(values):
                 yield line_no, values, [row[i] for i in value_at]

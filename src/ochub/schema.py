@@ -5,6 +5,8 @@ live in rows, never in table or column names, so ingesting a new process
 changes row counts only. Every table has a text primary key ``id``; foreign
 keys are ``<referenced table singular>_id`` columns. Attribute and qualifier
 values are stored as text, with the declared datatype kept as metadata.
+A Batch row is a tuple of its table's values in ``TABLE_COLUMNS`` order,
+built by ``Batch.add``.
 """
 
 from __future__ import annotations
@@ -108,35 +110,33 @@ DATATYPES = ("string", "integer", "float", "boolean", "timestamp")
 
 _COLUMN_SETS = {table: frozenset(cols) for table, cols in TABLE_COLUMNS.items()}
 
-# tags the dedupe key of a row whose columns are not the table's, so it
-# cannot equal the values of a row that has them
-_ODD_COLUMNS = object()
-
 
 def _empty_rows() -> dict:
     return {table: [] for table in TABLES}
 
 
 def _row_id(row) -> str:
-    return row.get("id") or ""
+    return row[0] or ""
 
 
 def _row_text(row) -> tuple:
-    return tuple(map(str, row.values()))
+    return tuple(map(str, row))
 
 
 @dataclass
 class Batch:
     """An in-memory set of rows for any subset of the twelve tables.
 
-    The unit of ingestion. Construction is permissive (duplicate ids and
-    dangling references are caught by the staging checkpoint or by
-    append_batch, not here).
+    The unit of ingestion. ``rows`` maps each table to its rows, each a
+    tuple of the table's values in ``TABLE_COLUMNS`` order as ``Batch.add``
+    builds it; a row put straight into ``rows`` must have that shape.
+    Construction is permissive (duplicate ids and dangling references are
+    caught by the staging checkpoint or by append_batch, not here).
     """
 
     rows: dict = field(default_factory=_empty_rows)
 
-    def add(self, table: str, **columns) -> dict:
+    def add(self, table: str, **columns) -> tuple:
         """Append one row; missing columns become None."""
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
@@ -146,8 +146,7 @@ class Batch:
             raise KeyError(
                 f"unknown columns for {table}: {', '.join(sorted(unknown))}"
             )
-        row = dict.fromkeys(cols)
-        row.update(columns)
+        row = tuple(map(columns.get, cols))
         self.rows[table].append(row)
         return row
 
@@ -163,25 +162,11 @@ class Batch:
         the quality checks to flag. Returns self.
 
         The first of each set of duplicates is kept, and the sort is stable
-        on (id, every value as text, in the row's own column order): rows
-        are sorted by id, and only rows sharing an id are then ordered by
-        their values as text. A row is keyed by its values in column order
-        when it has exactly the table's columns, and by its sorted items
-        otherwise.
+        on (id, every value as text): rows are sorted by id, and only rows
+        sharing an id are then ordered by their values as text.
         """
         for table in TABLES:
-            cols = TABLE_COLUMNS[table]
-            names = _COLUMN_SETS[table]
-            first: dict = {}
-            for row in self.rows[table]:
-                if tuple(row) == cols:
-                    key = tuple(row.values())
-                elif row.keys() == names:  # the columns in another order
-                    key = tuple(map(row.__getitem__, cols))
-                else:
-                    key = (_ODD_COLUMNS, tuple(sorted(row.items())))
-                first.setdefault(key, row)
-            unique = sorted(first.values(), key=_row_id)
+            unique = sorted(dict.fromkeys(self.rows[table]), key=_row_id)
             ids = list(map(_row_id, unique))
             if len(set(ids)) < len(ids):  # order each run of one id by text
                 start = 0

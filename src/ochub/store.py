@@ -113,25 +113,18 @@ class StagedBatch:
         return sum(self.counts.values())
 
 
-def _staged_rows(raws, cols: tuple, ts: Optional[int]):
-    """Each row's values in ``cols`` order, None for a missing column. The
-    timestamp at index ``ts`` is normalized unless it is already canonical
-    text; text that does not parse is kept verbatim."""
-    values = itemgetter(*cols)
+def _staged_rows(rows, ts: int):
+    """The rows with the timestamp at index ``ts`` normalized unless it is
+    already canonical text; text that does not parse is kept verbatim."""
     canonical = _CANONICAL_RE.match
-    for raw in raws:
-        try:
-            row = values(raw)
-        except KeyError:  # a row put in Batch.rows past Batch.add
-            row = tuple(map(raw.get, cols))
-        if ts is not None:
-            value = row[ts]
-            if value is not None and not (isinstance(value, str) and canonical(value)):
-                try:
-                    value = normalize_timestamp(value)
-                except TimestampError:
-                    pass  # kept verbatim; the quality checkpoint flags it
-                row = row[:ts] + (value,) + row[ts + 1:]
+    for row in rows:
+        value = row[ts]
+        if value is not None and not (isinstance(value, str) and canonical(value)):
+            try:
+                value = normalize_timestamp(value)
+            except TimestampError:
+                pass  # kept verbatim; the quality checkpoint flags it
+            row = row[:ts] + (value,) + row[ts + 1:]
         yield row
 
 
@@ -348,11 +341,12 @@ class HubStore:
         """(Re)fill ``temp.staged_<table>`` with the batch's rows and return
         the handle that ``staged`` accepts until the next stage.
 
-        Rows keep batch order (the staged rowid). A timestamp in canonical
-        form is staged as is (``normalize_timestamp`` would return it
-        unchanged or raise); any other is normalized, and text that does
-        not parse is kept verbatim for the quality checks to flag. Commits
-        before returning, so a staged batch holds no lock on the store file.
+        Rows keep batch order (the staged rowid); a row of another width
+        than its table's columns raises. A timestamp in canonical form is
+        staged as is (``normalize_timestamp`` would return it unchanged or
+        raise); any other is normalized, and text that does not parse is
+        kept verbatim for the quality checks to flag. Commits before
+        returning, so a staged batch holds no lock on the store file.
         """
         self._staged = None  # an earlier handle goes stale, even on failure
         counts = {}
@@ -369,7 +363,7 @@ class HubStore:
                 self._conn.executemany(
                     f"INSERT INTO temp.staged_{table} "
                     f"VALUES ({', '.join('?' for _ in cols)})",
-                    _staged_rows(raws, cols, ts),
+                    raws if ts is None else _staged_rows(raws, ts),
                 )
                 self._conn.execute(
                     f"CREATE INDEX temp.staged_{table}_id ON staged_{table} (id)"

@@ -2,7 +2,7 @@ import sqlite3
 
 import pytest
 
-from ochub.schema import Batch
+from ochub.schema import TABLE_COLUMNS, Batch
 from ochub.store import open_store
 from ochub.util import sanitize_name
 
@@ -12,6 +12,12 @@ def store(tmp_path):
     hub = open_store(tmp_path / "hub.db")
     yield hub
     hub.close()
+
+
+def rows_of(batch: Batch, table: str) -> list:
+    """The batch's rows of ``table`` as dicts keyed by column name."""
+    columns = TABLE_COLUMNS[table]
+    return [dict(zip(columns, row)) for row in batch.rows[table]]
 
 
 def clean_fixture_batch() -> Batch:

@@ -219,7 +219,7 @@ def _brute_rows(batch_or_store, store):
             continue
         rows[table] = []
         for raw in batch_or_store.rows.get(table) or []:
-            row = {col: raw.get(col) for col in cols}
+            row = dict(zip(cols, raw))
             for ts_table, ts_col in TIMESTAMP_COLUMNS:
                 if ts_table == table and row[ts_col] is not None:
                     try:
@@ -314,23 +314,24 @@ def brute_append(batch, store):
 
 
 def brute_canonicalize(batch):
-    """``Batch.canonicalize`` as first written: every row keyed by its
-    sorted items, then sorted by (id, every value as text). In place;
-    returns the batch."""
-    for table in TABLES:
+    """``Batch.canonicalize`` as first written: every row read as a dict,
+    keyed by its sorted items, then sorted by (id, every value as text).
+    In place; returns the batch."""
+    for table, cols in TABLE_COLUMNS.items():
         seen = set()
         unique = []
         for row in batch.rows[table]:
-            key = tuple(sorted((k, v) for k, v in row.items()))
+            values = dict(zip(cols, row))
+            key = tuple(sorted(values.items()))
             if key in seen:
                 continue
             seen.add(key)
-            unique.append(row)
+            unique.append((values, row))
         unique.sort(
-            key=lambda row: (
-                row.get("id") or "",
-                tuple(str(v) for v in row.values()),
+            key=lambda pair: (
+                pair[0]["id"] or "",
+                tuple(str(v) for v in pair[0].values()),
             )
         )
-        batch.rows[table] = unique
+        batch.rows[table] = [row for _, row in unique]
     return batch

@@ -22,9 +22,11 @@ from ochub.graph import (
 )
 from ochub.importers import import_ocel2
 from ochub.quality import run_checkpoint
-from ochub.schema import FOREIGN_KEYS, TABLES, TIMESTAMP_COLUMNS, Batch
+from ochub.schema import (
+    FOREIGN_KEYS, TABLE_COLUMNS, TABLES, TIMESTAMP_COLUMNS, Batch,
+)
 from ochub.store import open_store
-from conftest import build_ocel2_sqlite, clean_fixture_batch
+from conftest import build_ocel2_sqlite, clean_fixture_batch, rows_of
 from oracles import brute_case_graph, brute_timeline
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -51,12 +53,11 @@ class criterion:
 
 
 def copied(*batches):
-    """A new batch holding a copy of every row of the given batches, in
-    order."""
+    """A new batch holding every row of the given batches, in order."""
     out = Batch()
     for batch in batches:
         for table in TABLES:
-            out.rows[table].extend(dict(row) for row in batch.rows[table])
+            out.rows[table].extend(batch.rows[table])
     return out
 
 
@@ -132,7 +133,7 @@ def test_criterion_append_order_independence(tmp_path):
         started = time.monotonic()
         base = copied(clean_fixture_batch(), synthetic_process("extra", 6))
         all_rows = [
-            (table, dict(row))
+            (table, row)
             for table in TABLES
             for row in base.rows[table]
         ]
@@ -145,7 +146,7 @@ def test_criterion_append_order_independence(tmp_path):
             n_batches = rng.randint(1, 6)
             batches = [Batch() for _ in range(n_batches)]
             for table, row in rows:
-                batches[rng.randrange(n_batches)].rows[table].append(dict(row))
+                batches[rng.randrange(n_batches)].rows[table].append(row)
 
             store = open_store(tmp_path / f"run{ordering}.db",
                                create_if_missing=True)
@@ -161,6 +162,18 @@ def test_criterion_append_order_independence(tmp_path):
 
 def mutate_random_value(rng):
     return f"mutated-{rng.randrange(10**9)}"
+
+
+def replaced(table, row, column, value):
+    """``row`` of ``table`` with ``value`` in ``column``."""
+    at = TABLE_COLUMNS[table].index(column)
+    return (*row[:at], value, *row[at + 1:])
+
+
+def set_in_random_row(rng, batch, table, column, value):
+    rows = batch.rows[table]
+    i = rng.randrange(len(rows))
+    rows[i] = replaced(table, rows[i], column, value)
 
 
 def test_criterion_quality_detection(store):
@@ -184,13 +197,13 @@ def test_criterion_quality_detection(store):
             # different content
             batch = copied(base)
             table = rng.choice(populated)
-            victim = dict(rng.choice(batch.rows[table]))
+            victim = rng.choice(batch.rows[table])
             protected = {"id"} \
                 | {c for (t, c) in FOREIGN_KEYS if t == table} \
                 | {c for (t, c) in TIMESTAMP_COLUMNS if t == table}
-            key = next(k for k in victim if k not in protected)
-            victim[key] = mutate_random_value(rng)
-            batch.rows[table].append(victim)
+            key = next(k for k in TABLE_COLUMNS[table] if k not in protected)
+            batch.rows[table].append(
+                replaced(table, victim, key, mutate_random_value(rng)))
             report = run(batch)
             hits = [v for v in report.violations]
             assert len(hits) == 1 and hits[0].check == "unique_primary_keys"
@@ -200,7 +213,7 @@ def test_criterion_quality_detection(store):
             table, column = rng.choice(
                 [(t, c) for (t, c) in fk_choices if base.rows[t]]
             )
-            rng.choice(batch.rows[table])[column] = None
+            set_in_random_row(rng, batch, table, column, None)
             hits = run(batch).violations
             assert len(hits) == 1 and hits[0].check == "foreign_keys_not_null"
 
@@ -211,7 +224,7 @@ def test_criterion_quality_detection(store):
                 [(t, c) for (t, c) in fk_choices if base.rows[t]]
             )
             missing = f"missing:{trial}:{rng.randrange(10**6)}"
-            rng.choice(batch.rows[table])[column] = missing
+            set_in_random_row(rng, batch, table, column, missing)
             hits = run(batch).violations
             assert len(hits) == 1 and hits[0].check == "referential_integrity"
             assert hits[0].key == missing
@@ -222,7 +235,7 @@ def test_criterion_quality_detection(store):
                 [(t, c) for (t, c) in TIMESTAMP_COLUMNS if base.rows[t]]
             )
             bad = rng.choice(["never", "2024-13-01T00:00:00.000Z", "", None])
-            rng.choice(batch.rows[table])[column] = bad
+            set_in_random_row(rng, batch, table, column, bad)
             hits = run(batch).violations
             assert len(hits) == 1 and hits[0].check == "timestamp_validity"
 
@@ -554,7 +567,7 @@ def test_criterion_tie_break_conformance(store, tmp_path):
         # type order; expected order is et:a/ev:9, et:b/ev:1, et:b/ev:2
         for event_id, type_id in (("ev:2", "et:b"), ("ev:9", "et:a"),
                                   ("ev:1", "et:b")):
-            if not any(r["id"] == type_id for r in b.rows["event_types"]):
+            if not any(r["id"] == type_id for r in rows_of(b, "event_types")):
                 b.add("event_types", id=type_id, description=type_id[3:])
             b.add("events", id=event_id, event_type_id=type_id, timestamp=ts,
                   description=None)

@@ -23,7 +23,7 @@ from ochub.cli import (
 from ochub.importers.hubcsv import export_hub_csv
 from ochub.schema import Batch, TABLES
 from ochub.store import HubStore, open_store
-from conftest import clean_fixture_batch
+from conftest import clean_fixture_batch, rows_of
 from test_acceptance import tiny_log
 from test_importers import MALFORMED_CONFIGS, shop_mapping, shop_sources
 
@@ -102,7 +102,7 @@ class TestBasics:
         with open_store(path) as store:
             store.append_batch(batch)
         counts = Counter(row["event_type_id"] or ""
-                         for row in batch.rows["events"])
+                         for row in rows_of(batch, "events"))
         types = sorted(counts)
         assert types[:2] == ["", "None"]
         capsys.readouterr()

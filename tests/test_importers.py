@@ -12,10 +12,10 @@ from ochub.importers import (
 )
 from ochub.importers.hubcsv import export_hub_csv
 from ochub.importers.mapped import MappingConfig, MappingError, import_mapped_csv
-from ochub.schema import Batch
+from ochub.schema import TABLES, Batch
 from ochub.store import open_store
 from ochub.util import EPOCH_TS
-from conftest import build_ocel2_sqlite, clean_fixture_batch
+from conftest import build_ocel2_sqlite, clean_fixture_batch, rows_of
 
 
 def simple_ocel_log():
@@ -56,8 +56,8 @@ class TestImportOcel2:
         path = tmp_path / "log.sqlite"
         build_ocel2_sqlite(path, simple_ocel_log())
         batch = import_ocel2(path).batch
-        assert batch.rows["event_types"][0]["id"] == "et:ship"
-        assert {r["id"] for r in batch.rows["events"]} == {"ev:e1", "ev:e2"}
+        assert rows_of(batch, "event_types")[0]["id"] == "et:ship"
+        assert {r["id"] for r in rows_of(batch, "events")} == {"ev:e1", "ev:e2"}
         again = import_ocel2(path).batch
         assert again.rows == batch.rows
 
@@ -70,7 +70,7 @@ class TestImportOcel2:
         path = tmp_path / "log.sqlite"
         build_ocel2_sqlite(path, log)
         batch = import_ocel2(path).batch
-        values = batch.rows["object_attribute_values"]
+        values = rows_of(batch, "object_attribute_values")
         # initial row -> weight only (status was NULL); change row -> status only
         assert len(values) == 2
         changed = [v for v in values if v["object_attribute_id"] == "oa:parcel.status"]
@@ -87,7 +87,7 @@ class TestImportOcel2:
         build_ocel2_sqlite(path, log)
         batch = import_ocel2(path).batch
         assert not any(
-            r["event_id"] == "ev:e3" for r in batch.rows["event_attribute_values"]
+            r["event_id"] == "ev:e3" for r in rows_of(batch, "event_attribute_values")
         )
 
     def test_o2o_gets_epoch_sentinel_and_qualifier_string(self, tmp_path):
@@ -99,7 +99,7 @@ class TestImportOcel2:
         path = tmp_path / "log.sqlite"
         build_ocel2_sqlite(path, log)
         batch = import_ocel2(path).batch
-        row = batch.rows["object_to_object"][0]
+        row = rows_of(batch, "object_to_object")[0]
         assert row["timestamp"] == EPOCH_TS
         assert row["qualifier_value"] == "follows"
         assert row["qualifier_id"] == "q:follows"
@@ -166,12 +166,12 @@ class TestImportOcel2:
         }
         path = tmp_path / "log.sqlite"
         build_ocel2_sqlite(path, log)
-        rows = import_ocel2(path).batch.rows
-        assert [(r["id"], r["event_type_id"]) for r in rows["events"]] == \
+        batch = import_ocel2(path).batch
+        assert [(r["id"], r["event_type_id"]) for r in rows_of(batch, "events")] == \
             [("ev:e1", "et:pack"), ("ev:e2", "et:ship")]
-        assert [(r["id"], r["object_type_id"]) for r in rows["objects"]] == \
+        assert [(r["id"], r["object_type_id"]) for r in rows_of(batch, "objects")] == \
             [("obj:p1", "ot:box")]
-        assert [r["id"] for r in rows["event_types"]] == ["et:pack", "et:ship"]
+        assert [r["id"] for r in rows_of(batch, "event_types")] == ["et:pack", "et:ship"]
 
 
 def write_csv(path, header, rows):
@@ -202,7 +202,7 @@ class TestImportHubCsv:
             [["r1", "a", "b", "2024-01-01T00:00:00.000Z", "q:x", ""]],
         )
         batch = import_hub_csv(tmp_path).batch
-        assert batch.rows["object_to_object"][0]["qualifier_value"] is None
+        assert rows_of(batch, "object_to_object")[0]["qualifier_value"] is None
 
     def test_unknown_file_name_errors(self, tmp_path):
         write_csv(tmp_path / "mystery.csv", ["id"], [["1"]])
@@ -457,23 +457,23 @@ class TestImportMappedCsv:
     def test_event_types_from_config(self, tmp_path):
         shop_sources(tmp_path)
         batch = import_mapped_csv(shop_config(), tmp_path).batch
-        assert {r["id"] for r in batch.rows["event_types"]} == \
+        assert {r["id"] for r in rows_of(batch, "event_types")} == \
             {"et:place_order", "et:open_store"}
         assert len(batch.rows["events"]) == 3
 
     def test_one_o2o_row_per_source_row(self, tmp_path):
         shop_sources(tmp_path)
         batch = import_mapped_csv(shop_config(), tmp_path).batch
-        o2o = batch.rows["object_to_object"]
+        o2o = rows_of(batch, "object_to_object")
         assert len(o2o) == 2  # one per order row
         assert all(r["qualifier_id"] == "q:order_placed_in_store" for r in o2o)
 
     def test_updates_and_e2oav_link_resolves(self, tmp_path, store):
         shop_sources(tmp_path)
         batch = import_mapped_csv(shop_config(), tmp_path).batch
-        links = batch.rows["event_to_object_attribute_value"]
+        links = rows_of(batch, "event_to_object_attribute_value")
         assert len(links) == 1
-        oav_ids = {r["id"] for r in batch.rows["object_attribute_values"]}
+        oav_ids = {r["id"] for r in rows_of(batch, "object_attribute_values")}
         assert links[0]["object_attribute_value_id"] in oav_ids
         # the full batch passes the staging checkpoint
         from ochub.quality import run_checkpoint
@@ -501,7 +501,7 @@ class TestImportMappedCsv:
         sources(tmp_path)
         result = import_mapped_csv(MappingConfig.from_dict(mapping()), tmp_path)
         skipped = {(file, line) for file, line, _ in result.skipped}
-        named = {part for rows in result.batch.rows.values() for row in rows
+        named = {part for table in TABLES for row in rows_of(result.batch, table)
                  for part in row["id"].split(":")}
         for file, key in keys.items():
             with open(tmp_path / file, newline="", encoding="utf-8") as handle:
@@ -514,10 +514,10 @@ class TestImportMappedCsv:
         write_csv(tmp_path / "orders.csv",
                   ["id", "customer_id", "store_id", "ordered_at", "subtotal"], [])
         batch = import_mapped_csv(shop_config(), tmp_path).batch
-        assert {r["id"] for r in batch.rows["event_types"]} == \
+        assert {r["id"] for r in rows_of(batch, "event_types")} == \
             {"et:place_order", "et:open_store"}
         assert all(r["event_type_id"] == "et:open_store"
-                   for r in batch.rows["events"])
+                   for r in rows_of(batch, "events"))
 
     def test_missing_column_errors(self, tmp_path):
         shop_sources(tmp_path)
@@ -625,7 +625,7 @@ class TestImportMappedCsv:
             },
         })
         result = import_mapped_csv(config, tmp_path)
-        rows = result.batch.rows
+        rows = {table: rows_of(result.batch, table) for table in TABLES}
         assert rows["event_attributes"] == [{
             "id": "ea:place_order.colour", "event_type_id": "et:place_order",
             "description": "colour", "datatype": "string",
@@ -681,7 +681,7 @@ class TestMappedImportContract:
         result = import_mapped_csv(
             MappingConfig.from_dict(contract_mapping()), tmp_path
         )
-        ids = {table: [row["id"] for row in rows]
+        ids = {table: [row["id"] for row in rows_of(result.batch, table)]
                for table, rows in result.batch.rows.items() if rows}
         assert ids == {
             "event_types": ["et:place_order"],
@@ -712,7 +712,7 @@ class TestMappedImportContract:
         }
         values = {row["id"]: (row["object_id"], row["object_attribute_id"],
                               row["timestamp"], row["attribute_value"])
-                  for row in result.batch.rows["object_attribute_values"]}
+                  for row in rows_of(result.batch, "object_attribute_values")}
         assert values["oav:store:s2:visitors:2024-02-01T13:00:00.000Z"] == (
             "obj:store:s2", "oa:store.visitors", "2024-02-01T13:00:00.000Z",
             " ",
@@ -919,7 +919,8 @@ def test_emitter_rows(emitter, args, rows):
     """Each emitter adds exactly the rows of the id scheme, every column."""
     batch = Batch()
     emitter(batch, *args)
-    assert {table: got for table, got in batch.rows.items() if got} == rows
+    assert {table: rows_of(batch, table) for table in TABLES
+            if batch.rows[table]} == rows
 
 
 def test_object_value_id_and_shared_qualifier_id():
@@ -929,7 +930,7 @@ def test_object_value_id_and_shared_qualifier_id():
     batch = Batch()
     add_e2o(batch, "a:1", "b:1", "new_" + "order")
     add_e2o(batch, "a:2", "b:2", "".join(["new_", "order"]))
-    first, second = batch.rows["event_to_object"]
+    first, second = rows_of(batch, "event_to_object")
     assert first["qualifier_id"] is second["qualifier_id"]
 
 
@@ -1015,9 +1016,9 @@ def test_one_instant_spelt_two_ways_gives_one_text(tmp_path):
     batch = import_mapped_csv(
         MappingConfig.from_dict(contract_mapping()), tmp_path).batch
     value_id = "oav:store:s1:visitors:2024-01-01T00:00:00.000Z"
-    assert value_id in {r["id"] for r in batch.rows["object_attribute_values"]}
+    assert value_id in {r["id"] for r in rows_of(batch, "object_attribute_values")}
     assert [r["object_attribute_value_id"]
-            for r in batch.rows["event_to_object_attribute_value"]] == [value_id]
+            for r in rows_of(batch, "event_to_object_attribute_value")] == [value_id]
 
 
 def test_unparseable_timestamp_stops_at_its_first_line(tmp_path):
@@ -1067,38 +1068,88 @@ def test_malformed_yaml_is_a_mapping_error(tmp_path, monkeypatch, text,
 
 
 def test_sources_read_as_dict_reader_reads_them(tmp_path):
-    """Blank lines give no row, a short row's missing cells are empty, a
-    repeated header name reads its last cell and cells beyond the header
-    are ignored, in a mapped source and a hub-CSV file alike."""
+    """Blank lines give no row, a short row's missing cells are empty, cells
+    beyond the header are ignored and a repeated header name the mapping
+    does not read is accepted, in a mapped source and a hub-CSV file
+    alike."""
     (tmp_path / "ticks.csv").write_text(
-        "id,at,colour,colour\n"
-        "t1,2024-01-01T00:00:00Z,red,blue\n"
+        "id,at,colour,note,note,,\n"
+        "t1,2024-01-01T00:00:00Z,blue,a,b,,\n"
         ",2024-01-04T00:00:00Z\n"
         "\n"
-        "t2,2024-01-02T00:00:00Z,red\n"
-        "t3,2024-01-03T00:00:00Z,,green,extra\n"
+        "t2,2024-01-02T00:00:00Z\n"
+        "t3,2024-01-03T00:00:00Z,green,,,,,extra\n"
     )
     config = MappingConfig.from_dict(yaml.safe_load(
         TICK + "    attributes: {colour: colour}\n"))
     result = import_mapped_csv(config, tmp_path)
     assert [(r["event_id"], r["attribute_value"])
-            for r in result.batch.rows["event_attribute_values"]] == \
+            for r in rows_of(result.batch, "event_attribute_values")] == \
         [("ev:tick:t1", "blue"), ("ev:tick:t3", "green")]
-    assert [r["id"] for r in result.batch.rows["events"]] == \
+    assert [r["id"] for r in rows_of(result.batch, "events")] == \
         ["ev:tick:t1", "ev:tick:t2", "ev:tick:t3"]
     assert result.skipped == [("ticks.csv", 3, "empty event id")]
 
     hub = tmp_path / "hub"
     hub.mkdir()
     (hub / "events.csv").write_text(
-        "id,event_type_id,timestamp,description,description\n"
+        "id,event_type_id,timestamp,description\n"
         "ev:1,et:a,2024-01-01T00:00:00Z,x,y\n"
         "\n"
         "ev:2,et:a,2024-01-02T00:00:00Z\n"
     )
-    assert import_hub_csv(hub).batch.rows["events"] == [
+    assert rows_of(import_hub_csv(hub).batch, "events") == [
         {"id": "ev:1", "event_type_id": "et:a",
-         "timestamp": "2024-01-01T00:00:00.000Z", "description": "y"},
+         "timestamp": "2024-01-01T00:00:00.000Z", "description": "x"},
         {"id": "ev:2", "event_type_id": "et:a",
          "timestamp": "2024-01-02T00:00:00.000Z", "description": None},
     ]
+
+
+def test_lines_are_lines_of_the_file(tmp_path):
+    """Skipped rows and errors name the line of the file a record starts
+    on: blank lines and quoted fields spanning lines are counted."""
+    (tmp_path / "ticks.csv").write_text(
+        "id,at\n"
+        "t1,2024-01-01T00:00:00Z\n"
+        "\n"
+        ",2024-01-02T00:00:00Z\n"
+        '"t\n2",2024-01-03T00:00:00Z\n'
+        ",2024-01-04T00:00:00Z\n"
+    )
+    config = MappingConfig.from_dict(yaml.safe_load(TICK))
+    assert import_mapped_csv(config, tmp_path).skipped == [
+        ("ticks.csv", 4, "empty event id"), ("ticks.csv", 7, "empty event id")]
+
+    hub = tmp_path / "hub"
+    hub.mkdir()
+    (hub / "events.csv").write_text(
+        "id,event_type_id,timestamp,description\n"
+        'ev:1,et:a,2024-01-01T00:00:00Z,"two\nlines"\n'
+        "ev:2,et:a,nope,\n"
+    )
+    with pytest.raises(ImportError_, match=r"^events\.csv line 4: "):
+        import_hub_csv(hub)
+
+
+def test_repeated_column_is_rejected(tmp_path):
+    """A repeated column of a hub-CSV file is a header mismatch, and one a
+    mapping reads is a MappingError naming the file and the column, so no
+    cell is dropped silently. test_sources_read_as_dict_reader_reads_them
+    accepts repeated columns that the mapping does not read."""
+    hub = tmp_path / "hub"
+    hub.mkdir()
+    (hub / "event_types.csv").write_text(
+        "id,description,description\net:a,first,second\n")
+    with pytest.raises(ImportError_,
+                       match="event_types.csv: header mismatch on column "
+                             "'description'"):
+        import_hub_csv(hub)
+
+    (tmp_path / "ticks.csv").write_text(
+        "id,at,colour,colour\nt1,2024-01-01T00:00:00Z,red,blue\n")
+    config = MappingConfig.from_dict(yaml.safe_load(
+        TICK + "    attributes: {colour: colour}\n"))
+    with pytest.raises(MappingError,
+                       match="^ticks.csv: repeated source column 'colour'$"):
+        import_mapped_csv(config, tmp_path)

@@ -191,11 +191,9 @@ class TestStagePlaceholderObjects:
         store.stage_placeholder_objects(["obj:gone2", "obj:gone1", "obj:gone2"])
         placeholders = [(object_id, UNKNOWN_OBJECT_TYPE_ID, object_id)
                         for object_id in ("obj:gone1", "obj:gone2")]
-        assert staged_rows(store, "objects") == [
-            tuple(row.values()) for row in batch.rows["objects"]] + placeholders
-        assert staged_rows(store, "object_types") == [
-            tuple(row.values()) for row in batch.rows["object_types"]
-        ] + [(UNKNOWN_OBJECT_TYPE_ID, "unknown")]
+        assert staged_rows(store, "objects") == batch.rows["objects"] + placeholders
+        assert staged_rows(store, "object_types") == \
+            batch.rows["object_types"] + [(UNKNOWN_OBJECT_TYPE_ID, "unknown")]
 
     def test_no_ids_adds_nothing(self, store):
         staged = store.stage(missing_objects_batch())

@@ -29,18 +29,18 @@ def pool(table):
 
 
 def random_row(rng, table, ids):
-    row = {}
+    row = []
     for col in TABLE_COLUMNS[table]:
         ref = FOREIGN_KEYS.get((table, col))
         if col == "id":
-            row[col] = rng.choice(ids)
+            row.append(rng.choice(ids))
         elif ref is not None:
-            row[col] = rng.choice(pool(ref) + ["ghost", "", None])
+            row.append(rng.choice(pool(ref) + ["ghost", "", None]))
         elif (table, col) in TIMESTAMP_COLUMNS:
-            row[col] = rng.choice(TIMESTAMPS)
+            row.append(rng.choice(TIMESTAMPS))
         else:
-            row[col] = rng.choice(VALUES)
-    return row
+            row.append(rng.choice(VALUES))
+    return tuple(row)
 
 
 def hostile_batch(rng, store):
@@ -60,9 +60,9 @@ def hostile_batch(rng, store):
                 ids = pool(table) + (["", None] if mode == "nulls" else [])
                 rows.append(random_row(rng, table, ids))
             elif stored and rng.random() < 0.25:
-                rows.append(dict(rng.choice(stored)))
+                rows.append(tuple(rng.choice(stored).values()))
             elif rows and rng.random() < 0.2:
-                rows.append(dict(rng.choice(rows)))
+                rows.append(tuple(list(rng.choice(rows))))  # an equal copy
             elif fresh:
                 rows.append(random_row(rng, table, [fresh.pop()]))
     return batch
@@ -80,11 +80,10 @@ def hostile_store(rng):
     if rng.random() < 0.3:
         table = rng.choice(TABLES)
         row = random_row(rng, table, [None, None, ""])
-        cols = TABLE_COLUMNS[table]
         with store.connection() as conn:
             conn.execute(
-                f"INSERT OR IGNORE INTO {table} VALUES ({', '.join('?' for _ in cols)})",
-                tuple(row[col] for col in cols),
+                f"INSERT OR IGNORE INTO {table} VALUES ({', '.join('?' for _ in row)})",
+                row,
             )
     return store
 
@@ -110,7 +109,7 @@ def test_checks_and_append_match_oracles(seed):
 
         before = store.dump()
         conflicts, contents = brute_append(batch, store)
-        if any(not row["id"] for rows in batch.rows.values() for row in rows):
+        if any(not row[0] for rows in batch.rows.values() for row in rows):
             with pytest.raises(StoreError, match="null or empty id"):
                 store.append_batch(batch)
         elif conflicts:
@@ -139,7 +138,7 @@ def test_hostile_cases_reach_every_outcome():
         checks |= {v[0] for v in brute_checkpoint(batch, store)[0]}
         checks |= {v[0] for v in brute_checkpoint(store, store)[0]}
         conflicts, _ = brute_append(batch, store)
-        if any(not row["id"] for rows in batch.rows.values() for row in rows):
+        if any(not row[0] for rows in batch.rows.values() for row in rows):
             outcomes.add("null id")
         else:
             outcomes.add("conflict" if conflicts else "appended")
@@ -165,23 +164,23 @@ def late_row(rng, known, table, row_id, dirt):
     with probability ``dirt`` (or when none is known) are null, empty or
     name an id that may arrive later; its timestamp is valid, or with
     probability ``dirt`` null or unparseable."""
-    row = {}
+    row = []
     for col in TABLE_COLUMNS[table]:
         ref = FOREIGN_KEYS.get((table, col))
         if col == "id":
-            row[col] = row_id
+            row.append(row_id)
         elif ref is not None:
             later = late_id(ref, rng.randrange(LATE_IDS))
             if known[ref] and rng.random() >= dirt:
-                row[col] = rng.choice(known[ref])
+                row.append(rng.choice(known[ref]))
             else:
-                row[col] = rng.choice([None, "", later]) if dirt else later
+                row.append(rng.choice([None, "", later]) if dirt else later)
         elif (table, col) in TIMESTAMP_COLUMNS:
-            row[col] = rng.choice(TIMESTAMPS[:3]) if rng.random() >= dirt \
-                else rng.choice(TIMESTAMPS[3:])
+            row.append(rng.choice(TIMESTAMPS[:3]) if rng.random() >= dirt
+                       else rng.choice(TIMESTAMPS[3:]))
         else:
-            row[col] = rng.choice(VALUES)
-    return row
+            row.append(rng.choice(VALUES))
+    return tuple(row)
 
 
 def stored_ids(store):
@@ -219,7 +218,7 @@ def write_past_append(rng, store, dirt):
                 f"INSERT INTO {table} (rowid, {', '.join(cols)}) VALUES "
                 f"((SELECT coalesce(MAX(rowid), 0) + ? FROM {table}), "
                 f"{', '.join('?' for _ in cols)})",
-                (rng.randint(2, 5), *(row[col] for col in cols)),
+                (rng.randint(2, 5), *row),
             )
 
 
