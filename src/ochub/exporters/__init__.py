@@ -21,7 +21,6 @@ class ExportError(FormatError):
 
 @dataclass
 class ExportSummary:
-    format: str
     path: str
     counts: dict = field(default_factory=dict)  # table/file -> rows written
     notes: list = field(default_factory=list)

@@ -50,7 +50,7 @@ _DYNAMIC = (
 def export_docel(store: HubStore, out_dir) -> ExportSummary:
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    summary = ExportSummary(format="docel", path=str(root))
+    summary = ExportSummary(path=str(root))
     read = store.connection().execute
 
     attr_columns = event_attribute_columns(store, ("id", "activity", "timestamp"))

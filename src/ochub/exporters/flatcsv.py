@@ -27,7 +27,7 @@ def export_flat_csv(store: HubStore, case_object_type: str, out) -> ExportSummar
         raise ExportError(f"unknown object type: {case_object_type}")
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    summary = ExportSummary(format="flat", path=str(out_path))
+    summary = ExportSummary(path=str(out_path))
 
     attr_columns = event_attribute_columns(store, ("case_id", "activity", "timestamp"))
     # one row per (case, event) pair in event order; a pair whose event is

@@ -68,7 +68,7 @@ def export_ocel2(store: HubStore, out) -> ExportSummary:
     complete (``replacing``)."""
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    summary = ExportSummary(format="ocel2", path=str(out_path))
+    summary = ExportSummary(path=str(out_path))
     conn = store.connection()
     with replacing(out_path) as temp:
         conn.execute(f"ATTACH DATABASE ? AS {_OUT}", (temp,))

@@ -22,7 +22,7 @@ a snapshot. Rows with a NULL timestamp have no place on a timeline and are
 left out; the transform checkpoint reports them. The graph keeps plain
 tuples: nodes by id, and edges in a list. Each directly-follows edge is
 drawn once; O2O edges pass through a set first, since two qualifier ids
-can share a name.
+can share a name (the exporters' ``display_name``: description, else id).
 
 The overview graph merges cases: events map to their event type, snapshots
 map to groups keyed by (object type, event type of the previous event or
@@ -37,7 +37,7 @@ The export takes nodes.csv and edges.csv rows in file order: nodes by id
 since at most one edge kind joins a (start, end) pair. ``CaseGraph.rows``
 sorts the case graph's rows into that order once; ``OverviewGraph.rows``
 gives its lists' rows, already in that order. The graph checkpoint checks
-the rows the export writes.
+the rows the export writes, or reads them back with ``util.read_csv``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
+from ochub.exporters import ExportSummary, display_name, write_csv
 from ochub.store import HubStore, UnknownIdError
 
 DF_EVENT_TO_SNAPSHOT = "DF_EVENT_TO_SNAPSHOT"
@@ -136,35 +137,6 @@ class CaseGraph:
         edges.sort()
         return nodes, edges
 
-    def overview(self) -> OverviewGraph:
-        """The overview graph, counted from the case graph's nodes and edges."""
-        groups = {  # case node id -> (overview node id, kind, detail)
-            node_id: (f"et:{event_type_id or ''}", "event_type", event_type_id or "")
-            for node_id, (_, event_type_id, _) in self.event_nodes.items()
-        }
-        for node_id, (_, object_type_id, _, attribute_ids, prev_type) \
-                in self.snapshot_nodes.items():
-            detail = (
-                f"{object_type_id or ''}|{prev_type or ''}|"
-                f"{_attribute_list(attribute_ids)}"
-            )
-            groups[node_id] = (f"g:{detail}", "snapshot_group", detail)
-        # an overview id determines its kind and detail, so counting the
-        # groups counts the case nodes behind each overview node
-        node_freq = Counter(groups.values())
-        edge_freq = Counter(
-            (groups[start][0], groups[end][0], kind, qualifier)
-            for kind, start, end, _, qualifier in self.edges
-        )
-        return OverviewGraph(
-            nodes=[(*group, n) for group, n in sorted(node_freq.items())],
-            edges=[
-                (kind, start, end, qualifier, n)
-                for (start, end, kind, qualifier), n in sorted(
-                    edge_freq.items(), key=lambda item: (*item[0][:3], item[0][3] or ""))
-            ],
-        )
-
 
 def _snapshot_id(object_id: str, timestamp: str) -> str:
     return f"s:{object_id}@{timestamp}"
@@ -183,11 +155,9 @@ def build_case_graph(store: HubStore, object_ids=None) -> CaseGraph:
         for object_id in sorted(selection):
             if not store.has_id("objects", object_id):
                 raise UnknownIdError(f"unknown object id: {object_id}")
-    qualifier_names = {
-        qualifier_id: description or qualifier_id
-        for qualifier_id, description in conn.execute(
-            "SELECT id, description FROM relation_qualifiers ORDER BY id")
-    }
+    qualifier_names = dict(conn.execute(
+        f"SELECT id, {display_name('q', 'id')} "
+        "FROM relation_qualifiers q ORDER BY id"))
     events: dict = {}
     snapshots: dict = {}
     edges: list = []  # directly-follows edges, each drawn once
@@ -256,11 +226,36 @@ def _attribute_list(attribute_ids) -> str:
 
 
 def build_overview_graph(case: CaseGraph) -> OverviewGraph:
-    """Aggregate a case graph into the overview graph."""
-    return case.overview()
+    """The overview graph, counted from a case graph's nodes and edges."""
+    groups = {  # case node id -> (overview node id, kind, detail)
+        node_id: (f"et:{event_type_id or ''}", "event_type", event_type_id or "")
+        for node_id, (_, event_type_id, _) in case.event_nodes.items()
+    }
+    for node_id, (_, object_type_id, _, attribute_ids, prev_type) \
+            in case.snapshot_nodes.items():
+        detail = (
+            f"{object_type_id or ''}|{prev_type or ''}|"
+            f"{_attribute_list(attribute_ids)}"
+        )
+        groups[node_id] = (f"g:{detail}", "snapshot_group", detail)
+    # an overview id determines its kind and detail, so counting the
+    # groups counts the case nodes behind each overview node
+    node_freq = Counter(groups.values())
+    edge_freq = Counter(
+        (groups[start][0], groups[end][0], kind, qualifier)
+        for kind, start, end, _, qualifier in case.edges
+    )
+    return OverviewGraph(
+        nodes=[(*group, n) for group, n in sorted(node_freq.items())],
+        edges=[
+            (kind, start, end, qualifier, n)
+            for (start, end, kind, qualifier), n in sorted(
+                edge_freq.items(), key=lambda item: (*item[0][:3], item[0][3] or ""))
+        ],
+    )
 
 
-def export_graph_csv(graph, out_dir) -> "ExportSummary":
+def export_graph_csv(graph, out_dir) -> ExportSummary:
     """Write a case or overview graph's ``rows()`` as nodes.csv and
     edges.csv for the external bulk importer.
 
@@ -268,7 +263,6 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
     those same rows; any violation aborts the export before files are
     written.
     """
-    from ochub.exporters import ExportSummary, write_csv
     from ochub.quality import run_checkpoint
 
     node_rows, edge_rows = rows = graph.rows()
@@ -278,7 +272,7 @@ def export_graph_csv(graph, out_dir) -> "ExportSummary":
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    summary = ExportSummary(format="graph-csv", path=str(root))
+    summary = ExportSummary(path=str(root))
     summary.counts["nodes.csv"] = write_csv(root / "nodes.csv", NODES_HEADER, node_rows)
     summary.counts["edges.csv"] = write_csv(root / "edges.csv", EDGES_HEADER, edge_rows)
     return summary

@@ -22,65 +22,17 @@ OCEL 2.0 import; ``<ts>`` is a normalized timestamp, ``<q>`` a qualifier.
                     one (mapped); without one it starts at ``EPOCH_TS``
 
 Hub CSV keeps the ids it carries. Each importer's module is imported on
-first use of its name.
+first use of its name. ``read_csv``, ``not_utf8`` and ``ImportError_`` are
+``ochub.util``'s, shared with the graph checkpoint.
 """
 
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ochub.schema import Batch
-from ochub.util import EPOCH_TS, FormatError, lazy_names
-
-
-class ImportError_(FormatError):
-    """An input file does not match the expected layout or content."""
-
-
-def not_utf8(name: str, data: bytes) -> str:
-    """``<name> line <n>: byte 0x<hh> is not UTF-8`` for the first byte of
-    ``data`` (the content of file ``name``) that UTF-8 cannot decode."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return f"{name} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
-    return f"{name}: not UTF-8"
-
-
-def read_csv(path: Path, name: str) -> tuple:
-    """(columns, rows) of the UTF-8 CSV file ``path``, a leading byte-order
-    mark ignored. ``columns`` maps each header name to the position of its
-    cell, or to None for a name the header repeats. ``rows`` holds a
-    (line, cells) pair per record, blank lines left out: ``line`` is the
-    line of the file the record starts on, and ``cells`` a list at least as
-    wide as the header, the cells a short record lacks None. A byte that is
-    not UTF-8, or a record the csv module rejects (a field over its size
-    limit), raises ImportError_ naming the file as ``name`` and the line."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, [])
-            width = len(header)
-            rows = []
-            start = reader.line_num + 1
-            for cells in reader:
-                if cells:
-                    if len(cells) < width:
-                        cells += [None] * (width - len(cells))
-                    rows.append((start, cells))
-                start = reader.line_num + 1
-        except UnicodeDecodeError:
-            raise ImportError_(not_utf8(name, path.read_bytes())) from None
-        except csv.Error as exc:
-            raise ImportError_(f"{name} line {reader.line_num}: {exc}") from exc
-    columns: dict = {}
-    for i, column in enumerate(header):
-        columns[column] = None if column in columns else i
-    return columns, rows
+from ochub.util import EPOCH_TS, ImportError_, lazy_names, not_utf8, read_csv
 
 
 @dataclass
@@ -191,5 +143,5 @@ __all__ = [
     "AppendableBatch", "ImportError_", "MappingConfig", "add_e2o", "add_e2oav",
     "add_event", "add_event_value", "add_o2o", "add_object", "add_object_value",
     "add_qualifiers", "add_type", "import_hub_csv", "import_mapped_csv",
-    "import_ocel2", "object_value_id",
+    "import_ocel2", "not_utf8", "object_value_id", "read_csv",
 ]

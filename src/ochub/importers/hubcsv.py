@@ -14,10 +14,8 @@ from pathlib import Path
 
 from ochub.exporters import write_csv
 from ochub.importers import AppendableBatch, ImportError_, read_csv
-from ochub.schema import Batch, TABLE_COLUMNS, TIMESTAMP_COLUMNS
+from ochub.schema import Batch, TABLE_COLUMNS, TIMESTAMP_COLUMN_OF
 from ochub.util import TimestampError, normalize_timestamp
-
-_TS_COLS = {table: col for table, col in TIMESTAMP_COLUMNS}
 
 
 def import_hub_csv(directory) -> AppendableBatch:
@@ -43,7 +41,7 @@ def import_hub_csv(directory) -> AppendableBatch:
             raise ImportError_(f"{path.name}: header mismatch on column {problem!r}")
         at = [header[column] for column in columns]
         null_at = header["qualifier_value"] if table == "object_to_object" else None
-        ts_at = header[_TS_COLS[table]] if table in _TS_COLS else None
+        ts_at = header.get(TIMESTAMP_COLUMN_OF.get(table))
         out = batch.rows[table]
         for line_no, cells in rows:
             if null_at is not None and cells[null_at] == "":

@@ -183,9 +183,14 @@ def _per_type_rows(conn, batch: Batch, kind: str, maps: dict):
     value as text)]) for each row of its per-type table; types in name
     order, rows in rowid order. An object row with a changed field gives
     that field alone, every other row each attribute column; absent values
-    are left out."""
+    are left out. A table lacking ``ocel_id`` or ``ocel_time`` raises
+    ImportError_ naming it and the column."""
     for type_name, table in sorted(maps.items()):
         columns = conn.execute(f"PRAGMA table_info({table})").fetchall()
+        present = {c["name"] for c in columns}
+        missing = {"ocel_id", "ocel_time"} - present
+        if missing:
+            raise ImportError_(f"{table}: no {min(missing)} column")
         attributes = [
             (c["name"], _datatype_for(c["type"]))
             for c in columns
@@ -193,8 +198,7 @@ def _per_type_rows(conn, batch: Batch, kind: str, maps: dict):
         ]
         add_type(batch, kind, type_name, attributes)
         every = [name for name, _ in attributes]
-        has_changed = kind == "object" and any(
-            c["name"] == _CHANGED for c in columns)
+        has_changed = kind == "object" and _CHANGED in present
         for row in conn.execute(f"SELECT * FROM {table} ORDER BY rowid"):
             try:
                 timestamp = normalize_timestamp(row["ocel_time"])

@@ -4,12 +4,13 @@ Four structural checks guard the store and incoming batches (unique primary
 keys, non-null foreign keys, referential integrity, timestamp validity); two
 more guard graph exports (node id uniqueness, edge endpoints) over the
 (nodes, edges) rows a graph export writes, or the rows an exported
-directory's two CSVs hold, read by position. Checks are read-only and
-report every violation instead of failing fast. Repairing missing objects
-is a separate, explicit step: the missing ids that the referential-integrity
-check reports go to ``HubStore.stage_placeholder_objects``, which adds
-placeholder objects to the staged batch, and the staging checkpoint runs
-again on the new handle.
+directory's two CSVs hold, read by position with ``util.read_csv``, as
+every CSV input is (the graph check loads no importer). Checks are
+read-only and report every violation instead of failing fast. Repairing
+missing objects is a separate, explicit step: the missing ids that the
+referential-integrity check reports go to
+``HubStore.stage_placeholder_objects``, which adds placeholder objects to
+the staged batch, and the staging checkpoint runs again on the new handle.
 
 The store checks are SQL, one statement per table, foreign key or timestamp
 column, generated from the schema: ``GROUP BY id HAVING`` for duplicate ids,
@@ -34,7 +35,6 @@ next ingest checks every row again under the new rule.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -48,6 +48,7 @@ from ochub.schema import (
     TIMESTAMP_COLUMNS,
 )
 from ochub.store import HubStore, StagedBatch
+from ochub.util import read_csv
 
 CHECKPOINTS = ("staging", "transform", "graph")
 
@@ -228,17 +229,15 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport,
 
 def _graph_rows(target):
     """(nodes.csv rows, edges.csv rows): the pair itself, or read from a
-    directory holding both files; a missing file is an OSError naming it.
-    A row leads with its node id, or with its edge's start and end."""
+    directory holding both files by ``read_csv``. A row leads with its node
+    id, or with its edge's start and end, a missing cell read as ""."""
     if not isinstance(target, (str, Path)):
         return target
     tables = []
     for name in ("nodes.csv", "edges.csv"):
-        with open(Path(target) / name, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)  # the header
-            # padded, so that a short row still has a start and an end
-            tables.append([row + ["", ""] for row in reader if row])
+        _, rows = read_csv(Path(target) / name, name)
+        tables.append([[cell or "" for cell in (cells + ["", ""])[:2]]
+                       for _, cells in rows])
     return tables
 
 
@@ -280,7 +279,8 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
                  moves the watermark to the store's last row.
     graph     -- target is a graph's (nodes, edges) rows as a pair (its
                  ``rows()``), or a directory with nodes.csv and edges.csv
-                 (OSError if either is missing).
+                 (OSError if either is missing; ImportError_ naming the
+                 file and line if one cannot be read).
 
     ``scanned`` counts the rows actually checked per table or file.
     """

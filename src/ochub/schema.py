@@ -104,6 +104,7 @@ TIMESTAMP_COLUMNS = (
     ("object_attribute_values", "timestamp"),
     ("object_to_object", "timestamp"),
 )
+TIMESTAMP_COLUMN_OF = dict(TIMESTAMP_COLUMNS)  # table -> its timestamp column
 
 DATATYPES = ("string", "integer", "float", "boolean", "timestamp")
 

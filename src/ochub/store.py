@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMNS
+from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMN_OF
 from ochub.util import (
     _CANONICAL_RE,
     TimestampError,
@@ -44,8 +44,6 @@ from ochub.util import (
 LAYOUT_VERSION = "1"
 CLEAN_KEY = "transform_clean"  # hub_meta key of the clean-row watermark
 UNKNOWN_OBJECT_TYPE_ID = "ot:unknown"  # the type of placeholder objects
-
-_TS_COLS = {table: col for table, col in TIMESTAMP_COLUMNS}
 
 # Each serves a lookup by its column. Stores of the same layout version
 # made earlier may also hold idx_e2o_event and idx_e2oav_event; no
@@ -160,20 +158,12 @@ class StatsReport:
     object_values_per_attribute: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "table_counts": dict(self.table_counts),
-            "events_per_type": dict(self.events_per_type),
-            "objects_per_type": dict(self.objects_per_type),
-            "e2o_per_qualifier": dict(self.e2o_per_qualifier),
-            "o2o_per_qualifier": dict(self.o2o_per_qualifier),
-            "e2oav_per_qualifier": dict(self.e2oav_per_qualifier),
-            "e2o_per_type_pair": [
-                {"event_type_id": et, "object_type_id": ot, "count": n}
-                for (et, ot), n in self.e2o_per_type_pair.items()
-            ],
-            "event_values_per_attribute": dict(self.event_values_per_attribute),
-            "object_values_per_attribute": dict(self.object_values_per_attribute),
-        }
+        out = asdict(self)
+        out["e2o_per_type_pair"] = [
+            {"event_type_id": et, "object_type_id": ot, "count": n}
+            for (et, ot), n in self.e2o_per_type_pair.items()
+        ]
+        return out
 
 
 def _db_path(path: str) -> str:
@@ -342,11 +332,13 @@ class HubStore:
         the handle that ``staged`` accepts until the next stage.
 
         Rows keep batch order (the staged rowid); a row of another width
-        than its table's columns raises. A timestamp in canonical form is
-        staged as is (``normalize_timestamp`` would return it unchanged or
-        raise); any other is normalized, and text that does not parse is
-        kept verbatim for the quality checks to flag. Commits before
-        returning, so a staged batch holds no lock on the store file.
+        than its table's columns, or a value sqlite3 cannot bind, raises
+        StoreError naming the table and its column count. A timestamp in
+        canonical form is staged as is (``normalize_timestamp`` would
+        return it unchanged or raise); any other is normalized, and text
+        that does not parse is kept verbatim for the quality checks to
+        flag. Commits before returning, so a staged batch holds no lock on
+        the store file.
         """
         self._staged = None  # an earlier handle goes stale, even on failure
         counts = {}
@@ -354,17 +346,22 @@ class HubStore:
             for table in TABLES:
                 cols = TABLE_COLUMNS[table]
                 raws = batch.rows.get(table) or []
-                ts = cols.index(_TS_COLS[table]) if table in _TS_COLS else None
+                column = TIMESTAMP_COLUMN_OF.get(table)
+                ts = None if column is None else cols.index(column)
                 self._conn.execute(f"DROP TABLE IF EXISTS temp.staged_{table}")
                 self._conn.execute(
                     f"CREATE TEMP TABLE staged_{table} "
                     f"({', '.join(f'{col} TEXT' for col in cols)})"
                 )
-                self._conn.executemany(
-                    f"INSERT INTO temp.staged_{table} "
-                    f"VALUES ({', '.join('?' for _ in cols)})",
-                    raws if ts is None else _staged_rows(raws, ts),
-                )
+                try:
+                    self._conn.executemany(
+                        f"INSERT INTO temp.staged_{table} "
+                        f"VALUES ({', '.join('?' for _ in cols)})",
+                        raws if ts is None else _staged_rows(raws, ts),
+                    )
+                except (sqlite3.ProgrammingError, IndexError) as exc:
+                    raise StoreError(f"cannot stage a {table} row of "
+                                     f"{len(cols)} columns: {exc}") from exc
                 self._conn.execute(
                     f"CREATE INDEX temp.staged_{table}_id ON staged_{table} (id)"
                 )

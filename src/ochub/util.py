@@ -1,13 +1,17 @@
-"""Timestamp handling and small shared helpers.
+"""Timestamp handling, the CSV reader and small shared helpers.
 
 All timestamps inside the hub are stored as RFC 3339 UTC text with
 millisecond precision ("2024-01-02T03:04:05.678Z"). The fixed-width format
 makes lexicographic order equal to chronological order, which the ordered
 queries rely on.
+
+Every CSV input (hub CSV, mapped sources, graph directories) is read by
+``read_csv``, with one set of rules and errors (``ImportError_``).
 """
 
 from __future__ import annotations
 
+import csv
 import importlib
 import re
 from datetime import datetime, timezone
@@ -24,6 +28,54 @@ class TimestampError(ValueError):
 class FormatError(Exception):
     """An input cannot be read, or an output cannot be written, in its
     interchange format (the importers' and exporters' errors)."""
+
+
+class ImportError_(FormatError):
+    """An input file does not match the expected layout or content."""
+
+
+def not_utf8(name: str, data: bytes) -> str:
+    """``<name> line <n>: byte 0x<hh> is not UTF-8`` for the first byte of
+    ``data`` (the content of file ``name``) that UTF-8 cannot decode."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{name} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+    return f"{name}: not UTF-8"
+
+
+def read_csv(path, name: str) -> tuple:
+    """(columns, rows) of the UTF-8 CSV file at Path ``path``, a leading
+    byte-order mark ignored. ``columns`` maps each header name to the
+    position of its cell, or to None for a name the header repeats.
+    ``rows`` holds a (line, cells) pair per record, blank lines left out:
+    ``line`` is the line of the file the record starts on, and ``cells`` a
+    list at least as wide as the header, the cells a short record lacks
+    None. A byte that is not UTF-8, or a record the csv module rejects (a
+    field over its size limit), raises ImportError_ naming the file as
+    ``name`` and the line."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            width = len(header)
+            rows = []
+            start = reader.line_num + 1
+            for cells in reader:
+                if cells:
+                    if len(cells) < width:
+                        cells += [None] * (width - len(cells))
+                    rows.append((start, cells))
+                start = reader.line_num + 1
+        except UnicodeDecodeError:
+            raise ImportError_(not_utf8(name, path.read_bytes())) from None
+        except csv.Error as exc:
+            raise ImportError_(f"{name} line {reader.line_num}: {exc}") from exc
+    columns: dict = {}
+    for i, column in enumerate(header):
+        columns[column] = None if column in columns else i
+    return columns, rows
 
 
 def parse_timestamp(value) -> datetime:

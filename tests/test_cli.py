@@ -23,9 +23,11 @@ from ochub.cli import (
 from ochub.importers.hubcsv import export_hub_csv
 from ochub.schema import Batch, TABLES
 from ochub.store import HubStore, open_store
-from conftest import clean_fixture_batch, rows_of
+from conftest import build_ocel2_sqlite, clean_fixture_batch, rows_of
 from test_acceptance import tiny_log
-from test_importers import MALFORMED_CONFIGS, shop_mapping, shop_sources
+from test_importers import (
+    MALFORMED_CONFIGS, shop_mapping, shop_sources, simple_ocel_log,
+)
 
 
 @pytest.fixture
@@ -350,6 +352,25 @@ class TestIngest:
         assert err.startswith("error: ") and re.search(UNREADABLE[probe], err), err
         assert "Traceback" not in err
 
+    def test_ocel2_type_table_without_time_exits_3(self, store_path, tmp_path,
+                                                  capsys):
+        """An OCEL 2.0 per-type table without ``ocel_time`` is an import
+        error naming the table and column (exit 3), and nothing is
+        appended; it used to end in an IndexError and exit 1."""
+        log = tmp_path / "log.sqlite"
+        build_ocel2_sqlite(log, simple_ocel_log())
+        conn = sqlite3.connect(log)
+        with conn:
+            conn.execute("ALTER TABLE event_ship DROP COLUMN ocel_time")
+        conn.close()
+        capsys.readouterr()
+        assert run(["ingest", "--store", str(store_path), "--format", "ocel2",
+                    "--input", str(log)]) == EXIT_IO
+        assert capsys.readouterr().err == \
+            "error: event_ship: no ocel_time column\n"
+        with open_store(store_path, create_if_missing=False) as store:
+            assert store.batch_clock() == 0
+
     def test_reingest_is_idempotent(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
         capsys.readouterr()
@@ -587,6 +608,30 @@ class TestCheck:
             captured = capsys.readouterr()
             assert str(directory / missing) in captured.err
             assert "PASSED" not in captured.out
+
+    @pytest.mark.parametrize("name, data, message", [
+        ("nodes.csv", b"id:ID\nn\xff\n",
+         "nodes.csv line 2: byte 0xff is not UTF-8"),
+        ("edges.csv", b":START_ID,:END_ID\nn1," + b"x" * 131073 + b"\n",
+         "edges.csv line 2: field larger than field limit (131072)"),
+    ], ids=["not_utf8", "field_limit"])
+    def test_graph_check_on_unreadable_file_exits_3(self, tmp_path, capsys,
+                                                    name, data, message):
+        """A graph file that cannot be read is an import error naming the
+        file and the line (exit 3), as for every CSV input; it used to end
+        in a traceback and exit 1, the quality-failure code."""
+        out = tmp_path / "graph"
+        out.mkdir()
+        (out / "nodes.csv").write_text("id:ID\nn1\n")
+        (out / "edges.csv").write_text(":START_ID,:END_ID\nn1,n1\n")
+        (out / name).write_bytes(data)
+        assert run([
+            "check", "--store", str(tmp_path / "none.db"), "--checkpoint",
+            "graph", "--input", str(out),
+        ]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "PASSED" not in captured.out
 
     def test_graph_check_opens_no_store(self, store_path, batch_dir, tmp_path):
         """The graph checkpoint reads only its files: a missing --store path

@@ -193,6 +193,26 @@ class TestCaseGraph:
         assert edge_tuples(graph) == edges
         assert (O2O, "s:obj:1@not-a-time", "s:obj:2@not-a-time", "r") in edges
 
+    def test_o2o_edge_carries_qualifier_display_name(self, store):
+        """An O2O edge is named by its qualifier's description, else its id
+        (an empty description counts as none), as the exporters name it."""
+        b = minimal_batch()
+        b.add("objects", id="obj:2", object_type_id="ot:x", description=None)
+        b.add("event_to_object", id="e2o:3", event_id="ev:2", object_id="obj:2",
+              qualifier_id="q:r", qualifier_value="r")
+        for qualifier_id, description in (("q:blank", ""), ("q:none", None)):
+            b.add("relation_qualifiers", id=qualifier_id,
+                  description=description, datatype="string")
+        for qualifier_id in ("q:r", "q:blank", "q:none"):
+            b.add("object_to_object", id=f"o2o:{qualifier_id}",
+                  source_object_id="obj:1", target_object_id="obj:2",
+                  timestamp="2024-01-01T10:30:00.000Z",
+                  qualifier_id=qualifier_id, qualifier_value="linked")
+        store.append_batch(b)
+        graph = build_case_graph(store)
+        assert sorted(qualifier for kind, _, _, _, qualifier in graph.edges
+                      if kind == O2O) == ["q:blank", "q:none", "r"]
+
     def test_dangling_qualifier_draws_no_edge(self, store):
         # a relation whose qualifier is not in relation_qualifiers is the
         # transform checkpoint's violation; the graph skips it silently

@@ -142,6 +142,29 @@ class TestImportOcel2:
         with pytest.raises(ImportError_, match="ocel_time"):
             import_ocel2(path)
 
+    @pytest.mark.parametrize("table, dropped, named", [
+        ("event_ship", ["ocel_time"], "ocel_time"),
+        ("event_ship", ["ocel_id"], "ocel_id"),
+        ("event_ship", ["ocel_id", "ocel_time"], "ocel_id"),
+        ("object_parcel", ["ocel_time"], "ocel_time"),
+    ])
+    def test_per_type_table_needs_id_and_time(self, tmp_path, table, dropped,
+                                              named):
+        """A per-type table lacking ``ocel_id`` or ``ocel_time`` is an import
+        error naming the table and the column; it used to end in an
+        IndexError."""
+        import sqlite3
+        path = tmp_path / "log.sqlite"
+        build_ocel2_sqlite(path, simple_ocel_log())
+        conn = sqlite3.connect(path)
+        with conn:
+            for column in dropped:
+                conn.execute(f"ALTER TABLE {table} DROP COLUMN {column}")
+        conn.close()
+        with pytest.raises(ImportError_) as err:
+            import_ocel2(path)
+        assert str(err.value) == f"{table}: no {named} column"
+
     def test_changed_field_must_be_a_column(self, tmp_path):
         log = simple_ocel_log()
         log["object_types"]["parcel"]["rows"].append(

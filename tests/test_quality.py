@@ -43,6 +43,22 @@ class TestRunCheckpoint:
         assert len(hits) == 1
         assert hits[0].key == "e1"
 
+    def test_summary_lists_twenty_violations(self, store):
+        """The summary lists the first 20 violations, then how many more."""
+        b = Batch()
+        for i in range(23):
+            b.add("events", id=f"e{i:02}", event_type_id=f"et:{i:02}",
+                  timestamp="2024-01-01T00:00:00.000Z")
+        report = run_checkpoint(b, "staging", store=store)
+        lines = report.summary().splitlines()
+        assert lines[0] == "checkpoint staging: FAILED"
+        assert "  referential_integrity: 23 violation(s)" in lines
+        assert lines[-21:] == [
+            f"    [referential_integrity] events key=et:{i:02}: event_type_id "
+            f"-> event_types.et:{i:02} does not resolve (1 row(s), e.g. e{i:02})"
+            for i in range(20)
+        ] + ["    ... 3 more"]
+
     def test_batch_reference_into_store_resolves(self, store):
         store.append_batch(clean_fixture_batch())
         late = Batch()

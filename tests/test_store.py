@@ -1,6 +1,7 @@
 import random
 import sqlite3
 import threading
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import pytest
@@ -11,6 +12,7 @@ from ochub.quality import run_checkpoint
 from ochub.store import (
     AppendConflictError,
     StagedBatch,
+    StatsReport,
     StoreError,
     StoreLayoutError,
     StoreNotFoundError,
@@ -79,6 +81,40 @@ class TestOpenStore:
             with pytest.raises(StoreLayoutError, match="not a hub store"):
                 open_store(path, create_if_missing=False)
 
+
+    @pytest.mark.parametrize("version", ["2", None])
+    def test_unknown_layout_version_errors(self, tmp_path, capsys, version):
+        """A store whose layout_version is not "1", or that has none, is not
+        opened, and ``ochub stats`` on it is an I/O error (exit 3)."""
+        from ochub.cli import EXIT_IO, run
+
+        path = tmp_path / "hub.db"
+        open_store(path).close()
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("DELETE FROM hub_meta WHERE key = 'layout_version'")
+            if version is not None:
+                conn.execute("INSERT INTO hub_meta VALUES ('layout_version', ?)",
+                             (version,))
+        conn.close()
+        message = f"unrecognized layout version {version!r} in {path}"
+        for create in (True, False):
+            with pytest.raises(StoreLayoutError) as err:
+                open_store(path, create_if_missing=create)
+            assert str(err.value) == message
+        capsys.readouterr()
+        assert run(["stats", "--store", str(path)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_directory_stands_for_hub_db_inside(self, tmp_path):
+        """An existing directory opens, or creates, the ``hub.db`` in it."""
+        with open_store(tmp_path) as store:
+            assert store.path == str(tmp_path / "hub.db")
+            store.append_batch(clean_fixture_batch())
+        events = len(clean_fixture_batch().rows["events"])
+        for path in (tmp_path, tmp_path / "hub.db"):
+            with open_store(path, create_if_missing=False) as store:
+                assert store.row_count("events") == events
 
     def test_failed_layout_leaves_no_table(self, tmp_path, monkeypatch):
         """The layout is one transaction: a statement failing late leaves a
@@ -322,9 +358,9 @@ class TestStagedBatch:
         batch = two_events_batch()
         batch.rows[table].append(tuple(f"x{i}" for i in range(width)))
         for use in (store.stage, store.append_batch):
-            # sqlite3 rejects the number of values; a row too narrow to hold
-            # the timestamp fails at its index first
-            with pytest.raises((sqlite3.ProgrammingError, IndexError)):
+            with pytest.raises(StoreError, match=(
+                    f"cannot stage a {table} row of "
+                    f"{len(TABLE_COLUMNS[table])} columns")):
                 use(batch)
             assert store.dump() == before
             assert store.batch_clock() == clock
@@ -566,6 +602,21 @@ class TestSummaryStats:
             "oa:item.color": 1, "oa:box.size": 1,
         }
         assert report.to_dict()["e2o_per_type_pair"]
+
+    def test_to_dict_lists_fields_in_order(self, store):
+        """Every field in declaration order, as a plain dict, except the
+        type pairs: a list of records in the report's order."""
+        store.append_batch(clean_fixture_batch())
+        report = store.summary_stats()
+        out = report.to_dict()
+        assert list(out) == [f.name for f in fields(StatsReport)]
+        assert out["e2o_per_type_pair"] == [
+            {"event_type_id": et, "object_type_id": ot, "count": n}
+            for (et, ot), n in report.e2o_per_type_pair.items()
+        ]
+        for name in out.keys() - {"e2o_per_type_pair"}:
+            assert out[name] == getattr(report, name)
+            assert out[name] is not getattr(report, name)
 
 
 class TestBatch:
