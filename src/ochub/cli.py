@@ -2,8 +2,12 @@
 
 Commands: init, ingest, check, stats, export. Ingest runs the staging
 checkpoint before appending and the transform checkpoint after, over the
-rows added since the store's last clean check, printing the quality report
-on failure. ``check --checkpoint transform`` is the full, read-only audit.
+rows added since the store's last clean check. ``check --checkpoint
+transform`` is the full, read-only audit of the rows present when it
+starts; ``--report`` replaces the report file, never rewriting it in place.
+A failed checkpoint (ingest, check or a graph export) raises
+``util.QualityFailure``, and ``run`` prints its summary once, on stdout,
+and exits 1.
 
 Each command imports only the modules it runs. The importers, exporters and
 ``run_checkpoint`` are names of this module imported on first use
@@ -11,7 +15,8 @@ Each command imports only the modules it runs. The importers, exporters and
 rebound here is the one called; the graph exports import ``ochub.graph``.
 
 Exit codes: 0 success, 1 quality-check failure, 2 usage error, 3 I/O error
-(including an unreadable, corrupt or locked store file), 4 append conflict.
+(including an unreadable, corrupt or locked store file, and an input that
+cannot be read, named), 4 append conflict.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ochub.store import (
     StoreNotFoundError,
     open_store,
 )
-from ochub.util import FormatError, lazy_names
+from ochub.util import FormatError, QualityFailure, lazy_names
 
 __getattr__ = lazy_names(__name__, {
     "MappingConfig": "ochub.importers.mapped",
@@ -47,12 +52,6 @@ EXIT_QUALITY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CONFLICT = 4
-
-
-class QualityFailure(Exception):
-    def __init__(self, report):
-        self.report = report
-        super().__init__(report.summary())
 
 
 @click.group()
@@ -112,7 +111,6 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
             staged = store.stage_placeholder_objects(missing)
             report = _this.run_checkpoint(staged, "staging", store=store)
         if not report.passed:
-            click.echo(report.summary())
             raise QualityFailure(report)
         summary = store.append_batch(staged)
         added = {t: n for t, n in summary.items() if n}
@@ -121,7 +119,6 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
             click.echo(f"skipped {len(imported.skipped)} source row(s)")
         post = _this.run_checkpoint(store, "transform", since_clean=True)
         if not post.passed:
-            click.echo(post.summary())
             raise QualityFailure(post)
         click.echo("checkpoints passed")
     finally:
@@ -165,7 +162,8 @@ def cmd_check(store_path, checkpoint, input_path, fmt, mapping, report_path):
                 report = _this.run_checkpoint(batch, "staging", store=store)
         finally:
             store.close()
-    click.echo(report.summary())
+    if report.passed:  # printed before the write, which may fail (exit 3)
+        click.echo(report.summary())
     if report_path:
         report.write_json(report_path)
     if not report.passed:
@@ -228,11 +226,7 @@ def cmd_export(store_path, fmt, out, case_type):
             graph = graph_mod.build_case_graph(store)
             if fmt == "graph-overview":
                 graph = graph_mod.build_overview_graph(graph)
-            try:
-                summary = graph_mod.export_graph_csv(graph, out)
-            except graph_mod.GraphExportError as exc:
-                click.echo(exc.report.summary(), err=True)
-                raise QualityFailure(exc.report) from exc
+            summary = graph_mod.export_graph_csv(graph, out)
     finally:
         store.close()
     click.echo(f"wrote {summary.path}: {json.dumps(summary.counts)}")
@@ -245,7 +239,8 @@ def run(argv) -> int:
     try:
         cli.main(args=list(argv), prog_name="ochub", standalone_mode=False)
         return EXIT_OK
-    except QualityFailure:
+    except QualityFailure as exc:  # its message is the report's summary
+        click.echo(str(exc))
         return EXIT_QUALITY
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)

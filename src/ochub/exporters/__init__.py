@@ -7,12 +7,10 @@ on first use of its name, so a caller of ``write_csv`` loads none of them.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import os
 from dataclasses import dataclass, field
 
-from ochub.util import FormatError, dedupe_name, lazy_names
+from ochub.util import FormatError, dedupe_name, lazy_names, replacing
 
 
 class ExportError(FormatError):
@@ -44,24 +42,6 @@ def display_name(alias: str, fallback: str) -> str:
     """SQL for a display name: the description of the row aliased ``alias``,
     else ``fallback``."""
     return f"coalesce(nullif({alias}.description, ''), {fallback})"
-
-
-@contextlib.contextmanager
-def replacing(path):
-    """Yield a temporary path beside ``path`` to write, renamed onto
-    ``path`` once the block completes; an exception removes it and leaves
-    whatever ``path`` held before. A temporary file left by a killed run is
-    deleted first, as SQLite would open it rather than start afresh."""
-    temp = f"{os.fspath(path)}.tmp"
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(temp)
-    try:
-        yield temp
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temp)
-        raise
 
 
 def write_csv(path, header, rows) -> int:

@@ -37,7 +37,9 @@ The export takes nodes.csv and edges.csv rows in file order: nodes by id
 since at most one edge kind joins a (start, end) pair. ``CaseGraph.rows``
 sorts the case graph's rows into that order once; ``OverviewGraph.rows``
 gives its lists' rows, already in that order. The graph checkpoint checks
-the rows the export writes, or reads them back with ``util.read_csv``.
+the rows the export writes, or reads them back with ``util.read_csv``; a
+failed check raises ``util.QualityFailure``, the failure type of every
+checkpoint, before any file is written.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from pathlib import Path
 
 from ochub.exporters import ExportSummary, display_name, write_csv
 from ochub.store import HubStore, UnknownIdError
+from ochub.util import QualityFailure
 
 DF_EVENT_TO_SNAPSHOT = "DF_EVENT_TO_SNAPSHOT"
 DF_SNAPSHOT_TO_EVENT = "DF_SNAPSHOT_TO_EVENT"
@@ -96,16 +99,6 @@ class OverviewGraph:
             for kind, start, end, qualifier, frequency in self.edges
         ]
         return nodes, edges
-
-
-class GraphExportError(Exception):
-    """The graph checkpoint failed; nothing was written."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(
-            f"graph checkpoint failed with {len(report.violations)} violation(s)"
-        )
 
 
 @dataclass
@@ -260,15 +253,15 @@ def export_graph_csv(graph, out_dir) -> ExportSummary:
     edges.csv for the external bulk importer.
 
     The graph checkpoint (node uniqueness, edge endpoints) runs first, on
-    those same rows; any violation aborts the export before files are
-    written.
+    those same rows; any violation raises ``util.QualityFailure`` before
+    files are written.
     """
     from ochub.quality import run_checkpoint
 
     node_rows, edge_rows = rows = graph.rows()
     report = run_checkpoint(rows, "graph")
     if not report.passed:
-        raise GraphExportError(report)
+        raise QualityFailure(report)
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

@@ -79,14 +79,18 @@ def _datatype_for(decl_type) -> str:
 
 
 def import_ocel2(file) -> AppendableBatch:
-    """Parse an OCEL 2.0 SQLite log into a hub batch."""
+    """Parse an OCEL 2.0 SQLite log into a hub batch, opened read-only by
+    its percent-encoded URI, so a path holding '#', '?' or '%' opens that
+    file; a SQLite error (a file that is not SQLite) names the path."""
     path = Path(file)
-    if not path.exists():
-        raise ImportError_(f"no such file: {path}")
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    if not path.is_file():
+        raise ImportError_(f"not a file: {path}")
+    conn = sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True)
     conn.row_factory = sqlite3.Row
     try:
         return _import(conn)
+    except sqlite3.DatabaseError as exc:
+        raise ImportError_(f"{path}: {exc}") from exc
     finally:
         conn.close()
 

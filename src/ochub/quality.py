@@ -20,17 +20,26 @@ them over the batch staged in the store's TEMP tables (``HubStore.stage``),
 resolving references against staged union store; given the handle ``stage``
 returned, it checks what is staged without restaging, so an ingest stages
 its batch once for both this checkpoint and ``append_batch``. The transform
-checkpoint runs them over the store itself.
+checkpoint runs the same statements over a rowid window of each store
+table. Its upper bounds are the tables' greatest rowids when the check
+starts, read by one statement (``HubStore.max_rowids``), and references
+resolve against the rows up to them: rows another connection appends
+meanwhile are neither counted, checked nor matched.
 
 The store is append-only and no id is rewritten, so a row that once passed
 the store checks passes them for good: a later append can only resolve a
-dangling reference, and ``id`` is the primary key. An ingest's transform
-checkpoint (``since_clean=True``) therefore checks only the rows above the
-store's clean-row watermark (``HubStore.clean_watermark``), references still
-resolving against the whole store, and moves the watermark up when the
-report is clean. Its report equals a full scan's. A change that tightens a
-store check must drop the ``transform_clean`` key from ``hub_meta``, so the
-next ingest checks every row again under the new rule.
+dangling reference, and ``id`` is the primary key. The full audit's window
+starts at SQLite's smallest rowid. An ingest's check (``since_clean=True``)
+starts above the store's clean-row watermark (``HubStore.clean_watermark``),
+or at the smallest rowid for a table without one, so a legacy row at rowid
+0 or below is checked too, and a clean report moves the watermark to the
+window's top. Its violations equal the full audit's. A change that tightens
+a store check must drop the ``transform_clean`` key from ``hub_meta``, so
+the next ingest checks every row again under the new rule.
+
+All three checkpoints record their checks' status and violations through
+one loop; ``cli`` and ``graph.export_graph_csv`` raise a failed report as
+``util.QualityFailure``.
 """
 
 from __future__ import annotations
@@ -41,14 +50,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ochub.schema import (
-    Batch,
-    FOREIGN_KEYS,
-    TABLES,
-    TIMESTAMP_COLUMNS,
-)
+from ochub.schema import FOREIGN_KEYS, TABLES, TIMESTAMP_COLUMNS, Batch
 from ochub.store import HubStore, StagedBatch
-from ochub.util import read_csv
+from ochub.util import read_csv, replacing
 
 CHECKPOINTS = ("staging", "transform", "graph")
 
@@ -59,6 +63,8 @@ STORE_CHECKS = (
     "timestamp_validity",
 )
 GRAPH_CHECKS = ("graph_node_uniqueness", "graph_edge_endpoints")
+
+SMALLEST_ROWID = -(2 ** 63)
 
 
 @dataclass(frozen=True)
@@ -82,33 +88,20 @@ class QualityReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_records(self) -> list:
-        return [
-            {
-                "checkpoint": self.checkpoint,
-                "check": v.check,
-                "table": v.table,
-                "key": v.key,
-                "detail": v.detail,
-            }
-            for v in self.violations
-        ]
-
     def write_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(
-                {
-                    "checkpoint": self.checkpoint,
-                    "passed": self.passed,
-                    "checks": self.check_status,
-                    "scanned": self.scanned,
-                    "violations": self.to_records(),
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        """Write the report as JSON to ``path`` through ``replacing``."""
+        with replacing(path) as temp:
+            Path(temp).write_text(json.dumps({
+                "checkpoint": self.checkpoint,
+                "passed": self.passed,
+                "checks": self.check_status,
+                "scanned": self.scanned,
+                "violations": [
+                    {"checkpoint": self.checkpoint, "check": v.check,
+                     "table": v.table, "key": v.key, "detail": v.detail}
+                    for v in self.violations
+                ],
+            }, indent=2) + "\n", encoding="utf-8")
 
     def summary(self) -> str:
         lines = [f"checkpoint {self.checkpoint}: "
@@ -123,30 +116,30 @@ class QualityReport:
         return "\n".join(lines)
 
 
-def _store_checks(store: HubStore, staged: bool, report: QualityReport,
-                  window: Optional[dict] = None) -> None:
-    """The four store checks, one SQL statement per table, foreign key or
-    timestamp column.
+def _store_checks(store: HubStore, report: QualityReport,
+                  window: Optional[dict] = None) -> tuple:
+    """The four store checks' violations, one SQL statement per table,
+    foreign key or timestamp column.
 
     Scans the batch staged by ``HubStore.stage`` in batch order (references
-    resolve against staged union store), or else the store in id order:
-    with ``window`` ({table: (after, upto)}) only its rows with ``after <
-    rowid <= upto``, references resolving against the whole store.
+    resolve against staged union store), or with ``window`` ({table: (low,
+    high)}) the store's rows with ``low <= rowid <= high`` in id order,
+    references resolving against the store's rows up to ``high``.
     Every violation is reported; ids that are null or empty show as "".
     """
     conn = store.connection()
-    scan = "temp.staged_{}" if staged else "main.{}"
-    pos = "rowid" if staged else "id"  # the scan order
+    scan = "temp.staged_{}" if window is None else "main.{}"
+    pos = "rowid" if window is None else "id"  # the scan order
 
     def rows(sql):
         return conn.execute(sql).fetchall()
 
     def where(table, *conditions):
         """WHERE clause of the conditions and the window's rowid range;
-        none when both are missing, so a bare COUNT(*) stays cheap."""
+        none when both are missing (only the staged scan's row count)."""
         if window is not None:
-            after, upto = window[table]
-            conditions += (f"rowid > {int(after)} AND rowid <= {int(upto)}",)
+            low, high = window[table]
+            conditions += (f"rowid BETWEEN {int(low)} AND {int(high)}",)
         return f" WHERE {' AND '.join(conditions)}" if conditions else ""
 
     for table in TABLES:
@@ -185,11 +178,15 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport,
         )
     ]
 
-    # every non-empty foreign key must resolve; grouped per missing id, in
-    # the order of the first row referencing it
+    # every non-empty foreign key must resolve, against staged union store
+    # or against the store's rows up to the window's top, those present
+    # when the check started; grouped per missing id, in the order of the
+    # first row referencing it
     integrity = []
     for (table, column), ref_table in sorted(FOREIGN_KEYS.items()):
-        known = [scan.format(ref_table)] + ([f"main.{ref_table}"] if staged else [])
+        known = ([f"temp.staged_{ref_table}", f"main.{ref_table}"] if window is None
+                 else [f"(SELECT id FROM main.{ref_table} "
+                       f"WHERE rowid <= {int(window[ref_table][1])})"])
         unresolved = " AND ".join(
             f"NOT EXISTS (SELECT 1 FROM {src} r WHERE r.id = s.{column})"
             for src in known
@@ -222,9 +219,7 @@ def _store_checks(store: HubStore, staged: bool, report: QualityReport,
         )
     ]
 
-    for check, found in zip(STORE_CHECKS, (unique, not_null, integrity, timestamps)):
-        report.check_status[check] = not found
-        report.violations.extend(found)
+    return unique, not_null, integrity, timestamps
 
 
 def _graph_rows(target):
@@ -272,11 +267,12 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
                  store's latest ``HubStore.stage``, validated without
                  restaging (StoreError if stale): references resolve
                  against the union of the batch and the store.
-    transform -- target is a HubStore; the four checks rerun store-wide,
-                 read-only. With ``since_clean`` (an ingest's check) only
-                 the rows above the clean-row watermark are checked, the
-                 same violations a full scan finds, and a clean report
-                 moves the watermark to the store's last row.
+    transform -- target is a HubStore; the four checks rerun read-only
+                 over the rows present when the check starts. With
+                 ``since_clean`` (an ingest's check) only the rows above
+                 the clean-row watermark (every rowid where a table has
+                 none) are checked, the same violations the full audit
+                 finds, and a clean report moves the watermark up to them.
     graph     -- target is a graph's (nodes, edges) rows as a pair (its
                  ``rows()``), or a directory with nodes.csv and edges.csv
                  (OSError if either is missing; ImportError_ naming the
@@ -288,41 +284,41 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
         raise ValueError(f"unknown checkpoint: {checkpoint}")
     report = QualityReport(checkpoint=checkpoint)
 
-    if checkpoint == "staging":
+    if checkpoint == "graph":
+        nodes, edges = _graph_rows(target)
+        report.scanned["nodes.csv"] = len(nodes)
+        report.scanned["edges.csv"] = len(edges)
+        node_ids = [row[0] for row in nodes]
+        found = zip(GRAPH_CHECKS, (
+            check_graph_node_uniqueness(node_ids),
+            check_graph_edge_endpoints(node_ids, (row[:2] for row in edges)),
+        ))
+    elif checkpoint == "staging":
         if not isinstance(target, (Batch, StagedBatch)):
             raise TypeError("staging checkpoint expects a Batch or StagedBatch")
         if not isinstance(store, HubStore):
             raise TypeError("staging checkpoint needs the destination HubStore")
         store.staged(target)
-        _store_checks(store, True, report)
-        return report
-    if checkpoint == "transform":
+        found = zip(STORE_CHECKS, _store_checks(store, report))
+    else:
         if not isinstance(target, HubStore):
             raise TypeError("transform checkpoint expects a HubStore")
-        if not since_clean:
-            _store_checks(target, False, report)
-            return report
-        clean = target.clean_watermark()
-        upto = target.max_rowids()
-        _store_checks(target, False, report,
-                      {table: (clean[table][0], upto[table]) for table in TABLES})
-        if report.passed:
-            target.set_clean_watermark({
-                table: (upto[table], clean[table][1] + report.scanned[table])
-                for table in TABLES
-            })
-        return report
+        marks = (target.clean_watermark() if since_clean
+                 else dict.fromkeys(TABLES, (0, 0)))
+        high = target.max_rowids()  # rows committed later are not checked
+        # (first rowid to check, rows passed below it); no watermark (rowid
+        # 0) starts at SQLite's smallest rowid, so no legacy row is skipped
+        start = {table: (rowid + 1, count) if rowid else (SMALLEST_ROWID, 0)
+                 for table, (rowid, count) in marks.items()}
+        found = zip(STORE_CHECKS, _store_checks(target, report, {
+            table: (start[table][0], high[table]) for table in TABLES}))
 
-    nodes, edges = _graph_rows(target)
-    report.scanned["nodes.csv"] = len(nodes)
-    report.scanned["edges.csv"] = len(edges)
-    node_ids = [row[0] for row in nodes]
-    node_violations = check_graph_node_uniqueness(node_ids)
-    edge_violations = check_graph_edge_endpoints(
-        node_ids, (row[:2] for row in edges))
-    report.check_status["graph_node_uniqueness"] = not node_violations
-    report.check_status["graph_edge_endpoints"] = not edge_violations
-    report.violations.extend(node_violations)
-    report.violations.extend(edge_violations)
+    for check, violations in found:
+        report.check_status[check] = not violations
+        report.violations.extend(violations)
+    if checkpoint == "transform" and since_clean and report.passed:
+        target.set_clean_watermark({
+            table: (high[table], start[table][1] + report.scanned[table])
+            for table in TABLES
+        })
     return report
-

@@ -499,13 +499,11 @@ class HubStore:
         return watermark
 
     def max_rowids(self) -> dict:
-        """{table: its greatest rowid, 0 when empty}."""
-        return {
-            table: self._conn.execute(
-                f"SELECT coalesce(MAX(rowid), 0) FROM main.{table}"
-            ).fetchone()[0]
-            for table in TABLES
-        }
+        """{table: its greatest rowid, 0 when empty}, read by one
+        statement, so a batch committed meanwhile is in all tops or none."""
+        return dict(zip(TABLES, self._conn.execute("SELECT " + ", ".join(
+            f"(SELECT coalesce(MAX(rowid), 0) FROM main.{table})"
+            for table in TABLES)).fetchone()))
 
     def set_clean_watermark(self, watermark: dict) -> None:
         """Record {table: (rowid, row count)} as ``clean_watermark``."""

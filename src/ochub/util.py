@@ -1,4 +1,5 @@
-"""Timestamp handling, the CSV reader and small shared helpers.
+"""Timestamp handling, the CSV reader, file replacement, the shared
+failure types and small helpers.
 
 All timestamps inside the hub are stored as RFC 3339 UTC text with
 millisecond precision ("2024-01-02T03:04:05.678Z"). The fixed-width format
@@ -6,13 +7,17 @@ makes lexicographic order equal to chronological order, which the ordered
 queries rely on.
 
 Every CSV input (hub CSV, mapped sources, graph directories) is read by
-``read_csv``, with one set of rules and errors (``ImportError_``).
+``read_csv``, with one set of rules and errors (``ImportError_``). Every
+single output file (each CSV, the OCEL 2.0 log, a quality report) is
+written through ``replacing``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib
+import os
 import re
 from datetime import datetime, timezone
 
@@ -32,6 +37,32 @@ class FormatError(Exception):
 
 class ImportError_(FormatError):
     """An input file does not match the expected layout or content."""
+
+
+class QualityFailure(Exception):
+    """A quality checkpoint failed; ``report`` is its QualityReport."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__(report.summary())
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary path beside ``path`` to write, renamed onto
+    ``path`` once the block completes; an exception removes it and leaves
+    whatever ``path`` held before. A temporary file left by a killed run is
+    deleted first, as SQLite would open it rather than start afresh."""
+    temp = f"{os.fspath(path)}.tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(temp)
+    try:
+        yield temp
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
 
 
 def not_utf8(name: str, data: bytes) -> str:

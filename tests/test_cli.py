@@ -371,6 +371,43 @@ class TestIngest:
         with open_store(store_path, create_if_missing=False) as store:
             assert store.batch_clock() == 0
 
+    @pytest.mark.parametrize("kind", ["text", "directory", "missing"])
+    def test_ocel2_input_that_is_no_log_exits_3(self, store_path, tmp_path,
+                                                capsys, kind):
+        """A text file, a directory or a missing path given as an OCEL 2.0
+        log is an import error naming it (exit 3); nothing is appended and
+        no file is made."""
+        log = tmp_path / "log#1.sqlite"
+        if kind == "text":
+            log.write_text("no SQLite here\n")
+        elif kind == "directory":
+            log.mkdir()
+        capsys.readouterr()
+        assert run(["ingest", "--store", str(store_path), "--format", "ocel2",
+                    "--input", str(log)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(log) in err, err
+        assert not (tmp_path / "log").exists()
+        with open_store(store_path, create_if_missing=False) as store:
+            assert store.batch_clock() == 0
+
+    def test_ocel2_log_named_with_uri_characters(self, store_path, batch_dir,
+                                                 tmp_path):
+        """An exported log whose name holds '#' ingests into a new store,
+        its three events included, and no file named by the part before
+        '#' is made."""
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        log = tmp_path / "log#1.sqlite"
+        assert run(["export", "--store", str(store_path), "--format", "ocel2",
+                    "--out", str(log)]) == EXIT_OK
+        copy = tmp_path / "copy.db"
+        assert run(["init", str(copy)]) == EXIT_OK
+        assert run(["ingest", "--store", str(copy), "--format", "ocel2",
+                    "--input", str(log)]) == EXIT_OK
+        assert not (tmp_path / "log").exists()
+        with open_store(copy, create_if_missing=False) as store:
+            assert store.summary_stats().table_counts["events"] == 3
+
     def test_reingest_is_idempotent(self, store_path, batch_dir, capsys):
         assert ingest(store_path, batch_dir) == EXIT_OK
         capsys.readouterr()
@@ -575,6 +612,36 @@ class TestCheck:
         ]) == EXIT_OK
         assert report.exists()
 
+    def test_failed_check_prints_its_summary_once(self, tmp_path, capsys):
+        """A failed checkpoint's summary is printed once, on stdout, and
+        its report is still written."""
+        path = tmp_path / "hub.db"
+        batch = Batch()
+        batch.add("events", id="ev:1", event_type_id="et:missing",
+                  timestamp="2024-01-01T00:00:00.000Z")
+        with open_store(path) as store:
+            store.append_batch(batch)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["check", "--store", str(path), "--checkpoint", "transform",
+                    "--report", str(report)]) == EXIT_QUALITY
+        captured = capsys.readouterr()
+        assert captured.out.count("checkpoint transform: FAILED") == 1
+        assert "et:missing" in captured.out and captured.err == ""
+        assert json.loads(report.read_text())["passed"] is False
+
+    def test_failed_report_write_still_prints_a_passing_summary(
+            self, store_path, tmp_path, capsys):
+        """A passing check prints its summary before writing ``--report``,
+        so a write that fails (exit 3) does not hide the result."""
+        capsys.readouterr()
+        assert run(["check", "--store", str(store_path), "--checkpoint",
+                    "transform", "--report",
+                    str(tmp_path / "no-such-dir" / "r.json")]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "checkpoint transform: PASSED" in captured.out
+        assert "error:" in captured.err
+
     def test_graph_check_on_csv_dir(self, store_path, batch_dir, tmp_path):
         assert ingest(store_path, batch_dir) == EXIT_OK
         out = tmp_path / "graph"
@@ -680,9 +747,10 @@ class TestExport:
             "export", "--store", str(store_path), "--format", "graph-case",
             "--out", str(out),
         ]) == EXIT_QUALITY
-        err = capsys.readouterr().err
-        assert "checkpoint graph: FAILED" in err
-        assert "graph_node_uniqueness: 1 violation(s)" in err
+        captured = capsys.readouterr()
+        assert "checkpoint graph: FAILED" in captured.out
+        assert "graph_node_uniqueness: 1 violation(s)" in captured.out
+        assert captured.err == ""
         assert not (out / "nodes.csv").exists()
 
     def test_graph_exports_call_the_builders(self, store_path, batch_dir,

@@ -10,7 +10,6 @@ from ochub.graph import (
     O2O,
     START,
     CaseGraph,
-    GraphExportError,
     build_case_graph,
     build_overview_graph,
     export_graph_csv,
@@ -20,6 +19,7 @@ from ochub.exporters import write_csv
 from ochub.quality import run_checkpoint
 from ochub.schema import Batch
 from ochub.store import open_store
+from ochub.util import QualityFailure
 from conftest import clean_fixture_batch
 from oracles import brute_case_graph
 from test_acceptance import tiny_log
@@ -477,7 +477,7 @@ class TestGraphCsvExport:
         nodes, edges = graph.rows()
         graph.rows = lambda: (nodes + [nodes[len(graph.event_nodes)]], edges)
         out = tmp_path / "graph"
-        with pytest.raises(GraphExportError) as err:
+        with pytest.raises(QualityFailure) as err:
             export_graph_csv(graph, out)
         assert err.value.report.violations
         assert not (out / "nodes.csv").exists()
@@ -487,5 +487,5 @@ class TestGraphCsvExport:
         graph = build_case_graph(store)
         kind, _, end, _, _ = graph.edges[0]
         graph.edges.append((kind, "e:ghost", end, "obj:i1", None))
-        with pytest.raises(GraphExportError):
+        with pytest.raises(QualityFailure):
             export_graph_csv(graph, tmp_path / "graph")

@@ -134,6 +134,29 @@ class TestImportOcel2:
         with pytest.raises(ImportError_, match="missing OCEL 2.0 tables"):
             import_ocel2(path)
 
+    @pytest.mark.parametrize("name", ["log#1.sqlite", "log?x.sqlite",
+                                      "log%41.sqlite"])
+    def test_path_with_uri_characters(self, tmp_path, name):
+        """A name holding '#', '?' or '%' opens that file, not a file named
+        by the part before it: the same batch as a plain name, and no
+        stray file left beside it."""
+        plain, odd = tmp_path / "plain" / "log.sqlite", tmp_path / "odd" / name
+        for path in (plain, odd):
+            path.parent.mkdir()
+            build_ocel2_sqlite(path, simple_ocel_log())
+        assert import_ocel2(odd).batch.rows == import_ocel2(plain).batch.rows
+        assert sorted(p.name for p in odd.parent.iterdir()) == [name]
+
+    @pytest.mark.parametrize("kind", ["text", "directory"])
+    def test_not_a_log_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "log.sqlite"
+        if kind == "text":
+            path.write_text("no SQLite here\n")
+        else:
+            path.mkdir()
+        with pytest.raises(ImportError_, match=re.escape(str(path))):
+            import_ocel2(path)
+
     def test_bad_timestamp_errors(self, tmp_path):
         log = simple_ocel_log()
         log["event_types"]["ship"]["events"][0] = ("e1", "not a time", {})

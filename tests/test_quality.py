@@ -1,3 +1,6 @@
+import sqlite3
+from pathlib import Path
+
 import pytest
 
 from ochub.quality import (
@@ -114,6 +117,91 @@ class TestRunCheckpoint:
         assert not report.passed
         assert report.check_status["referential_integrity"] is False
 
+    @pytest.mark.parametrize("late, passes", [
+        ("INSERT INTO events (id, event_type_id, timestamp) VALUES "
+         "('ev:late', 'et:missing', '2024-03-02T00:00:00.000Z')", True),
+        ("INSERT INTO event_types (id, description) VALUES "
+         "('et:missing', 'late')", False),
+    ], ids=["dangling-event", "missing-type"])
+    def test_audit_checks_the_rows_present_at_its_start(self, store, late,
+                                                        passes):
+        """Another connection commits a row between two statements of the
+        full audit: an event of a missing type is neither counted nor
+        flagged, and the missing type itself resolves no reference, so the
+        report is the one of the store as the audit found it."""
+        store.append_batch(clean_fixture_batch())
+        if not passes:
+            batch = Batch()
+            batch.add("events", id="ev:early", event_type_id="et:missing",
+                      timestamp="2024-03-02T00:00:00.000Z")
+            store.append_batch(batch)
+        counts = {table: store.row_count(table) for table in TABLES}
+        committed = []
+
+        def before_statement(sql):
+            # after the row counts, before the checks that read the rows
+            if "GROUP BY" in sql and not committed:
+                other = sqlite3.connect(store.path)
+                try:
+                    other.execute(late)
+                    other.commit()
+                finally:
+                    other.close()
+                committed.append(sql)
+
+        store.connection().set_trace_callback(before_statement)
+        try:
+            report = run_checkpoint(store, "transform")
+        finally:
+            store.connection().set_trace_callback(None)
+        assert committed
+        assert report.passed is passes, report.summary()
+        assert report.scanned == counts
+        assert run_checkpoint(store, "transform").passed is not passes
+
+    @pytest.mark.parametrize("since_clean", [False, True],
+                             ids=["audit", "since-clean"])
+    def test_window_tops_come_from_one_state(self, store, since_clean):
+        """Another connection commits a new type with an event of it while
+        the check reads its window's tops: the tops come from one state of
+        the store, so the event is not checked against a type top that
+        leaves its type out, and the clean store passes."""
+        store.append_batch(clean_fixture_batch())
+        assert run_checkpoint(store, "transform", since_clean=True).passed
+        counts = {table: store.row_count(table) for table in TABLES}
+        committed = []
+
+        def before_statement(sql):
+            # the read of the events table's top, which comes after the
+            # event_types top's when each is read by a statement of its own
+            if ("MAX(rowid)" in sql and "FROM main.events)" in sql
+                    and not committed):
+                other = sqlite3.connect(store.path)
+                try:
+                    other.execute("INSERT INTO event_types (id, description) "
+                                  "VALUES ('et:new', 'new')")
+                    other.execute("INSERT INTO events (id, event_type_id, "
+                                  "timestamp) VALUES ('ev:new', 'et:new', "
+                                  "'2024-03-02T00:00:00.000Z')")
+                    other.commit()
+                finally:
+                    other.close()
+                committed.append(sql)
+
+        store.connection().set_trace_callback(before_statement)
+        try:
+            report = run_checkpoint(store, "transform", since_clean=since_clean)
+        finally:
+            store.connection().set_trace_callback(None)
+        assert committed
+        assert report.passed, report.summary()
+        if not since_clean:  # the new type and its event, both or neither
+            grown = dict(counts, events=counts["events"] + 1,
+                         event_types=counts["event_types"] + 1)
+            assert report.scanned in (counts, grown)
+        assert run_checkpoint(store, "transform").passed
+        assert run_checkpoint(store, "transform", since_clean=True).passed
+
     def test_report_serialization(self, store, tmp_path):
         b = Batch()
         b.add("events", id="e1", event_type_id=None, timestamp=None)
@@ -126,6 +214,27 @@ class TestRunCheckpoint:
         assert data["violations"]
         assert "FAILED" in report.summary()
 
+
+    def test_failed_report_write_keeps_the_earlier_report(self, store,
+                                                          tmp_path, monkeypatch):
+        """A report write that fails partway leaves the report written
+        before as it was, and no temporary file."""
+        out = tmp_path / "report.json"
+        run_checkpoint(store, "transform").write_json(out)
+        before = out.read_bytes()
+        write_text = Path.write_text
+
+        def half_then_fail(path, text, **kwargs):
+            write_text(path, text[:len(text) // 2], **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        b = Batch()
+        b.add("events", id="e1", event_type_id=None, timestamp=None)
+        with pytest.raises(OSError, match="disk full"):
+            run_checkpoint(b, "staging", store=store).write_json(out)
+        assert out.read_bytes() == before
+        assert not (tmp_path / "report.json.tmp").exists()
 
 class TestGraphChecks:
     def test_duplicate_node_ids(self):

@@ -11,6 +11,7 @@ from ochub.quality import run_checkpoint
 from ochub.schema import FOREIGN_KEYS, TABLE_COLUMNS, TABLES, TIMESTAMP_COLUMNS, Batch
 from ochub.store import AppendConflictError, StoreError, open_store
 from oracles import brute_append, brute_checkpoint
+from conftest import clean_fixture_batch
 
 TIMESTAMPS = (
     "2024-01-01T10:00:00.000Z",
@@ -317,3 +318,41 @@ def test_incremental_cases_reach_every_outcome():
         if tags == every:
             break
     assert tags == every
+
+
+
+@pytest.mark.parametrize("rowid", [0, -1, -(2 ** 63)])
+@pytest.mark.parametrize("checked_before", [False, True])
+@pytest.mark.parametrize("event_type", ["et:pick", "et:missing"])
+def test_legacy_row_at_or_below_rowid_0(rowid, checked_before, event_type):
+    """A legacy writer's event at rowid 0 or below, in a store never
+    checked clean or one whose watermark it comes under: the incremental
+    report equals the full one, and a clean one records every row."""
+    store = open_store(":memory:")
+    try:
+        store.append_batch(clean_fixture_batch())
+        if checked_before:
+            assert run_checkpoint(store, "transform", since_clean=True).passed
+        row = {"id": "ev:legacy", "event_type_id": event_type,
+               "timestamp": "2024-03-01T07:00:00.000Z", "description": None}
+        cols = TABLE_COLUMNS["events"]
+        with store.connection() as conn:
+            conn.execute(
+                f"INSERT INTO events (rowid, {', '.join(cols)}) "
+                f"VALUES (?, {', '.join('?' for _ in cols)})",
+                (rowid, *(row[col] for col in cols)))
+
+        full = run_checkpoint(store, "transform")
+        incremental = run_checkpoint(store, "transform", since_clean=True)
+        assert full.passed is (event_type == "et:pick")
+        assert as_brute(incremental)[:2] == as_brute(full)[:2]
+        assert incremental.scanned["events"] == store.row_count("events")
+        if not checked_before:
+            assert incremental.scanned == full.scanned
+        if full.passed:
+            assert store.clean_watermark() == {
+                table: (rowid, store.row_count(table))
+                for table, rowid in store.max_rowids().items()
+            }
+    finally:
+        store.close()
