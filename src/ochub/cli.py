@@ -9,23 +9,28 @@ A failed checkpoint (ingest, check or a graph export) raises
 ``util.QualityFailure``, and ``run`` prints its summary once, on stdout,
 and exits 1.
 
-Each command imports only the modules it runs. The importers, exporters and
+Each command imports only the modules it runs: the standard library, ochub's
+own and, for ``--format mapped``, PyYAML. ``argparse`` parses the command
+line and ochub's records are plain classes or named tuples, so no command
+pays for importing ``inspect``. The importers, exporters and
 ``run_checkpoint`` are names of this module imported on first use
 (``__getattr__``), and the commands call them through the module, so a name
 rebound here is the one called; the graph exports import ``ochub.graph``.
+Each output line is flushed as it is written, so stdout and stderr keep
+their order in one log.
 
-Exit codes: 0 success, 1 quality-check failure, 2 usage error, 3 I/O error
-(including an unreadable, corrupt or locked store file, and an input that
-cannot be read, named), 4 append conflict.
+Exit codes: 0 success, 1 quality-check failure, 2 usage error or interrupt,
+3 I/O error (including an unreadable, corrupt or locked store file, and an
+input that cannot be read, named), 4 append conflict.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sqlite3
 import sys
-
-import click
 
 from ochub.store import (
     AppendConflictError,
@@ -53,19 +58,32 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CONFLICT = 4
 
-
-@click.group()
-def cli():
-    """Storage hub for object-centric process-event data."""
+INPUT_FORMATS = ("hubcsv", "ocel2", "mapped")
 
 
-@cli.command("init")
-@click.argument("path")
+class UsageError(Exception):
+    """A command line the CLI cannot run."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **options):  # ``--help`` but no ``-h``; no prefixes
+        super().__init__(add_help=False, allow_abbrev=False, **options)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):  # raised for ``run`` to report, not exited
+        raise UsageError(message)
+
+
+def echo(text="", err=False) -> None:
+    """Print one line on stdout, or stderr with ``err``, and flush it."""
+    print(text, file=sys.stderr if err else sys.stdout, flush=True)
+
+
 def cmd_init(path):
     """Create an empty store at PATH."""
     store = open_store(path, create_if_missing=True)
     store.close()
-    click.echo(f"initialized store at {path}")
+    echo(f"initialized store at {path}")
 
 
 def _load_batch(fmt, input_path, mapping):
@@ -73,26 +91,12 @@ def _load_batch(fmt, input_path, mapping):
         return _this.import_hub_csv(input_path)
     if fmt == "ocel2":
         return _this.import_ocel2(input_path)
-    if fmt == "mapped":
-        if not mapping:
-            raise click.UsageError("--mapping is required for --format mapped")
-        return _this.import_mapped_csv(
-            _this.MappingConfig.from_file(mapping), input_path)
-    raise click.UsageError(f"unknown format: {fmt}")
+    if not mapping:  # --format mapped
+        raise UsageError("--mapping is required for --format mapped")
+    return _this.import_mapped_csv(
+        _this.MappingConfig.from_file(mapping), input_path)
 
 
-@cli.command("ingest")
-@click.option("--store", "store_path", required=True)
-@click.option(
-    "--format", "fmt", required=True,
-    type=click.Choice(["hubcsv", "ocel2", "mapped"]),
-)
-@click.option("--input", "input_path", required=True)
-@click.option("--mapping", default=None, help="mapping config for --format mapped")
-@click.option(
-    "--repair-missing-objects", is_flag=True,
-    help="append placeholder objects for unresolved object references",
-)
 def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
     """Import INPUT, run the staging checkpoint, append, then re-verify."""
     store = open_store(store_path, create_if_missing=False)
@@ -107,46 +111,29 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
             for v in report.violations
         ):
             missing = {v.ref_id for v in report.violations}
-            click.echo(f"repairing {len(missing)} missing object(s)")
+            echo(f"repairing {len(missing)} missing object(s)")
             staged = store.stage_placeholder_objects(missing)
             report = _this.run_checkpoint(staged, "staging", store=store)
         if not report.passed:
             raise QualityFailure(report)
         summary = store.append_batch(staged)
         added = {t: n for t, n in summary.items() if n}
-        click.echo(f"appended: {json.dumps(added) if added else 'nothing new'}")
+        echo(f"appended: {json.dumps(added) if added else 'nothing new'}")
         if imported.skipped:
-            click.echo(f"skipped {len(imported.skipped)} source row(s)")
+            echo(f"skipped {len(imported.skipped)} source row(s)")
         post = _this.run_checkpoint(store, "transform", since_clean=True)
         if not post.passed:
             raise QualityFailure(post)
-        click.echo("checkpoints passed")
+        echo("checkpoints passed")
     finally:
         store.close()
 
 
-@cli.command("check")
-@click.option("--store", "store_path", required=True)
-@click.option(
-    "--checkpoint", required=True,
-    type=click.Choice(["staging", "transform", "graph"]),
-)
-@click.option(
-    "--input", "input_path", default=None,
-    help="batch directory (staging) or graph CSV directory (graph)",
-)
-@click.option(
-    "--format", "fmt", default="hubcsv",
-    type=click.Choice(["hubcsv", "ocel2", "mapped"]),
-    help="input format for the staging checkpoint",
-)
-@click.option("--mapping", default=None)
-@click.option("--report", "report_path", default=None, help="write a JSON report")
 def cmd_check(store_path, checkpoint, input_path, fmt, mapping, report_path):
     """Run a quality checkpoint and report every violation."""
     if checkpoint == "graph":  # reads the graph files alone, not the store
         if not input_path:
-            raise click.UsageError(
+            raise UsageError(
                 "graph checkpoint needs --input (directory with nodes.csv/edges.csv)"
             )
         report = _this.run_checkpoint(input_path, "graph")
@@ -156,23 +143,20 @@ def cmd_check(store_path, checkpoint, input_path, fmt, mapping, report_path):
             if checkpoint == "transform":
                 report = _this.run_checkpoint(store, "transform")
             elif not input_path:
-                raise click.UsageError("staging checkpoint needs --input")
+                raise UsageError("staging checkpoint needs --input")
             else:
                 batch = _load_batch(fmt, input_path, mapping).batch
                 report = _this.run_checkpoint(batch, "staging", store=store)
         finally:
             store.close()
     if report.passed:  # printed before the write, which may fail (exit 3)
-        click.echo(report.summary())
+        echo(report.summary())
     if report_path:
         report.write_json(report_path)
     if not report.passed:
         raise QualityFailure(report)
 
 
-@cli.command("stats")
-@click.option("--store", "store_path", required=True)
-@click.option("--json", "as_json", is_flag=True)
 def cmd_stats(store_path, as_json):
     """Summarize event, object, relation, and attribute-value counts."""
     store = open_store(store_path, create_if_missing=False)
@@ -181,33 +165,23 @@ def cmd_stats(store_path, as_json):
     finally:
         store.close()
     if as_json:
-        click.echo(json.dumps(report.to_dict(), indent=2))
+        echo(json.dumps(report.to_dict(), indent=2))
         return
     counts = report.table_counts
-    click.echo(f"events: {counts['events']}")
+    echo(f"events: {counts['events']}")
     for type_id, n in report.events_per_type.items():
-        click.echo(f"  {type_id}: {n}")
-    click.echo(f"objects: {counts['objects']}")
+        echo(f"  {type_id}: {n}")
+    echo(f"objects: {counts['objects']}")
     for type_id, n in report.objects_per_type.items():
-        click.echo(f"  {type_id}: {n}")
-    click.echo(f"event-to-object: {counts['event_to_object']}")
-    click.echo(f"object-to-object: {counts['object_to_object']}")
-    click.echo(
-        "event-to-object-attribute-value: "
-        f"{counts['event_to_object_attribute_value']}"
-    )
-    click.echo(f"event attribute values: {counts['event_attribute_values']}")
-    click.echo(f"object attribute values: {counts['object_attribute_values']}")
+        echo(f"  {type_id}: {n}")
+    echo(f"event-to-object: {counts['event_to_object']}")
+    echo(f"object-to-object: {counts['object_to_object']}")
+    echo("event-to-object-attribute-value: "
+         f"{counts['event_to_object_attribute_value']}")
+    echo(f"event attribute values: {counts['event_attribute_values']}")
+    echo(f"object attribute values: {counts['object_attribute_values']}")
 
 
-@cli.command("export")
-@click.option("--store", "store_path", required=True)
-@click.option(
-    "--format", "fmt", required=True,
-    type=click.Choice(["ocel2", "docel", "flat", "graph-case", "graph-overview"]),
-)
-@click.option("--out", required=True)
-@click.option("--case-type", default=None, help="case object type for --format flat")
 def cmd_export(store_path, fmt, out, case_type):
     """Extract the store in an external format."""
     store = open_store(store_path, create_if_missing=False)
@@ -218,7 +192,7 @@ def cmd_export(store_path, fmt, out, case_type):
             summary = _this.export_docel(store, out)
         elif fmt == "flat":
             if not case_type:
-                raise click.UsageError("--case-type is required for --format flat")
+                raise UsageError("--case-type is required for --format flat")
             summary = _this.export_flat_csv(store, case_type, out)
         else:
             from ochub import graph as graph_mod
@@ -229,35 +203,81 @@ def cmd_export(store_path, fmt, out, case_type):
             summary = graph_mod.export_graph_csv(graph, out)
     finally:
         store.close()
-    click.echo(f"wrote {summary.path}: {json.dumps(summary.counts)}")
+    echo(f"wrote {summary.path}: {json.dumps(summary.counts)}")
     for note in summary.notes:
-        click.echo(f"note: {note}")
+        echo(f"note: {note}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command line: each command's options, choices and defaults."""
+    top = _Parser(prog="ochub",
+                  description="Storage hub for object-centric process-event data.")
+    commands = top.add_subparsers(title="commands", metavar="COMMAND",
+                                  required=True)
+
+    def command(name, function):
+        """The ``add_argument`` of command ``name``, which runs ``function``;
+        every command but init has a required ``--store``."""
+        sub = commands.add_parser(name, help=function.__doc__,
+                                  description=function.__doc__)
+        sub.set_defaults(command=function)
+        if name != "init":
+            sub.add_argument("--store", dest="store_path", required=True)
+        return sub.add_argument
+
+    option = command("init", cmd_init)
+    option("path", metavar="PATH")
+    option = command("ingest", cmd_ingest)
+    option("--format", dest="fmt", required=True, choices=INPUT_FORMATS)
+    option("--input", dest="input_path", required=True)
+    option("--mapping", help="mapping config for --format mapped")
+    option("--repair-missing-objects", action="store_true",
+           help="append placeholder objects for unresolved object references")
+    option = command("check", cmd_check)
+    option("--checkpoint", required=True,
+           choices=("staging", "transform", "graph"))
+    option("--input", dest="input_path",
+           help="batch directory (staging) or graph CSV directory (graph)")
+    option("--format", dest="fmt", default="hubcsv", choices=INPUT_FORMATS,
+           help="input format for the staging checkpoint")
+    option("--mapping")
+    option("--report", dest="report_path", help="write a JSON report")
+    option = command("stats", cmd_stats)
+    option("--json", dest="as_json", action="store_true")
+    option = command("export", cmd_export)
+    option("--format", dest="fmt", required=True,
+           choices=("ocel2", "docel", "flat", "graph-case", "graph-overview"))
+    option("--out", required=True)
+    option("--case-type", help="case object type for --format flat")
+    return top
 
 
 def run(argv) -> int:
-    """Invoke the CLI programmatically; returns the exit code."""
+    """Invoke the CLI programmatically; returns the exit code. An item of
+    ``argv`` may be any path-like object."""
     try:
-        cli.main(args=list(argv), prog_name="ochub", standalone_mode=False)
+        args = vars(_parser().parse_args(list(map(os.fspath, argv))))
+        args.pop("command")(**args)
         return EXIT_OK
+    except SystemExit as exc:  # --help, once its text is printed
+        return exc.code
     except QualityFailure as exc:  # its message is the report's summary
-        click.echo(str(exc))
+        echo(str(exc))
         return EXIT_QUALITY
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+    except UsageError as exc:
+        echo(f"usage error: {exc}", err=True)
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
+        echo(err=True)  # ends the line the interrupt left on a terminal
         return EXIT_USAGE
     except AppendConflictError as exc:
-        click.echo(f"append conflict: {exc}", err=True)
+        echo(f"append conflict: {exc}", err=True)
         return EXIT_CONFLICT
     except StoreNotFoundError as exc:
-        click.echo(str(exc), err=True)
+        echo(str(exc), err=True)
         return EXIT_IO
     except (StoreError, FormatError, OSError, sqlite3.Error) as exc:
-        click.echo(f"error: {exc}", err=True)
+        echo(f"error: {exc}", err=True)
         return EXIT_IO
 
 

@@ -8,7 +8,6 @@ on first use of its name, so a caller of ``write_csv`` loads none of them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 from ochub.util import FormatError, dedupe_name, lazy_names, replacing
 
@@ -17,11 +16,11 @@ class ExportError(FormatError):
     """Output cannot be produced (bad target, name collision, ...)."""
 
 
-@dataclass
 class ExportSummary:
-    path: str
-    counts: dict = field(default_factory=dict)  # table/file -> rows written
-    notes: list = field(default_factory=list)
+    def __init__(self, path: str):
+        self.path = path
+        self.counts = {}  # table/file -> rows written
+        self.notes = []
 
 
 def attribute_cells(kind: str, outer: str, count: int, match: str = "IS") -> str:

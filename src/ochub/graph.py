@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -78,14 +77,13 @@ def _edge_row(kind, start, end, object_id, qualifier, frequency=1) -> tuple:
             qualifier or "", frequency)
 
 
-@dataclass
 class OverviewGraph:
     """The overview graph: ``nodes`` holds (id, kind, detail, frequency)
     tuples and ``edges`` (kind, start, end, qualifier, frequency) tuples,
     both in file order."""
 
-    nodes: list
-    edges: list
+    def __init__(self, nodes: list, edges: list):
+        self.nodes, self.edges = nodes, edges
 
     def rows(self):
         """(nodes.csv rows, edges.csv rows) in the order the lists hold them."""
@@ -101,7 +99,6 @@ class OverviewGraph:
         return nodes, edges
 
 
-@dataclass
 class CaseGraph:
     """The case graph as plain tuples: ``event_nodes`` maps an event node
     id to (event id, event type id, timestamp), ``snapshot_nodes`` a
@@ -110,9 +107,9 @@ class CaseGraph:
     (kind, start, end, object id or None, qualifier or None) tuples, the
     object id set for the directly-follows kinds and the qualifier for O2O."""
 
-    event_nodes: dict
-    snapshot_nodes: dict
-    edges: list
+    def __init__(self, event_nodes: dict, snapshot_nodes: dict, edges: list):
+        self.event_nodes, self.snapshot_nodes = event_nodes, snapshot_nodes
+        self.edges = edges
 
     def rows(self):
         """(nodes.csv rows, edges.csv rows), each sorted once into file

@@ -29,13 +29,11 @@ first use of its name. ``read_csv``, ``not_utf8`` and ``ImportError_`` are
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 from ochub.schema import Batch
 from ochub.util import EPOCH_TS, ImportError_, lazy_names, not_utf8, read_csv
 
 
-@dataclass
 class AppendableBatch:
     """A hub batch and the source rows that produced no hub row.
 
@@ -43,8 +41,9 @@ class AppendableBatch:
     is dropped silently.
     """
 
-    batch: Batch
-    skipped: list = field(default_factory=list)
+    def __init__(self, batch: Batch, skipped=None):
+        self.batch = batch
+        self.skipped = [] if skipped is None else skipped
 
 
 def add_type(batch: Batch, kind: str, name: str, attributes) -> None:

@@ -27,7 +27,6 @@ precomputed into the source CSVs upstream; the config stays declarative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ochub.importers import (
@@ -110,11 +109,15 @@ def _attr_spec(name, raw):
     raise MappingError(f"attribute {name}: expected column name or mapping")
 
 
-@dataclass
 class MappingConfig:
-    event_types: dict = field(default_factory=dict)
-    object_types: dict = field(default_factory=dict)
-    relations: dict = field(default_factory=dict)
+    """A mapping config's event types, object types and relations, as
+    ``from_dict`` checks and completes them; equal configs map alike."""
+
+    def __init__(self):
+        self.event_types, self.object_types, self.relations = {}, {}, {}
+
+    def __eq__(self, other):
+        return isinstance(other, MappingConfig) and vars(self) == vars(other)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MappingConfig":

@@ -45,8 +45,7 @@ one loop; ``cli`` and ``graph.export_graph_csv`` raise a failed report as
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from pathlib import Path
 from typing import Optional
 
@@ -67,22 +66,18 @@ GRAPH_CHECKS = ("graph_node_uniqueness", "graph_edge_endpoints")
 SMALLEST_ROWID = -(2 ** 63)
 
 
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    table: str  # table or file name
-    key: str  # row id / duplicated id / missing id
-    detail: str
-    ref_table: Optional[str] = None  # referenced table, for integrity misses
-    ref_id: Optional[str] = None  # missing referenced id
+# table: table or file name; key: row id, duplicated or missing id; ref_table,
+# ref_id: the referenced table and missing id of an integrity miss, else None
+Violation = namedtuple("Violation", "check table key detail ref_table ref_id",
+                       defaults=(None, None))
 
 
-@dataclass
 class QualityReport:
-    checkpoint: str
-    check_status: dict = field(default_factory=dict)  # check -> bool (passed)
-    violations: list = field(default_factory=list)
-    scanned: dict = field(default_factory=dict)  # table/file -> rows checked
+    def __init__(self, checkpoint: str):
+        self.checkpoint = checkpoint
+        self.check_status = {}  # check -> bool (passed)
+        self.violations = []
+        self.scanned = {}  # table/file -> rows checked
 
     @property
     def passed(self) -> bool:

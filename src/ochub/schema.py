@@ -11,7 +11,6 @@ built by ``Batch.add``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 
 TABLES = (
@@ -112,10 +111,6 @@ DATATYPES = ("string", "integer", "float", "boolean", "timestamp")
 _COLUMN_SETS = {table: frozenset(cols) for table, cols in TABLE_COLUMNS.items()}
 
 
-def _empty_rows() -> dict:
-    return {table: [] for table in TABLES}
-
-
 def _row_id(row) -> str:
     return row[0] or ""
 
@@ -124,7 +119,6 @@ def _row_text(row) -> tuple:
     return tuple(map(str, row))
 
 
-@dataclass
 class Batch:
     """An in-memory set of rows for any subset of the twelve tables.
 
@@ -135,7 +129,8 @@ class Batch:
     caught by the staging checkpoint or by append_batch, not here).
     """
 
-    rows: dict = field(default_factory=_empty_rows)
+    def __init__(self):
+        self.rows = {table: [] for table in TABLES}
 
     def add(self, table: str, **columns) -> tuple:
         """Append one row; missing columns become None."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -99,13 +99,14 @@ class AppendConflictError(StoreError):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class StagedBatch:
     """Handle on the batch ``HubStore.stage`` put in the store's TEMP
     tables: the staged row count per table. It holds none of the batch's
-    rows, so what it checks and appends is what was staged."""
+    rows, so what it checks and appends is what was staged. Two handles
+    are equal only if they are the same."""
 
-    counts: dict
+    def __init__(self, counts: dict):
+        self.counts = counts
 
     def total_rows(self) -> int:
         return sum(self.counts.values())
@@ -126,39 +127,29 @@ def _staged_rows(rows, ts: int):
         yield row
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    """One step in an object's history: an event participation or a
-    standalone attribute update. Updates sharing a timestamp with a related
-    event are merged into the event entries at that timestamp."""
-
-    kind: str  # "event" | "update"
-    timestamp: str
-    event_id: Optional[str] = None
-    event_type_id: Optional[str] = None
-    updated_attribute_ids: tuple = ()
-    value_ids: tuple = ()
+# One step in an object's history: an event participation (kind "event")
+# or a standalone attribute update ("update"). Updates sharing a timestamp
+# with a related event are merged into the event entries at that timestamp.
+TimelineEntry = namedtuple("TimelineEntry", "kind timestamp event_id event_type_id "
+                           "updated_attribute_ids value_ids",
+                           defaults=(None, None, (), ()))
 
 
-@dataclass
-class StatsReport:
-    """Row counts broken down the way analysts ask for them; each breakdown
+class StatsReport(namedtuple("StatsReport", (
+        "table_counts", "events_per_type", "objects_per_type",
+        "e2o_per_qualifier", "o2o_per_qualifier", "e2oav_per_qualifier",
+        "e2o_per_type_pair", "event_values_per_attribute",
+        "object_values_per_attribute"))):
+    """Row counts broken down the way analysts ask for them, each a dict
     in key order as SQL gives it. A NULL key counts as "" (first), as the
     overview graph shows it, so it is not the type named ``None``; only the
     type pairs keep NULL."""
 
-    table_counts: dict = field(default_factory=dict)
-    events_per_type: dict = field(default_factory=dict)
-    objects_per_type: dict = field(default_factory=dict)
-    e2o_per_qualifier: dict = field(default_factory=dict)
-    o2o_per_qualifier: dict = field(default_factory=dict)
-    e2oav_per_qualifier: dict = field(default_factory=dict)
-    e2o_per_type_pair: dict = field(default_factory=dict)
-    event_values_per_attribute: dict = field(default_factory=dict)
-    object_values_per_attribute: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        """The fields in order, each a copy; the type pairs as a list."""
+        out = {name: dict(value) for name, value in zip(self._fields, self)}
         out["e2o_per_type_pair"] = [
             {"event_type_id": et, "object_type_id": ot, "count": n}
             for (et, ot), n in self.e2o_per_type_pair.items()
@@ -615,14 +606,14 @@ class HubStore:
         return value
 
     def summary_stats(self) -> StatsReport:
-        report = StatsReport()
-        for table in TABLES:
-            report.table_counts[table] = self.row_count(table)
-        for attr, (table, column) in _PER_VALUE_STATS.items():
-            getattr(report, attr).update(self._conn.execute(
+        counts = {table: self.row_count(table) for table in TABLES}
+        per_value = {
+            attr: dict(self._conn.execute(
                 f"SELECT coalesce({column}, ''), COUNT(*) FROM {table} "
                 "GROUP BY 1 ORDER BY 1"
-            ).fetchall())
+            ))
+            for attr, (table, column) in _PER_VALUE_STATS.items()
+        }
         pair_sql = (
             "SELECT e.event_type_id AS et, o.object_type_id AS ot, COUNT(*) AS n "
             "FROM event_to_object r "
@@ -630,11 +621,10 @@ class HubStore:
             "JOIN objects o ON o.id = r.object_id "
             "GROUP BY 1, 2 ORDER BY 1, 2"
         )
-        report.e2o_per_type_pair = {
-            (row["et"], row["ot"]): row["n"]
-            for row in self._conn.execute(pair_sql)
-        }
-        return report
+        return StatsReport(
+            counts, e2o_per_type_pair={(row["et"], row["ot"]): row["n"]
+                                       for row in self._conn.execute(pair_sql)},
+            **per_value)
 
     # -- misc -------------------------------------------------------------
 

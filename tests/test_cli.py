@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -85,6 +86,55 @@ GRAPH_ABSENT = ["ochub.exporters.ocel2", "ochub.exporters.docel",
                 "ochub.exporters.flatcsv", "yaml"]
 
 
+def export_args(fmt, *extra):
+    return ["export", "--store", "{store}", "--format", fmt, *extra]
+
+
+# command line -> modules it must leave unimported beside click, dataclasses
+# and inspect; {store} holds the clean fixture, {empty} is an empty store and
+# {tmp} holds the inputs: batch/ (the fixture as hub CSV), log.sqlite,
+# mapped/ with mapping.yml, and an empty graph in case/
+IMPORT_GUARD = {
+    "init": (["init", "{tmp}/new.db"], []),
+    **{f"ingest-{fmt}": (["ingest", "--store", "{empty}", "--format", fmt,
+                          "--input", source, *extra], [])
+       for fmt, source, *extra in (
+           ("hubcsv", "{tmp}/batch"), ("ocel2", "{tmp}/log.sqlite"),
+           ("mapped", "{tmp}/mapped", "--mapping", "{tmp}/mapping.yml"))},
+    "check-staging": (["check", "--store", "{store}", "--checkpoint", "staging",
+                       "--input", "{tmp}/batch"], []),
+    "check-transform": (["check", "--store", "{store}", "--checkpoint",
+                         "transform"], []),
+    "stats": (["stats", "--store", "{store}"],
+              ["ochub.importers", "ochub.exporters", "ochub.quality",
+               "ochub.graph"]),
+    "export-ocel2": (export_args("ocel2", "--out", "{tmp}/log.out.sqlite"), []),
+    "export-docel": (export_args("docel", "--out", "{tmp}/docel"), []),
+    "export-flat": (export_args("flat", "--case-type", "ot:item", "--out",
+                                "{tmp}/flat.csv"), []),
+    "graph-case": (export_args("graph-case", "--out", "{tmp}/case-out"),
+                   ["ochub.importers", *GRAPH_ABSENT]),
+    "graph-overview": (export_args("graph-overview", "--out", "{tmp}/overview"),
+                       ["ochub.importers", *GRAPH_ABSENT]),
+    "check-graph": (["check", "--store", "{store}", "--checkpoint", "graph",
+                     "--input", "{tmp}/case"],
+                    ["ochub.importers", "ochub.graph", *GRAPH_ABSENT]),
+}
+
+# command line ({store} a store) -> exit code
+USAGE = {
+    "no-arguments": ([], EXIT_USAGE),
+    "help": (["--help"], EXIT_OK),
+    "command-help": (["ingest", "--help"], EXIT_OK),
+    "option-prefix": (["ingest", "--stor", "{store}", "--format", "hubcsv",
+                       "--input", "x"], EXIT_USAGE),
+    "extra-argument": (["stats", "--store", "{store}", "extra"], EXIT_USAGE),
+    "choice-case": (["ingest", "--store", "{store}", "--format", "HUBCSV",
+                     "--input", "x"], EXIT_USAGE),
+    "option-equals": (["stats", "--store={store}"], EXIT_OK),
+}
+
+
 class TestBasics:
     def test_init_and_stats(self, store_path):
         assert run(["stats", "--store", str(store_path)]) == EXIT_OK
@@ -164,22 +214,22 @@ class TestBasics:
         ).stdout
         assert loaded.strip() == "[]"
 
-    @pytest.mark.parametrize("command, absent", [
-        (["stats"], ["ochub.importers", "ochub.exporters", "ochub.quality",
-                     "ochub.graph"]),
-        (["export", "--format", "graph-case", "--out", "{tmp}/case"],
-         ["ochub.importers", *GRAPH_ABSENT]),
-        (["export", "--format", "graph-overview", "--out", "{tmp}/overview"],
-         ["ochub.importers", *GRAPH_ABSENT]),
-        (["check", "--checkpoint", "graph", "--input", "{tmp}/case"],
-         ["ochub.importers", "ochub.graph", *GRAPH_ABSENT]),
-    ], ids=["stats", "graph-case", "graph-overview", "check-graph"])
+    @pytest.mark.parametrize("command, absent", IMPORT_GUARD.values(),
+                             ids=IMPORT_GUARD)
     def test_each_command_imports_what_it_runs(self, tmp_path, command, absent):
         """A command run in a fresh process leaves the modules it does not
-        run unimported."""
+        run unimported, and none loads click, dataclasses or inspect."""
+        import yaml
+
         store = tmp_path / "hub.db"
         with open_store(store) as hub:
             hub.append_batch(clean_fixture_batch())
+            export_hub_csv(hub, tmp_path / "batch")
+        open_store(tmp_path / "empty.db").close()
+        build_ocel2_sqlite(tmp_path / "log.sqlite", simple_ocel_log())
+        (tmp_path / "mapped").mkdir()
+        shop_sources(tmp_path / "mapped")
+        (tmp_path / "mapping.yml").write_text(yaml.safe_dump(shop_mapping()))
         (tmp_path / "case").mkdir()
         for name, header in (("nodes.csv", "id:ID"), ("edges.csv", ":START_ID,:END_ID")):
             (tmp_path / "case" / name).write_text(header + "\n")
@@ -188,13 +238,14 @@ class TestBasics:
             [sys.executable, "-c",
              "import sys\nfrom ochub.cli import run\ncode = run(sys.argv[1:])\n"
              "print(*sorted(sys.modules))\nsys.exit(code)",
-             *[arg.format(tmp=tmp_path) for arg in command], "--store", str(store)],
+             *[arg.format(tmp=tmp_path, store=store, empty=tmp_path / "empty.db")
+               for arg in command]],
             env=env, capture_output=True, text=True,
         )
         assert probe.returncode == EXIT_OK, probe.stdout + probe.stderr
         loaded = set(probe.stdout.splitlines()[-1].split())
         assert "ochub.cli" in loaded
-        assert not loaded & set(absent)
+        assert not loaded & {"click", "dataclasses", "inspect", *absent}
 
     def test_lazy_names_resolve(self):
         """Each public name imported on first use resolves, from the
@@ -238,6 +289,42 @@ class TestBasics:
             "ingest", "--store", str(store_path), "--format", "mapped",
             "--input", "x",
         ]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, code", USAGE.values(), ids=USAGE)
+    def test_usage(self, store_path, capsys, argv, code):
+        """Help is printed on stdout and exits 0; a usage error says so on
+        stderr and exits 2, an option prefix and a choice in another case
+        among them."""
+        capsys.readouterr()
+        assert run([arg.format(store=store_path) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_USAGE:
+            assert out == "" and err.startswith("usage error: "), err
+        elif "--help" in argv:
+            assert out.lower().startswith("usage: ") and err == ""
+
+    def test_path_item_in_argv(self, store_path):
+        assert run(["stats", "--store", store_path]) == EXIT_OK
+
+    def test_interrupt_exits_2(self, store_path, capsys, monkeypatch):
+        """An interrupted command exits 2 with no traceback."""
+        def interrupted(store):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(HubStore, "summary_stats", interrupted)
+        capsys.readouterr()
+        assert run(["stats", "--store", str(store_path)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_closed_stdout_is_io_error(self, store_path, capsys, monkeypatch):
+        """Output to a reader that went away is an I/O error (exit 3)."""
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert run(["stats", "--store", str(store_path)]) == EXIT_IO
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 # input that cannot be read, and the message its ingest exits 3 with

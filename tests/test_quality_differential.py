@@ -3,7 +3,6 @@ oracles in oracles.py, on seeded random hostile batches and stores."""
 
 import json
 import random
-from dataclasses import astuple
 
 import pytest
 
@@ -91,7 +90,7 @@ def hostile_store(rng):
 
 def as_brute(report):
     return (
-        [astuple(v) for v in report.violations],
+        [tuple(v) for v in report.violations],
         report.check_status,
         report.scanned,
     )
