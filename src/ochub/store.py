@@ -473,7 +473,9 @@ class HubStore:
         store never checked clean by an ingest) or when the count of rows
         at or below the rowid disagrees, as it would if the rowids were
         renumbered (``VACUUM`` may do that to tables without an
-        ``INTEGER PRIMARY KEY``).
+        ``INTEGER PRIMARY KEY``). That count is the table's count less
+        the rows above the rowid: SQLite counts a whole table without
+        reading its rows, so the guard reads only the rows added since.
         """
         row = self._conn.execute(
             "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)
@@ -483,7 +485,8 @@ class HubStore:
         for table in TABLES:
             rowid, count = marks.get(table, (0, 0))
             if rowid and self._conn.execute(
-                f"SELECT COUNT(*) FROM main.{table} WHERE rowid <= ?", (rowid,)
+                f"SELECT (SELECT COUNT(*) FROM main.{table}) - (SELECT COUNT(*) "
+                f"FROM main.{table} WHERE rowid > ?)", (rowid,)
             ).fetchone()[0] != count:
                 rowid, count = 0, 0
             watermark[table] = (int(rowid), int(count))
