@@ -74,6 +74,7 @@ __getattr__ = lazy_names(__name__, {
     "export_ocel2": "ochub.exporters.ocel2",
     "export_docel": "ochub.exporters.docel",
     "export_flat_csv": "ochub.exporters.flatcsv",
+    "export_hub_csv": "ochub.exporters.hubcsv",
 })
 
 __all__ = [
@@ -83,4 +84,5 @@ __all__ = [
     "export_ocel2",
     "export_docel",
     "export_flat_csv",
+    "export_hub_csv",
 ]

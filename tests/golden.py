@@ -53,7 +53,7 @@ if __name__ == "__main__":  # run as a script: the ochub of this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ochub.cli import EXIT_USAGE, run
-from ochub.importers.hubcsv import export_hub_csv
+from ochub.exporters import export_hub_csv
 from ochub.schema import Batch
 from ochub.store import open_store
 from conftest import clean_fixture_batch

@@ -21,7 +21,7 @@ from ochub.cli import (
     EXIT_USAGE,
     run,
 )
-from ochub.importers.hubcsv import export_hub_csv
+from ochub.exporters import export_hub_csv
 from ochub.schema import Batch, TABLES
 from ochub.store import HubStore, open_store
 from conftest import build_ocel2_sqlite, clean_fixture_batch, rows_of
@@ -97,12 +97,12 @@ def export_args(fmt, *extra):
 IMPORT_GUARD = {
     "init": (["init", "{tmp}/new.db"], []),
     **{f"ingest-{fmt}": (["ingest", "--store", "{empty}", "--format", fmt,
-                          "--input", source, *extra], [])
+                          "--input", source, *extra], ["ochub.exporters"])
        for fmt, source, *extra in (
            ("hubcsv", "{tmp}/batch"), ("ocel2", "{tmp}/log.sqlite"),
            ("mapped", "{tmp}/mapped", "--mapping", "{tmp}/mapping.yml"))},
     "check-staging": (["check", "--store", "{store}", "--checkpoint", "staging",
-                       "--input", "{tmp}/batch"], []),
+                       "--input", "{tmp}/batch"], ["ochub.exporters"]),
     "check-transform": (["check", "--store", "{store}", "--checkpoint",
                          "transform"], []),
     "stats": (["stats", "--store", "{store}"],

@@ -10,7 +10,7 @@ from ochub.importers import (
     add_object, add_object_value, add_qualifiers, add_type, import_hub_csv,
     import_ocel2, object_value_id,
 )
-from ochub.importers.hubcsv import export_hub_csv
+from ochub.exporters import export_hub_csv
 from ochub.importers.mapped import MappingConfig, MappingError, import_mapped_csv
 from ochub.schema import TABLES, Batch
 from ochub.store import open_store
