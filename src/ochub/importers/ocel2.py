@@ -86,7 +86,6 @@ def import_ocel2(file) -> AppendableBatch:
     if not path.is_file():
         raise ImportError_(f"not a file: {path}")
     conn = sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True)
-    conn.row_factory = sqlite3.Row
     try:
         return _import(conn)
     except sqlite3.DatabaseError as exc:
@@ -96,12 +95,8 @@ def import_ocel2(file) -> AppendableBatch:
 
 
 def _import(conn) -> AppendableBatch:
-    present = {
-        row["name"]
-        for row in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table'"
-        )
-    }
+    present = {name for name, in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
     missing = [t for t in REQUIRED_TABLES if t not in present]
     if missing:
         raise ImportError_(f"missing OCEL 2.0 tables: {', '.join(missing)}")
@@ -158,15 +153,15 @@ def _import(conn) -> AppendableBatch:
 
 def _type_maps(conn, map_table: str, present: set, prefix: str) -> dict:
     maps = {}
-    for row in conn.execute(
+    for type_name, map_name in conn.execute(
         f"SELECT ocel_type, ocel_type_map FROM {map_table}"
     ):
-        table = f"{prefix}_{row['ocel_type_map']}"
+        table = f"{prefix}_{map_name}"
         if table not in present:
             raise ImportError_(
                 f"{map_table} references missing table {table}"
             )
-        maps[row["ocel_type"]] = table
+        maps[type_name] = table
     return maps
 
 
@@ -191,19 +186,20 @@ def _per_type_rows(conn, batch: Batch, kind: str, maps: dict):
     ImportError_ naming it and the column."""
     for type_name, table in sorted(maps.items()):
         columns = conn.execute(f"PRAGMA table_info({table})").fetchall()
-        present = {c["name"] for c in columns}
+        present = {name for _, name, *_ in columns}
         missing = {"ocel_id", "ocel_time"} - present
         if missing:
             raise ImportError_(f"{table}: no {min(missing)} column")
         attributes = [
-            (c["name"], _datatype_for(c["type"]))
-            for c in columns
-            if c["name"] not in _RESERVED_COLS[kind]
+            (name, _datatype_for(decl)) for _, name, decl, *_ in columns
+            if name not in _RESERVED_COLS[kind]
         ]
         add_type(batch, kind, type_name, attributes)
         every = [name for name, _ in attributes]
         has_changed = kind == "object" and _CHANGED in present
-        for row in conn.execute(f"SELECT * FROM {table} ORDER BY rowid"):
+        rows = conn.execute(f"SELECT * FROM {table} ORDER BY rowid")
+        header = [column[0] for column in rows.description]
+        for row in (dict(zip(header, values)) for values in rows):
             try:
                 timestamp = normalize_timestamp(row["ocel_time"])
             except TimestampError as exc:
@@ -213,7 +209,7 @@ def _per_type_rows(conn, batch: Batch, kind: str, maps: dict):
             names = every
             if has_changed and not _is_absent(row[_CHANGED]):
                 names = [row[_CHANGED]]
-                if names[0] not in row.keys():
+                if names[0] not in row:
                     raise ImportError_(
                         f"{table}: changed field {names[0]!r} is not a column"
                     )

@@ -157,6 +157,12 @@ class StatsReport(namedtuple("StatsReport", (
         return out
 
 
+def _dicts(cursor) -> Iterator[dict]:
+    """The cursor's rows as dicts keyed by column name."""
+    names = [column[0] for column in cursor.description]
+    return (dict(zip(names, row)) for row in cursor)
+
+
 def _db_path(path: str) -> str:
     if os.path.isdir(path):
         return os.path.join(path, "hub.db")
@@ -179,7 +185,6 @@ def open_store(path: str, create_if_missing: bool = True) -> "HubStore":
         conn = sqlite3.connect(db_file)
     except sqlite3.Error as exc:
         raise StoreError(f"cannot open store at {path}: {exc}") from exc
-    conn.row_factory = sqlite3.Row
     # the quality checkpoint's timestamp test, callable from its SQL
     conn.create_function(
         "is_valid_timestamp", 1, is_valid_timestamp, deterministic=True
@@ -237,8 +242,8 @@ def _first_row(conn: sqlite3.Connection, db_file: str, sql: str):
 def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
     row = _first_row(
         conn, db_file, "SELECT value FROM hub_meta WHERE key = 'layout_version'")
-    if row is None or row["value"] != LAYOUT_VERSION:
-        found = None if row is None else row["value"]
+    if row is None or row[0] != LAYOUT_VERSION:
+        found = None if row is None else row[0]
         raise StoreLayoutError(
             f"unrecognized layout version {found!r} in {db_file}"
         )
@@ -277,16 +282,12 @@ class HubStore:
     def table_rows(self, table: str) -> Iterator[dict]:
         """All rows of a table as dicts, ordered by id."""
         self._require_table(table)
-        cursor = self._conn.execute(f"SELECT * FROM {table} ORDER BY id")
-        for row in cursor:
-            yield dict(row)
+        yield from _dicts(self._conn.execute(f"SELECT * FROM {table} ORDER BY id"))
 
     def get_row(self, table: str, row_id: str) -> Optional[dict]:
         self._require_table(table)
-        row = self._conn.execute(
-            f"SELECT * FROM {table} WHERE id = ?", (row_id,)
-        ).fetchone()
-        return dict(row) if row is not None else None
+        return next(_dicts(self._conn.execute(
+            f"SELECT * FROM {table} WHERE id = ?", (row_id,))), None)
 
     def has_id(self, table: str, row_id: str) -> bool:
         self._require_table(table)
@@ -303,14 +304,13 @@ class HubStore:
         inventory = {}
         for table in TABLES:
             cols = self._conn.execute(f"PRAGMA table_info({table})").fetchall()
-            inventory[table] = tuple(c["name"] for c in cols)
+            inventory[table] = tuple(name for _, name, *_ in cols)
         return inventory
 
     def batch_clock(self) -> int:
-        row = self._conn.execute(
+        return int(self._conn.execute(
             "SELECT value FROM hub_meta WHERE key = 'batch_clock'"
-        ).fetchone()
-        return int(row["value"])
+        ).fetchone()[0])
 
     def connection(self) -> sqlite3.Connection:
         """Read-only use by sibling modules (queries, exports)."""
@@ -480,7 +480,7 @@ class HubStore:
         row = self._conn.execute(
             "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)
         ).fetchone()
-        marks = json.loads(row["value"]) if row is not None else {}
+        marks = json.loads(row[0]) if row is not None else {}
         watermark = {}
         for table in TABLES:
             rowid, count = marks.get(table, (0, 0))
@@ -618,15 +618,15 @@ class HubStore:
             for attr, (table, column) in _PER_VALUE_STATS.items()
         }
         pair_sql = (
-            "SELECT e.event_type_id AS et, o.object_type_id AS ot, COUNT(*) AS n "
+            "SELECT e.event_type_id, o.object_type_id, COUNT(*) "
             "FROM event_to_object r "
             "JOIN events e ON e.id = r.event_id "
             "JOIN objects o ON o.id = r.object_id "
             "GROUP BY 1, 2 ORDER BY 1, 2"
         )
         return StatsReport(
-            counts, e2o_per_type_pair={(row["et"], row["ot"]): row["n"]
-                                       for row in self._conn.execute(pair_sql)},
+            counts, e2o_per_type_pair={(et, ot): n for et, ot, n
+                                       in self._conn.execute(pair_sql)},
             **per_value)
 
     # -- misc -------------------------------------------------------------
