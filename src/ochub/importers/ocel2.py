@@ -154,13 +154,10 @@ def _import(conn) -> AppendableBatch:
 def _type_maps(conn, map_table: str, present: set, prefix: str) -> dict:
     maps = {}
     for type_name, map_name in conn.execute(
-        f"SELECT ocel_type, ocel_type_map FROM {map_table}"
-    ):
+            f"SELECT ocel_type, ocel_type_map FROM {map_table}"):
         table = f"{prefix}_{map_name}"
         if table not in present:
-            raise ImportError_(
-                f"{map_table} references missing table {table}"
-            )
+            raise ImportError_(f"{map_table} references missing table {table}")
         maps[type_name] = table
     return maps
 

@@ -240,13 +240,11 @@ def _first_row(conn: sqlite3.Connection, db_file: str, sql: str):
 
 
 def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
-    row = _first_row(
-        conn, db_file, "SELECT value FROM hub_meta WHERE key = 'layout_version'")
-    if row is None or row[0] != LAYOUT_VERSION:
-        found = None if row is None else row[0]
-        raise StoreLayoutError(
-            f"unrecognized layout version {found!r} in {db_file}"
-        )
+    found, = _first_row(
+        conn, db_file, "SELECT value FROM hub_meta WHERE key = 'layout_version'"
+    ) or (None,)
+    if found != LAYOUT_VERSION:
+        raise StoreLayoutError(f"unrecognized layout version {found!r} in {db_file}")
 
 
 class HubStore:
@@ -301,16 +299,12 @@ class HubStore:
 
     def table_inventory(self) -> dict:
         """Physical table/column layout, for schema-immutability checks."""
-        inventory = {}
-        for table in TABLES:
-            cols = self._conn.execute(f"PRAGMA table_info({table})").fetchall()
-            inventory[table] = tuple(name for _, name, *_ in cols)
-        return inventory
+        return {table: tuple(name for _, name, *_ in self._conn.execute(
+            f"PRAGMA table_info({table})")) for table in TABLES}
 
     def batch_clock(self) -> int:
         return int(self._conn.execute(
-            "SELECT value FROM hub_meta WHERE key = 'batch_clock'"
-        ).fetchone()[0])
+            "SELECT value FROM hub_meta WHERE key = 'batch_clock'").fetchone()[0])
 
     def connection(self) -> sqlite3.Connection:
         """Read-only use by sibling modules (queries, exports)."""
@@ -473,17 +467,15 @@ class HubStore:
         store never checked clean by an ingest) or when the count of rows
         at or below the rowid disagrees, as it would if the rowids were
         renumbered (``VACUUM`` may do that to tables without an
-        ``INTEGER PRIMARY KEY``). That count is the table's count less
-        the rows above the rowid: SQLite counts a whole table without
-        reading its rows, so the guard reads only the rows added since.
+        ``INTEGER PRIMARY KEY``).
         """
-        row = self._conn.execute(
-            "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)
-        ).fetchone()
-        marks = json.loads(row[0]) if row is not None else {}
+        marks = json.loads(self._conn.execute(
+            "SELECT coalesce((SELECT value FROM hub_meta WHERE key = ?), '{}')",
+            (CLEAN_KEY,)).fetchone()[0])
         watermark = {}
         for table in TABLES:
             rowid, count = marks.get(table, (0, 0))
+            # at or below = a bare COUNT(*), which decodes no row, less those above
             if rowid and self._conn.execute(
                 f"SELECT (SELECT COUNT(*) FROM main.{table}) - (SELECT COUNT(*) "
                 f"FROM main.{table} WHERE rowid > ?)", (rowid,)
