@@ -19,7 +19,7 @@ QUALIFIERS = ("q:r", "q:s")
 GHOST_QUALIFIER = "q:ghost"  # named by relation rows, not in relation_qualifiers
 
 
-def hostile_store(rng):
+def point_read_store(rng):
     """(store, stored object ids, ghost object ids): a micro-store whose
     rows name ghost objects and a ghost qualifier beside stored ones."""
     store = open_store(":memory:")
@@ -100,7 +100,7 @@ def point_read_outcomes(seed):
     """Compare both point reads with their oracles on one hostile store;
     returns the outcomes the comparison met."""
     rng = random.Random(seed)
-    store, objects, ghosts = hostile_store(rng)
+    store, objects, ghosts = point_read_store(rng)
     outcomes = set()
     try:
         rows = list(store.table_rows("object_to_object"))
