@@ -25,8 +25,8 @@ Each store gives every export (OCEL 2.0, DOCEL, flat CSV, both graphs and
 hub CSV), ``stats``, ``stats --json``, ``check --checkpoint transform
 --report`` and its own schema and rows. The command sequence covers plain
 ingest, re-send, a conflicting send, repair, skipped source lines, and the
-inputs that exit 1, 2 and 3; its last entry lists every file the corpus
-left behind.
+inputs that exit 1, 2 and 3. The entry ``files`` lists every file the
+corpus left behind.
 
 An entry digests the exit code, stdout and stderr of its command and what
 the command wrote: a file's bytes, a directory's files by name, and a
@@ -54,7 +54,7 @@ if __name__ == "__main__":  # run as a script: the ochub of this checkout
 
 from ochub.cli import EXIT_USAGE, run
 from ochub.exporters import export_hub_csv
-from ochub.schema import Batch
+from ochub.schema import TABLE_COLUMNS, Batch
 from ochub.store import open_store
 from conftest import clean_fixture_batch
 from test_acceptance import tiny_log
@@ -135,10 +135,11 @@ relations:
 """
 
 
-def write_text(path, text, mode="w"):
+def write(path, data) -> None:
+    """Write ``data`` (text as UTF-8, or bytes) to ``path``, making its
+    directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, mode, **({} if "b" in mode else {"newline": ""})) as handle:
-        handle.write(text)
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
 
 
 def shop_sources(root, orders=150, seed=26):
@@ -148,15 +149,15 @@ def shop_sources(root, orders=150, seed=26):
     an endpoint, which the import skips."""
     rng = random.Random(seed)
     names = ["Ada", "Zoë", "O'Brien, Pat", 'Kim "KC" Lee', "Émile", "Ng"]
-    write_text(root / "customers.csv", "id,name\n" + "".join(
+    write(root / "customers.csv", "id,name\n" + "".join(
         f'c{i},"{names[i % len(names)].replace(chr(34), chr(34) * 2)} {i}"\n'
         for i in range(40)))
-    write_text(root / "stores.csv", "id,name,opened_at,tax_rate\n"
-               "s1,Main St,2023-12-01T08:00:00Z,0.06\n"
-               's2,"Harbour, Pier 4",2023-12-15 09:30:00+01:00,0.07\n'
-               "s3,Old Mill,2023-12-20T07:00:00.5Z,\n")
+    write(root / "stores.csv", "id,name,opened_at,tax_rate\n"
+          "s1,Main St,2023-12-01T08:00:00Z,0.06\n"
+          's2,"Harbour, Pier 4",2023-12-15 09:30:00+01:00,0.07\n'
+          "s3,Old Mill,2023-12-20T07:00:00.5Z,\n")
     skus = [f"sku-{n}" for n in range(1, 7)]
-    write_text(root / "products.csv", "sku,name,price\n" + "".join(
+    write(root / "products.csv", "sku,name,price\n" + "".join(
         f"{sku},Product {n},{n * 1.25:.2f}\n" for n, sku in enumerate(skus, 1)))
     base = datetime(2024, 1, 1, 8, tzinfo=timezone.utc)
     order_rows, items, status = [], [], []
@@ -177,24 +178,17 @@ def shop_sources(root, orders=150, seed=26):
             if rng.random() < 0.4:
                 later = (at + timedelta(hours=2)).strftime("%Y-%m-%dT%H:%M:%SZ")
                 status.append(f"{order_id},{later},shipped\n")
-    write_text(root / "orders.csv", "id,customer,store,ordered_at,subtotal,"
-               "channel,tip\n" + "".join(order_rows))
-    write_text(root / "items.csv", "order_id,sku\n" + "".join(items))
-    write_text(root / "status.csv", "order_id,at,status\n" + "".join(status))
+    write(root / "orders.csv", "id,customer,store,ordered_at,subtotal,"
+          "channel,tip\n" + "".join(order_rows))
+    write(root / "items.csv", "order_id,sku\n" + "".join(items))
+    write(root / "status.csv", "order_id,at,status\n" + "".join(status))
 
 
 def hub_csv(root, files):
-    """A hub-CSV batch in ``root``: {file name: lines after the header}."""
-    headers = {
-        "event_types": "id,description",
-        "events": "id,event_type_id,timestamp,description",
-        "relation_qualifiers": "id,description,datatype",
-        "event_to_object": "id,event_id,object_id,qualifier_id,qualifier_value",
-        "object_to_object": "id,source_object_id,target_object_id,timestamp,"
-                            "qualifier_id,qualifier_value",
-    }
-    for name, lines in files.items():
-        write_text(root / f"{name}.csv", "\n".join([headers[name], *lines]) + "\n")
+    """A hub-CSV batch in ``root``: {table: its lines after the header}."""
+    for table, lines in files.items():
+        write(root / f"{table}.csv",
+              "\n".join([",".join(TABLE_COLUMNS[table]), *lines]) + "\n")
 
 
 def _digest(text: str, work, outputs=()) -> str:
@@ -264,7 +258,8 @@ def store_outputs(entries, work, name, case_type) -> None:
 
 
 def library_stores(work):
-    """(name, case type) of each store built by library calls, built."""
+    """Build each store that library calls make, and yield its name and
+    the case type of its flat export."""
     for name, batch, case_type in (
         ("clean", clean_fixture_batch(), "ot:item"),
         *((f"nulls-{seed}", _nulls(seed), "ot:x") for seed in NULLS_SEEDS),
@@ -299,7 +294,7 @@ def cli_sequence(entries, work) -> None:
     shop.parent.mkdir()
     src = work / "shop-src"
     shop_sources(src)
-    write_text(work / "shop.yml", SHOP_MAPPING)
+    write(work / "shop.yml", SHOP_MAPPING)
     mapped = ["--format", "mapped", "--mapping", work / "shop.yml", "--input", src]
     late_at = "2024-02-01T12:00:00.000Z"
     late_e2o = [f"e2o:late:{obj},ev:late,obj:{obj},q:late,picked up"
@@ -322,15 +317,15 @@ def cli_sequence(entries, work) -> None:
     hub_csv(work / "twoline", {"events": [
         'ev:a,et:late_pickup,2024-01-01T00:00:00.000Z,"two\nlines"',
         "ev:b,et:late_pickup,nope,"]})
-    write_text(work / "latin1" / "event_types.csv",
-               b"id,description\net:caf\xe9,caf\xe9\n", "wb")
-    write_text(work / "repeated" / "event_types.csv",
-               "id,description,description\net:a,first,second\n")
-    write_text(work / "unknown" / "notes.csv", "id\nx\n")
-    write_text(work / "nospec.yml", "event_types:\n  tick:\n")
-    write_text(work / "log.txt", "no SQLite here\n")
-    write_text(work / "graph-latin1" / "nodes.csv", b"id:ID\nn\xff\n", "wb")
-    write_text(work / "graph-latin1" / "edges.csv", ":START_ID,:END_ID\n")
+    write(work / "latin1" / "event_types.csv",
+          b"id,description\net:caf\xe9,caf\xe9\n")
+    write(work / "repeated" / "event_types.csv",
+          "id,description,description\net:a,first,second\n")
+    write(work / "unknown" / "notes.csv", "id\nx\n")
+    write(work / "nospec.yml", "event_types:\n  tick:\n")
+    write(work / "log.txt", "no SQLite here\n")
+    write(work / "graph-latin1" / "nodes.csv", b"id:ID\nn\xff\n")
+    write(work / "graph-latin1" / "edges.csv", ":START_ID,:END_ID\n")
     collide = Batch()
     collide.add("object_types", id="ot:x", description="x")
     for attr_id in ("oa:x.1", "oa:x.2"):
