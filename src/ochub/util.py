@@ -24,6 +24,10 @@ from datetime import datetime, timezone
 EPOCH_TS = "1970-01-01T00:00:00.000Z"
 
 _CANONICAL_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z\Z")
+# a fraction of a second before the offset or the end: Python 3.10's
+# fromisoformat reads only "." and 3 or 6 digits there, 3.11 and later also
+# "," and any number of digits (cut to 6)
+_FRACTION_RE = re.compile(r"(?<=\d\d)([.,])(\d+)(?=[+-]|\Z)")
 
 
 class TimestampError(ValueError):
@@ -123,6 +127,11 @@ def parse_timestamp(value) -> datetime:
             raise TimestampError("empty timestamp")
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
+        fraction = _FRACTION_RE.search(text)
+        if fraction and (fraction[1] == "," or len(fraction[2]) not in (3, 6)):
+            # six digits, read as the same instant on every Python version
+            text = (f"{text[:fraction.start()]}.{fraction[2][:6]:0<6}"
+                    f"{text[fraction.end():]}")
         try:
             dt = datetime.fromisoformat(text)
         except ValueError as exc:
@@ -156,6 +165,12 @@ def is_valid_timestamp(value) -> bool:
     except TimestampError:
         return False
     return True
+
+
+def row_dicts(cursor):
+    """The rows of a sqlite3 cursor as dicts keyed by column name."""
+    names = [column[0] for column in cursor.description]
+    return (dict(zip(names, row)) for row in cursor)
 
 
 def sanitize_name(name) -> str:

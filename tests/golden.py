@@ -394,9 +394,10 @@ def cli_sequence(entries, work) -> None:
     with contextlib.closing(sqlite3.connect(log)) as source, \
             contextlib.closing(sqlite3.connect(no_time)) as target:
         source.backup(target)
-        table, = target.execute("SELECT 'event_' || ocel_type_map "
-                                "FROM event_map_type ORDER BY 1").fetchone()
-        target.execute(f'ALTER TABLE "{table}" DROP COLUMN ocel_time')
+        # none if the shop's ingest failed: the entries that differ tell
+        for table, in target.execute("SELECT 'event_' || ocel_type_map FROM "
+                                     "event_map_type ORDER BY 1 LIMIT 1"):
+            target.execute(f'ALTER TABLE "{table}" DROP COLUMN ocel_time')
         target.commit()
     ingest("log without ocel_time", no_time, fmt="ocel2", store=replica)
 
