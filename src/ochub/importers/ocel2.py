@@ -30,7 +30,7 @@ from ochub.importers import (
     add_o2o, add_object, add_object_value, add_qualifiers, add_type,
 )
 from ochub.schema import Batch
-from ochub.util import TimestampError, normalize_timestamp
+from ochub.util import TimestampError, normalize_timestamp, row_dicts
 
 REQUIRED_TABLES = (
     "event",
@@ -95,8 +95,12 @@ def import_ocel2(file) -> AppendableBatch:
 
 
 def _import(conn) -> AppendableBatch:
-    present = {name for name, in conn.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    present = {
+        row[0]
+        for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
     missing = [t for t in REQUIRED_TABLES if t not in present]
     if missing:
         raise ImportError_(f"missing OCEL 2.0 tables: {', '.join(missing)}")
@@ -154,10 +158,13 @@ def _import(conn) -> AppendableBatch:
 def _type_maps(conn, map_table: str, present: set, prefix: str) -> dict:
     maps = {}
     for type_name, map_name in conn.execute(
-            f"SELECT ocel_type, ocel_type_map FROM {map_table}"):
+        f"SELECT ocel_type, ocel_type_map FROM {map_table}"
+    ):
         table = f"{prefix}_{map_name}"
         if table not in present:
-            raise ImportError_(f"{map_table} references missing table {table}")
+            raise ImportError_(
+                f"{map_table} references missing table {table}"
+            )
         maps[type_name] = table
     return maps
 
@@ -183,20 +190,20 @@ def _per_type_rows(conn, batch: Batch, kind: str, maps: dict):
     ImportError_ naming it and the column."""
     for type_name, table in sorted(maps.items()):
         columns = conn.execute(f"PRAGMA table_info({table})").fetchall()
-        present = {name for _, name, *_ in columns}
+        present = {c[1] for c in columns}
         missing = {"ocel_id", "ocel_time"} - present
         if missing:
             raise ImportError_(f"{table}: no {min(missing)} column")
         attributes = [
-            (name, _datatype_for(decl)) for _, name, decl, *_ in columns
-            if name not in _RESERVED_COLS[kind]
+            (c[1], _datatype_for(c[2]))
+            for c in columns
+            if c[1] not in _RESERVED_COLS[kind]
         ]
         add_type(batch, kind, type_name, attributes)
         every = [name for name, _ in attributes]
         has_changed = kind == "object" and _CHANGED in present
         rows = conn.execute(f"SELECT * FROM {table} ORDER BY rowid")
-        header = [column[0] for column in rows.description]
-        for row in (dict(zip(header, values)) for values in rows):
+        for row in row_dicts(rows):
             try:
                 timestamp = normalize_timestamp(row["ocel_time"])
             except TimestampError as exc:

@@ -39,6 +39,7 @@ from ochub.util import (
     TimestampError,
     is_valid_timestamp,
     normalize_timestamp,
+    row_dicts,
 )
 
 LAYOUT_VERSION = "1"
@@ -157,12 +158,6 @@ class StatsReport(namedtuple("StatsReport", (
         return out
 
 
-def _dicts(cursor) -> Iterator[dict]:
-    """The cursor's rows as dicts keyed by column name."""
-    names = [column[0] for column in cursor.description]
-    return (dict(zip(names, row)) for row in cursor)
-
-
 def _db_path(path: str) -> str:
     if os.path.isdir(path):
         return os.path.join(path, "hub.db")
@@ -240,11 +235,13 @@ def _first_row(conn: sqlite3.Connection, db_file: str, sql: str):
 
 
 def _check_layout(conn: sqlite3.Connection, db_file: str) -> None:
-    found, = _first_row(
-        conn, db_file, "SELECT value FROM hub_meta WHERE key = 'layout_version'"
-    ) or (None,)
-    if found != LAYOUT_VERSION:
-        raise StoreLayoutError(f"unrecognized layout version {found!r} in {db_file}")
+    row = _first_row(
+        conn, db_file, "SELECT value FROM hub_meta WHERE key = 'layout_version'")
+    if row is None or row[0] != LAYOUT_VERSION:
+        found = None if row is None else row[0]
+        raise StoreLayoutError(
+            f"unrecognized layout version {found!r} in {db_file}"
+        )
 
 
 class HubStore:
@@ -280,12 +277,15 @@ class HubStore:
     def table_rows(self, table: str) -> Iterator[dict]:
         """All rows of a table as dicts, ordered by id."""
         self._require_table(table)
-        yield from _dicts(self._conn.execute(f"SELECT * FROM {table} ORDER BY id"))
+        cursor = self._conn.execute(f"SELECT * FROM {table} ORDER BY id")
+        yield from row_dicts(cursor)
 
     def get_row(self, table: str, row_id: str) -> Optional[dict]:
         self._require_table(table)
-        return next(_dicts(self._conn.execute(
-            f"SELECT * FROM {table} WHERE id = ?", (row_id,))), None)
+        cursor = self._conn.execute(
+            f"SELECT * FROM {table} WHERE id = ?", (row_id,)
+        )
+        return next(row_dicts(cursor), None)
 
     def has_id(self, table: str, row_id: str) -> bool:
         self._require_table(table)
@@ -299,12 +299,17 @@ class HubStore:
 
     def table_inventory(self) -> dict:
         """Physical table/column layout, for schema-immutability checks."""
-        return {table: tuple(name for _, name, *_ in self._conn.execute(
-            f"PRAGMA table_info({table})")) for table in TABLES}
+        inventory = {}
+        for table in TABLES:
+            cols = self._conn.execute(f"PRAGMA table_info({table})").fetchall()
+            inventory[table] = tuple(c[1] for c in cols)
+        return inventory
 
     def batch_clock(self) -> int:
-        return int(self._conn.execute(
-            "SELECT value FROM hub_meta WHERE key = 'batch_clock'").fetchone()[0])
+        row = self._conn.execute(
+            "SELECT value FROM hub_meta WHERE key = 'batch_clock'"
+        ).fetchone()
+        return int(row[0])
 
     def connection(self) -> sqlite3.Connection:
         """Read-only use by sibling modules (queries, exports)."""
@@ -469,9 +474,10 @@ class HubStore:
         renumbered (``VACUUM`` may do that to tables without an
         ``INTEGER PRIMARY KEY``).
         """
-        marks = json.loads(self._conn.execute(
-            "SELECT coalesce((SELECT value FROM hub_meta WHERE key = ?), '{}')",
-            (CLEAN_KEY,)).fetchone()[0])
+        row = self._conn.execute(
+            "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)
+        ).fetchone()
+        marks = json.loads(row[0]) if row is not None else {}
         watermark = {}
         for table in TABLES:
             rowid, count = marks.get(table, (0, 0))
