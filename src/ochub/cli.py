@@ -2,7 +2,15 @@
 
 Commands: init, ingest, check, stats, export. Ingest runs the staging
 checkpoint before appending and the transform checkpoint after, over the
-rows added since the store's last clean check. ``check --checkpoint
+rows added since the store's last clean check. It first takes the digest
+of the bytes its importer reads (``importers.input_digest``). When that
+equals the store's ``last_input``, the digest the latest recording ingest
+read, the input is a re-send: the ingest skips import, stage, staging
+checks and append, prints what they would have printed ("nothing new" and
+the recorded count of skipped source rows) and runs the transform
+checkpoint alone, for rows other writers added. Otherwise the append
+records the digest, in its transaction, if the input read the same after
+the import as before it. ``check --checkpoint
 transform`` is the full, read-only audit of the rows present when it
 starts; ``--report`` replaces the report file, never rewriting it in place.
 A failed checkpoint (ingest, check or a graph export) raises
@@ -31,6 +39,7 @@ import json
 import os
 import sqlite3
 import sys
+from pathlib import Path
 
 from ochub.store import (
     AppendConflictError,
@@ -42,9 +51,12 @@ from ochub.util import FormatError, QualityFailure, lazy_names
 
 __getattr__ = lazy_names(__name__, {
     "MappingConfig": "ochub.importers.mapped",
+    "hub_csv_files": "ochub.importers.hubcsv",
     "import_hub_csv": "ochub.importers.hubcsv",
     "import_mapped_csv": "ochub.importers.mapped",
     "import_ocel2": "ochub.importers.ocel2",
+    "input_digest": "ochub.importers",
+    "log_files": "ochub.importers.ocel2",
     "export_docel": "ochub.exporters.docel",
     "export_flat_csv": "ochub.exporters.flatcsv",
     "export_ocel2": "ochub.exporters.ocel2",
@@ -86,41 +98,69 @@ def cmd_init(path):
     echo(f"initialized store at {path}")
 
 
-def _load_batch(fmt, input_path, mapping):
+def _importer(fmt, input_path, mapping) -> tuple:
+    """(load, files): ``load()`` imports INPUT in ``fmt``, and ``files()``
+    lists the files that import reads as (name, path or bytes) pairs, for
+    ``input_digest``. A mapping is read and parsed here, once, so its
+    digest covers the bytes parsed."""
     if fmt == "hubcsv":
-        return _this.import_hub_csv(input_path)
+        return (lambda: _this.import_hub_csv(input_path),
+                lambda: _this.hub_csv_files(input_path))
     if fmt == "ocel2":
-        return _this.import_ocel2(input_path)
+        return (lambda: _this.import_ocel2(input_path),
+                lambda: _this.log_files(input_path))
     if not mapping:  # --format mapped
         raise UsageError("--mapping is required for --format mapped")
-    return _this.import_mapped_csv(
-        _this.MappingConfig.from_file(mapping), input_path)
+    data = Path(mapping).read_bytes()
+    config = _this.MappingConfig.from_yaml(data, mapping)
+    return (lambda: _this.import_mapped_csv(config, input_path),
+            lambda: [("--mapping", data), *config.source_files(input_path)])
+
+
+def _digest(fmt, files):
+    """The input digest of the files ``files()`` lists, or None if they
+    cannot be listed or read: the import then reports why."""
+    try:
+        return _this.input_digest(fmt, files())
+    except (FormatError, OSError):
+        return None
 
 
 def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
     """Import INPUT, run the staging checkpoint, append, then re-verify."""
     store = open_store(store_path, create_if_missing=False)
     try:
-        imported = _load_batch(fmt, input_path, mapping)
-        # staged once: the staging checkpoint, the repair and the append
-        # all work on the same TEMP tables
-        staged = store.stage(imported.batch)
-        report = _this.run_checkpoint(staged, "staging", store=store)
-        if not report.passed and repair_missing_objects and all(
-            v.check == "referential_integrity" and v.ref_table == "objects"
-            for v in report.violations
-        ):
-            missing = {v.ref_id for v in report.violations}
-            echo(f"repairing {len(missing)} missing object(s)")
-            staged = store.stage_placeholder_objects(missing)
+        load, files = _importer(fmt, input_path, mapping)
+        digest = _digest(fmt, files)
+        last = store.last_input() or {}
+        if digest is not None and last.get("digest") == digest \
+                and type(last.get("skipped")) is int:  # a re-send
+            added, skipped = {}, last["skipped"]
+        else:
+            imported = load()
+            # staged once: the staging checkpoint, the repair and the append
+            # all work on the same TEMP tables
+            staged = store.stage(imported.batch)
             report = _this.run_checkpoint(staged, "staging", store=store)
-        if not report.passed:
-            raise QualityFailure(report)
-        summary = store.append_batch(staged)
-        added = {t: n for t, n in summary.items() if n}
+            if not report.passed and repair_missing_objects and all(
+                v.check == "referential_integrity" and v.ref_table == "objects"
+                for v in report.violations
+            ):
+                missing = {v.ref_id for v in report.violations}
+                echo(f"repairing {len(missing)} missing object(s)")
+                staged = store.stage_placeholder_objects(missing)
+                report = _this.run_checkpoint(staged, "staging", store=store)
+            if not report.passed:
+                raise QualityFailure(report)
+            skipped = len(imported.skipped)
+            # recorded only if the input read the same before and after
+            if digest is not None and _digest(fmt, files) == digest:
+                staged.last_input = {"digest": digest, "skipped": skipped}
+            summary = store.append_batch(staged)
+            added = {t: n for t, n in summary.items() if n}
         echo(f"appended: {json.dumps(added) if added else 'nothing new'}")
-        if imported.skipped:
-            echo(f"skipped {len(imported.skipped)} source row(s)")
+        if skipped:
+            echo(f"skipped {skipped} source row(s)")
         post = _this.run_checkpoint(store, "transform", since_clean=True)
         if not post.passed:
             raise QualityFailure(post)
@@ -145,7 +185,7 @@ def cmd_check(store_path, checkpoint, input_path, fmt, mapping, report_path):
             elif not input_path:
                 raise UsageError("staging checkpoint needs --input")
             else:
-                batch = _load_batch(fmt, input_path, mapping).batch
+                batch = _importer(fmt, input_path, mapping)[0]().batch
                 report = _this.run_checkpoint(batch, "staging", store=store)
         finally:
             store.close()

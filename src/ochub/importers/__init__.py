@@ -24,6 +24,16 @@ OCEL 2.0 import; ``<ts>`` is a normalized timestamp, ``<q>`` a qualifier.
 Hub CSV keeps the ids it carries. Each importer's module is imported on
 first use of its name. ``read_csv``, ``not_utf8`` and ``ImportError_`` are
 ``ochub.util``'s, shared with the graph checkpoint.
+
+Each importer lists the files it reads in one place, which the importer
+reads from and ``input_digest`` hashes: ``hubcsv.hub_csv_files`` (a
+hub-CSV directory's ``*.csv``), ``ocel2.log_files`` (an OCEL 2.0 log and
+the journal files SQLite reads with it) and
+``mapped.MappingConfig.source_files`` (the source files a mapping's specs
+name). ``ROW_SCHEME`` is the version of the rows the importers make of
+given bytes: bump it when the same bytes would give other rows (a new id
+scheme, say), so that no input digest taken before the change matches one
+taken after it.
 """
 
 from __future__ import annotations
@@ -32,6 +42,30 @@ import sys
 
 from ochub.schema import Batch
 from ochub.util import EPOCH_TS, ImportError_, lazy_names, not_utf8, read_csv
+
+
+ROW_SCHEME = 1  # bump when the same bytes would give other rows
+
+
+def input_digest(fmt: str, files) -> str:
+    """The sha256 naming an input to ingest: ``ROW_SCHEME``, the format
+    ``fmt`` and, for each (name, source) of ``files`` in order, the name
+    and the sha256 of the source's bytes, given as bytes or read from a
+    path (OSError if it cannot be read). Names are relative to the input,
+    so the same input spelt another way has the same digest."""
+    import hashlib  # only an ingest hashes its input
+
+    digest = hashlib.sha256(f"ochub rows {ROW_SCHEME} {fmt}\n".encode())
+    for name, source in files:
+        one = hashlib.sha256()
+        if isinstance(source, bytes):
+            one.update(source)
+        else:
+            with open(source, "rb") as handle:
+                for block in iter(lambda: handle.read(1 << 20), b""):
+                    one.update(block)
+        digest.update(f"{name}\0{one.hexdigest()}\n".encode())
+    return digest.hexdigest()
 
 
 class AppendableBatch:
@@ -139,8 +173,9 @@ __getattr__ = lazy_names(__name__, {
 })
 
 __all__ = [
-    "AppendableBatch", "ImportError_", "MappingConfig", "add_e2o", "add_e2oav",
-    "add_event", "add_event_value", "add_o2o", "add_object", "add_object_value",
-    "add_qualifiers", "add_type", "import_hub_csv", "import_mapped_csv",
-    "import_ocel2", "not_utf8", "object_value_id", "read_csv",
+    "AppendableBatch", "ImportError_", "MappingConfig", "ROW_SCHEME", "add_e2o",
+    "add_e2oav", "add_event", "add_event_value", "add_o2o", "add_object",
+    "add_object_value", "add_qualifiers", "add_type", "import_hub_csv",
+    "import_mapped_csv", "import_ocel2", "input_digest", "not_utf8",
+    "object_value_id", "read_csv",
 ]

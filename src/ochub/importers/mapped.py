@@ -158,9 +158,14 @@ class MappingConfig:
         """The config of the UTF-8 YAML file ``path``. Unreadable text or
         YAML is a MappingError naming the file and, where the reader knows
         it, the line."""
+        return cls.from_yaml(Path(path).read_bytes(), path)
+
+    @classmethod
+    def from_yaml(cls, data: bytes, path) -> "MappingConfig":
+        """The config of ``data``, the bytes of the file ``path``, read as
+        ``from_file`` reads them."""
         import yaml  # only mapped ingests need it; keeps CLI start-up short
 
-        data = Path(path).read_bytes()
         try:
             loaded = yaml.load(data.decode("utf-8"),
                                Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -173,13 +178,25 @@ class MappingConfig:
             raise MappingError(f"{path}{where}: {problem}") from exc
         return cls.from_dict(loaded)
 
+    def source_files(self, sources) -> list:
+        """The files ``import_mapped_csv`` reads from the directory
+        ``sources``, as (name, path) pairs: each source file a spec names,
+        in name order."""
+        specs = [*self.event_types.values(), *self.object_types.values(),
+                 *(update for spec in self.object_types.values()
+                   for update in spec["updates"]),
+                 *(spec for specs in self.relations.values() for spec in specs)]
+        root = Path(sources)
+        return [(name, root / name)
+                for name in sorted({spec["source"] for spec in specs})]
+
 
 class _Sources:
     """Reads each source CSV once, for every spec that maps it, and lists
     the rows that a spec skips."""
 
-    def __init__(self, root: Path):
-        self.root = root
+    def __init__(self, paths: dict):
+        self.paths = paths  # source name -> its path
         self.skipped: list = []
         self._cache: dict = {}
 
@@ -190,7 +207,7 @@ class _Sources:
         header must have each key and each of ``columns``, checked in that
         order."""
         if name not in self._cache:
-            path = self.root / name
+            path = self.paths[name]
             if not path.exists():
                 raise MappingError(f"missing source file: {name}")
             self._cache[name] = read_csv(path, name)
@@ -230,7 +247,7 @@ def import_mapped_csv(config: MappingConfig, sources) -> AppendableBatch:
     root = Path(sources)
     if not root.is_dir():
         raise MappingError(f"not a directory: {root}")
-    src = _Sources(root)
+    src = _Sources(dict(config.source_files(root)))
     batch = Batch()
     qualifiers: set = set()
     parsed: dict = {}  # timestamp text -> canonical text, one parse per text

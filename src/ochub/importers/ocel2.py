@@ -78,13 +78,23 @@ def _datatype_for(decl_type) -> str:
     return "string"
 
 
+def log_files(file) -> list:
+    """The files ``import_ocel2`` reads, as (name, path) pairs: the log,
+    then its ``-wal`` and ``-journal`` files where they exist, which SQLite
+    reads with it."""
+    path = Path(file)
+    if not path.is_file():
+        raise ImportError_(f"not a file: {path}")
+    return [("log", path)] + [
+        (f"log{suffix}", journal) for suffix in ("-wal", "-journal")
+        if (journal := Path(f"{path}{suffix}")).is_file()]
+
+
 def import_ocel2(file) -> AppendableBatch:
     """Parse an OCEL 2.0 SQLite log into a hub batch, opened read-only by
     its percent-encoded URI, so a path holding '#', '?' or '%' opens that
     file; a SQLite error (a file that is not SQLite) names the path."""
-    path = Path(file)
-    if not path.is_file():
-        raise ImportError_(f"not a file: {path}")
+    _, path = log_files(file)[0]
     conn = sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True)
     try:
         return _import(conn)

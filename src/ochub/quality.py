@@ -33,7 +33,11 @@ starts at SQLite's smallest rowid. An ingest's check (``since_clean=True``)
 starts above the store's clean-row watermark (``HubStore.clean_watermark``),
 or at the smallest rowid for a table without one, so a legacy row at rowid
 0 or below is checked too, and a clean report moves the watermark to the
-window's top. Its violations equal the full audit's. A change that tightens
+window's top. Its violations equal the full audit's. A batch the staging
+checkpoint passed is clean once appended, so ``HubStore.append_batch``
+moves the watermark over it in its own transaction when the watermark
+stood at every table's top (the handle's ``checked``), and the ingest's
+check then finds an empty window and writes nothing. A change that tightens
 a store check must drop the ``transform_clean`` key from ``hub_meta``, so
 the next ingest checks every row again under the new rule.
 
@@ -261,13 +265,16 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
                  destination store (required), or the handle of that
                  store's latest ``HubStore.stage``, validated without
                  restaging (StoreError if stale): references resolve
-                 against the union of the batch and the store.
+                 against the union of the batch and the store. The
+                 handle's ``checked`` records whether the report passed,
+                 so that ``append_batch`` can move the watermark.
     transform -- target is a HubStore; the four checks rerun read-only
                  over the rows present when the check starts. With
                  ``since_clean`` (an ingest's check) only the rows above
                  the clean-row watermark (every rowid where a table has
                  none) are checked, the same violations the full audit
-                 finds, and a clean report moves the watermark up to them.
+                 finds, and a clean report moves the watermark up to them;
+                 one that finds nothing above it writes nothing.
     graph     -- target is a graph's (nodes, edges) rows as a pair (its
                  ``rows()``), or a directory with nodes.csv and edges.csv
                  (OSError if either is missing; ImportError_ naming the
@@ -293,7 +300,7 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
             raise TypeError("staging checkpoint expects a Batch or StagedBatch")
         if not isinstance(store, HubStore):
             raise TypeError("staging checkpoint needs the destination HubStore")
-        store.staged(target)
+        staged = store.staged(target)
         found = zip(STORE_CHECKS, _store_checks(store, report))
     else:
         if not isinstance(target, HubStore):
@@ -311,9 +318,11 @@ def run_checkpoint(target, checkpoint: str, store: Optional[HubStore] = None,
     for check, violations in found:
         report.check_status[check] = not violations
         report.violations.extend(violations)
-    if checkpoint == "transform" and since_clean and report.passed:
-        target.set_clean_watermark({
-            table: (high[table], start[table][1] + report.scanned[table])
-            for table in TABLES
-        })
+    if checkpoint == "staging":
+        staged.checked = report.passed
+    elif checkpoint == "transform" and since_clean and report.passed:
+        clean = {table: (high[table], start[table][1] + report.scanned[table])
+                 for table in TABLES}
+        if clean != marks:  # an unmoved watermark takes no write lock
+            target.set_clean_watermark(clean)
     return report

@@ -1,12 +1,17 @@
 """Durable hub store: append-only ingestion and the ordered queries.
 
 Backed by a single SQLite file holding the twelve tables plus a small meta
-table, ``hub_meta``: the layout version, the batch clock and, once an
-ingest's transform checkpoint has come back clean, ``transform_clean``, the
-per-table rowid up to which every row passed the transform checks and the
-row count at that rowid (see ``clean_watermark``). All columns are text;
-referential integrity is deliberately NOT enforced at write time so that tables can be
-ingested in any order across batches. Rows are never updated or deleted.
+table, ``hub_meta``: the layout version, the batch clock and, once rows
+are known clean, ``transform_clean``, the per-table rowid up to which every
+row passed the transform checks and the row count at that rowid (see
+``clean_watermark``); after an ingest, ``last_input``, the digest of the
+input it read and the source rows it skipped. An ingest's
+``append_batch`` writes both beside its rows, in its one transaction: the
+store is append-only, so a batch that passed the staging checks against
+staged union store passes the transform checks once appended, and the
+watermark moves over it if it stood at every table's top. All columns are
+text; referential integrity is deliberately NOT enforced at write time so
+that tables can be ingested in any order across batches. Rows are never updated or deleted.
 A batch is staged once in TEMP tables of the same layout
 (``temp.staged_<table>``); the quality checks and append_batch's conflict
 detection are SQL over those tables and the store. ``stage`` returns a
@@ -44,6 +49,7 @@ from ochub.util import (
 
 LAYOUT_VERSION = "1"
 CLEAN_KEY = "transform_clean"  # hub_meta key of the clean-row watermark
+INPUT_KEY = "last_input"  # hub_meta key of the latest recorded ingest input
 UNKNOWN_OBJECT_TYPE_ID = "ot:unknown"  # the type of placeholder objects
 
 # Each serves a lookup by its column. Stores of the same layout version
@@ -104,10 +110,17 @@ class StagedBatch:
     """Handle on the batch ``HubStore.stage`` put in the store's TEMP
     tables: the staged row count per table. It holds none of the batch's
     rows, so what it checks and appends is what was staged. Two handles
-    are equal only if they are the same."""
+    are equal only if they are the same.
+
+    What ``append_batch`` writes beside the rows: ``checked``, set once
+    the staging checkpoint has passed on this handle, lets it move the
+    clean-row watermark; ``last_input``, a JSON object an ingest sets, is
+    recorded as the store's ``last_input``."""
 
     def __init__(self, counts: dict):
         self.counts = counts
+        self.checked = False
+        self.last_input = None
 
     def total_rows(self) -> int:
         return sum(self.counts.values())
@@ -306,10 +319,7 @@ class HubStore:
         return inventory
 
     def batch_clock(self) -> int:
-        row = self._conn.execute(
-            "SELECT value FROM hub_meta WHERE key = 'batch_clock'"
-        ).fetchone()
-        return int(row[0])
+        return int(self._read_meta("batch_clock"))
 
     def connection(self) -> sqlite3.Connection:
         """Read-only use by sibling modules (queries, exports)."""
@@ -411,8 +421,13 @@ class HubStore:
         a no-op. A null or empty id, or an id that exists (in the store or
         elsewhere in the batch) with different content, aborts the whole
         batch.
+
+        In the same transaction, a handle the staging checkpoint passed
+        moves the clean-row watermark over the new rows if it stood at
+        every table's top, and a handle's ``last_input`` replaces the one
+        recorded. A plain Batch does neither.
         """
-        self.staged(batch)
+        staged = self.staged(batch)
         # checks and inserts in one write transaction: a concurrent writer
         # waits for the lock and then sees this batch's rows, so a conflict
         # between two writers is never lost
@@ -444,6 +459,9 @@ class HubStore:
             if conflicts:
                 raise AppendConflictError(conflicts)
 
+            # read under the write lock, so no other writer's row slips
+            # between the watermark and the rows appended above it
+            clean = self._watermark_at_top() if staged.checked else None
             summary = {}
             for table in TABLES:
                 cols = ", ".join(TABLE_COLUMNS[table])
@@ -459,36 +477,89 @@ class HubStore:
                 "UPDATE hub_meta SET value = CAST(value AS INTEGER) + 1 "
                 "WHERE key = 'batch_clock'"
             )
+            if clean is not None:
+                tops = self.max_rowids()
+                self._write_meta(CLEAN_KEY, {
+                    table: [tops[table], clean[table][1] + summary[table]]
+                    for table in TABLES})
+            if staged.last_input is not None:
+                self._write_meta(INPUT_KEY, staged.last_input)
         return summary
 
+    def last_input(self) -> Optional[dict]:
+        """The ``last_input`` of the latest handle ``append_batch`` was
+        given one with (``hub_meta`` key ``last_input``); None if there is
+        none or it does not parse as a JSON object."""
+        try:
+            value = json.loads(self._read_meta(INPUT_KEY) or "null")
+        except ValueError:
+            return None
+        return value if isinstance(value, dict) else None
+
+    def _read_meta(self, key: str) -> Optional[str]:
+        """The value ``hub_meta`` holds under ``key``, or None."""
+        row = self._conn.execute(
+            "SELECT value FROM hub_meta WHERE key = ?", (key,)).fetchone()
+        return None if row is None else row[0]
+
+    def _write_meta(self, key: str, value) -> None:
+        """Set ``hub_meta`` ``key`` to ``value`` as JSON, in the caller's
+        transaction."""
+        self._conn.execute("INSERT OR REPLACE INTO hub_meta VALUES (?, ?)",
+                           (key, json.dumps(value)))
+
     # -- transform-check watermark -----------------------------------------
+
+    def _recorded_watermark(self) -> dict:
+        """{table: (rowid, row count)} as ``transform_clean`` records it;
+        (0, 0) for a table whose entry is missing or not two integers, and
+        for every table when the value is missing or not a JSON object."""
+        try:
+            marks = json.loads(self._read_meta(CLEAN_KEY) or "{}")
+        except ValueError:
+            marks = {}
+        if not isinstance(marks, dict):
+            marks = {}
+
+        def mark(entry):
+            if isinstance(entry, list) and len(entry) == 2 and all(
+                    type(n) is int for n in entry):
+                return tuple(entry)
+            return (0, 0)
+
+        return {table: mark(marks.get(table)) for table in TABLES}
 
     def clean_watermark(self) -> dict:
         """{table: (rowid, row count)}: every row at or below the rowid
         passed the transform checks, and the count is how many rows that
         was (``hub_meta`` key ``transform_clean``).
 
-        (0, 0), meaning check the whole table, when the key is missing (a
-        store never checked clean by an ingest) or when the count of rows
-        at or below the rowid disagrees, as it would if the rowids were
-        renumbered (``VACUUM`` may do that to tables without an
-        ``INTEGER PRIMARY KEY``).
+        (0, 0), meaning check the whole table, when the key or the table's
+        entry is missing or unreadable (a store never checked clean, or a
+        corrupt value), or when the count of rows at or below the rowid
+        disagrees, as it would if the rowids were renumbered (``VACUUM``
+        may do that to tables without an ``INTEGER PRIMARY KEY``).
         """
-        row = self._conn.execute(
-            "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)
-        ).fetchone()
-        marks = json.loads(row[0]) if row is not None else {}
-        watermark = {}
-        for table in TABLES:
-            rowid, count = marks.get(table, (0, 0))
+        watermark = self._recorded_watermark()
+        for table, (rowid, count) in watermark.items():
             # at or below = a bare COUNT(*), which decodes no row, less those above
             if rowid and self._conn.execute(
                 f"SELECT (SELECT COUNT(*) FROM main.{table}) - (SELECT COUNT(*) "
                 f"FROM main.{table} WHERE rowid > ?)", (rowid,)
             ).fetchone()[0] != count:
-                rowid, count = 0, 0
-            watermark[table] = (int(rowid), int(count))
+                watermark[table] = (0, 0)
         return watermark
+
+    def _watermark_at_top(self) -> Optional[dict]:
+        """The recorded watermark if every table's rows are the rows at or
+        below it: its rowid is the table's greatest (0 when empty) and its
+        count the table's. None otherwise."""
+        marks = self._recorded_watermark()
+        found = self._conn.execute("SELECT " + ", ".join(
+            f"(SELECT coalesce(MAX(rowid), 0) FROM main.{table}), "
+            f"(SELECT COUNT(*) FROM main.{table})" for table in TABLES)).fetchone()
+        tops = dict(zip(TABLES, zip(found[::2], found[1::2])))
+        return marks if tops == marks else None
 
     def max_rowids(self) -> dict:
         """{table: its greatest rowid, 0 when empty}, read by one
@@ -500,11 +571,8 @@ class HubStore:
     def set_clean_watermark(self, watermark: dict) -> None:
         """Record {table: (rowid, row count)} as ``clean_watermark``."""
         with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO hub_meta VALUES (?, ?)",
-                (CLEAN_KEY, json.dumps(
-                    {table: list(watermark[table]) for table in TABLES})),
-            )
+            self._write_meta(
+                CLEAN_KEY, {table: list(watermark[table]) for table in TABLES})
 
     # -- ordered queries --------------------------------------------------
 

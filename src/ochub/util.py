@@ -158,8 +158,17 @@ def normalize_timestamp(value) -> str:
 
 
 def is_valid_timestamp(value) -> bool:
+    """Whether ``parse_timestamp`` reads ``value``. Canonical text is UTC
+    already, with no offset and no fraction to rewrite, so reading its date
+    and time is the whole test."""
     if not isinstance(value, str):
         return False
+    if _CANONICAL_RE.match(value):
+        try:
+            datetime.fromisoformat(value[:-1])
+        except ValueError:
+            return False
+        return True
     try:
         parse_timestamp(value)
     except TimestampError:

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import re
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import golden
 import ochub
+import ochub.cli
 from ochub import graph as graph_mod
 from ochub.cli import (
     EXIT_CONFLICT,
@@ -656,16 +660,294 @@ class TestIngest:
             capsys.readouterr().err
 
 
-def clean_mark(store_path):
-    """The store's clean-row watermark as recorded, or None."""
+def meta(store_path, key, value=...):
+    """The text ``hub_meta`` holds under ``key``, or None; given a
+    ``value``, write it there first (None removes the key)."""
     conn = sqlite3.connect(store_path)
     try:
+        with conn:
+            if value is None:
+                conn.execute("DELETE FROM hub_meta WHERE key = ?", (key,))
+            elif value is not ...:
+                conn.execute("INSERT OR REPLACE INTO hub_meta VALUES (?, ?)",
+                             (key, value))
         row = conn.execute(
-            "SELECT value FROM hub_meta WHERE key = 'transform_clean'"
-        ).fetchone()
+            "SELECT value FROM hub_meta WHERE key = ?", (key,)).fetchone()
     finally:
         conn.close()
-    return None if row is None else json.loads(row[0])
+    return None if row is None else row[0]
+
+
+def clean_mark(store_path):
+    """The store's clean-row watermark as recorded, or None."""
+    value = meta(store_path, "transform_clean")
+    return None if value is None else json.loads(value)
+
+
+def tops(store_path):
+    """The watermark of a store whose every row is clean."""
+    with open_store(store_path, create_if_missing=False) as store:
+        return {table: [rowid, store.row_count(table)]
+                for table, rowid in store.max_rowids().items()}
+
+
+@pytest.fixture(params=["hubcsv", "mapped", "ocel2"])
+def sent(request, tmp_path, batch_dir):
+    """(the ingest arguments after ``--store``, the name of the ``cli``
+    importer they call, a function making a conflicting edit of the input)
+    of one input per format; the mapped one skips source rows."""
+    fmt = request.param
+    if fmt == "hubcsv":
+        def edit():  # same event id, another timestamp
+            path = batch_dir / "events.csv"
+            rows = read_rows(path)
+            rows[1][2] = "2030-01-01T00:00:00.000Z"
+            with path.open("w", newline="") as handle:
+                csv.writer(handle).writerows(rows)
+        return ["--format", fmt, "--input", str(batch_dir)], "import_hub_csv", edit
+    if fmt == "mapped":
+        src = tmp_path / "src"
+        golden.shop_sources(src, orders=40)
+        mapping = tmp_path / "shop.yml"
+        golden.write(mapping, golden.SHOP_MAPPING)
+
+        def edit():  # one byte: a store's name
+            path = src / "stores.csv"
+            path.write_text(path.read_text().replace("Main St", "Main Sq"))
+        return (["--format", fmt, "--mapping", str(mapping), "--input", str(src)],
+                "import_mapped_csv", edit)
+    log = tmp_path / "log.sqlite"
+    build_ocel2_sqlite(log, simple_ocel_log())
+
+    def edit():  # another carrier for the same event
+        with contextlib.closing(sqlite3.connect(log)) as conn, conn:
+            conn.execute("UPDATE event_ship SET carrier = 'ups'")
+    return ["--format", fmt, "--input", str(log)], "import_ocel2", edit
+
+
+def send(store_path, args):
+    return run(["ingest", "--store", str(store_path), *args])
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a re-send imported or staged its input")
+
+
+class TestResend:
+    """An ingest whose input digest is the store's ``last_input`` skips
+    import, stage, staging checks and append, and prints what they would
+    have printed."""
+
+    def test_resend_prints_what_the_full_path_prints(
+            self, store_path, tmp_path, sent, capsys, monkeypatch):
+        args, importer, _ = sent
+        assert send(store_path, args) == EXIT_OK
+        copy = tmp_path / "copy.db"
+        shutil.copyfile(store_path, copy)
+        meta(copy, "last_input", None)  # the copy takes the full path
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(ochub.cli, importer, refuse)
+            patch.setattr(HubStore, "stage", refuse)
+            skipped = send(store_path, args), capsys.readouterr()
+        full = send(copy, args), capsys.readouterr()
+        assert skipped == full
+        assert "appended: nothing new" in skipped[1].out
+        assert ("skipped" in skipped[1].out) is (importer == "import_mapped_csv")
+        with open_store(store_path) as store, open_store(copy) as again:
+            # no append, so no tick of the batch clock
+            assert (store.dump(), store.batch_clock()) == \
+                (again.dump(), again.batch_clock() - 1)
+
+    def test_changed_byte_takes_the_full_path(self, store_path, sent, capsys,
+                                              monkeypatch):
+        args, importer, edit = sent
+        assert send(store_path, args) == EXIT_OK
+        recorded = meta(store_path, "last_input")
+        assert json.loads(recorded)["digest"]
+        edit()
+        imports = []
+        original = getattr(ochub.cli, importer)
+        monkeypatch.setattr(ochub.cli, importer,
+                            lambda *a: imports.append(a) or original(*a))
+        capsys.readouterr()
+        assert send(store_path, args) == EXIT_CONFLICT
+        assert "append conflict" in capsys.readouterr().err
+        assert len(imports) == 1
+        assert meta(store_path, "last_input") == recorded
+
+    @pytest.mark.parametrize("fault, code", [
+        ("dangling", EXIT_QUALITY), ("unknown file", EXIT_IO),
+        ("conflict", EXIT_CONFLICT)])
+    def test_failed_send_records_nothing(self, store_path, batch_dir, fault,
+                                         code):
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        recorded = meta(store_path, "last_input")
+        assert json.loads(recorded)["digest"]
+        if fault == "dangling":
+            append_rows(batch_dir / "event_to_object.csv",
+                        ["e2o:9", "ev:1", "obj:ghost", "q:handles", "handles"])
+        elif fault == "unknown file":
+            (batch_dir / "notes.csv").write_text("id\nx\n")
+        else:  # same id, another description
+            path = batch_dir / "event_types.csv"
+            path.write_text(path.read_text().replace("et:pick,pick item",
+                                                     "et:pick,picked"))
+        for _ in range(2):  # and the same input again: the full path again
+            assert ingest(store_path, batch_dir) == code
+            assert meta(store_path, "last_input") == recorded
+
+    def test_input_rewritten_during_its_import_is_not_recorded(
+            self, store_path, batch_dir, monkeypatch):
+        original = ochub.cli.import_hub_csv
+
+        def rewriting(directory):
+            imported = original(directory)
+            append_rows(batch_dir / "event_types.csv", ["et:late", "late"])
+            return imported
+
+        monkeypatch.setattr(ochub.cli, "import_hub_csv", rewriting)
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        assert meta(store_path, "last_input") is None
+        monkeypatch.setattr(ochub.cli, "import_hub_csv", original)
+        assert ingest(store_path, batch_dir) == EXIT_OK  # the full path
+        with open_store(store_path) as store:
+            assert store.has_id("event_types", "et:late")
+        assert meta(store_path, "last_input") is not None
+
+    def test_relative_and_absolute_input_are_one_input(
+            self, store_path, sent, monkeypatch, capsys):
+        args, importer, _ = sent
+        relative = list(args)
+        for i, arg in enumerate(args):
+            if i and args[i - 1] in ("--input", "--mapping"):
+                monkeypatch.chdir(Path(arg).parent)
+                relative[i] = os.path.join(os.curdir, Path(arg).name)
+        assert send(store_path, relative) == EXIT_OK
+        monkeypatch.chdir(store_path.parent.parent)
+        monkeypatch.setattr(ochub.cli, importer, refuse)
+        capsys.readouterr()
+        assert send(store_path, args) == EXIT_OK
+        assert "appended: nothing new" in capsys.readouterr().out
+
+    def test_resend_to_a_dirty_store_fails_alike(
+            self, store_path, batch_dir, tmp_path, capsys, monkeypatch):
+        """The recorded ingest appended, then its transform check failed:
+        a re-send fails that check alike, as the full path does."""
+        with open_store(store_path) as store:
+            dirty = Batch()
+            dirty.add("events", id="ev:bad", event_type_id="et:pick",
+                      timestamp="not-a-time", description=None)
+            store.append_batch(dirty)
+        assert ingest(store_path, batch_dir) == EXIT_QUALITY
+        copy = tmp_path / "copy.db"
+        shutil.copyfile(store_path, copy)
+        meta(copy, "last_input", None)
+        capsys.readouterr()
+        full = ingest(copy, batch_dir), capsys.readouterr()
+        monkeypatch.setattr(ochub.cli, "import_hub_csv", refuse)
+        again = ingest(store_path, batch_dir), capsys.readouterr()
+        assert again == full
+        assert again[0] == EXIT_QUALITY
+        assert "appended: nothing new" in again[1].out and "ev:bad" in again[1].out
+
+    def test_resend_takes_no_write_lock(self, store_path, batch_dir):
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        holder = sqlite3.connect(store_path, isolation_level=None)
+        try:
+            holder.execute("BEGIN IMMEDIATE")  # the write lock, held
+            assert ingest(store_path, batch_dir) == EXIT_OK
+        finally:
+            holder.close()
+
+    def test_unreadable_last_input_is_a_miss(self, store_path, batch_dir,
+                                             stage_calls):
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        recorded = meta(store_path, "last_input")
+        for value in ("garbage", '"text"', "[1, 2]", "null"):
+            meta(store_path, "last_input", value)
+            assert ingest(store_path, batch_dir) == EXIT_OK
+            assert meta(store_path, "last_input") == recorded
+        assert len(stage_calls) == 5
+
+
+class TestCleanWatermark:
+    def test_checked_append_moves_the_watermark(self, store_path, batch_dir,
+                                                monkeypatch):
+        """The first ingest into an empty store records every row clean in
+        its append, so its transform check finds nothing to check and
+        writes nothing; a plain library append moves nothing."""
+        writes = []
+        monkeypatch.setattr(HubStore, "set_clean_watermark",
+                            lambda store, marks: writes.append(marks))
+        reports = []
+        check = ochub.cli.run_checkpoint
+        monkeypatch.setattr(ochub.cli, "run_checkpoint", lambda *a, **k: (
+            reports.append(check(*a, **k)) or reports[-1]))
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        assert clean_mark(store_path) == tops(store_path)
+        assert reports[-1].scanned == dict.fromkeys(TABLES, 0)
+        assert writes == []
+        marked = clean_mark(store_path)
+        with open_store(store_path) as store:
+            late = Batch()
+            late.add("event_types", id="et:late", description="late")
+            store.append_batch(late)
+        assert clean_mark(store_path) == marked
+
+    @pytest.mark.parametrize("value", [
+        "garbage", '{"events": [5]}', "[1, 2]", '{"events": "x"}',
+        '{"events": [true, 1]}', '{"events": [1.5, 2]}', "null"])
+    def test_corrupt_watermark_checks_every_row(self, store_path, batch_dir,
+                                                value, monkeypatch):
+        """A ``transform_clean`` value that is no JSON object of [rowid,
+        count] integer pairs is no watermark: the ingest (a re-send here)
+        checks every row and records the watermark afresh."""
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        meta(store_path, "transform_clean", value)
+        reports = []
+        check = ochub.cli.run_checkpoint
+        monkeypatch.setattr(ochub.cli, "run_checkpoint", lambda *a, **k: (
+            reports.append(check(*a, **k)) or reports[-1]))
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        marks = tops(store_path)
+        assert reports[-1].scanned == {t: count for t, (_, count) in marks.items()}
+        assert clean_mark(store_path) == marks
+
+    def test_row_committed_before_the_append_lock_is_checked(
+            self, store_path, batch_dir, tmp_path, monkeypatch, capsys):
+        """Another writer appends a dangling event between the ingest's
+        staging check and its ``BEGIN IMMEDIATE``: the watermark no longer
+        stands at the top, so the append leaves it, and the ingest's check
+        reports the event."""
+        assert ingest(store_path, batch_dir) == EXIT_OK
+        marked = clean_mark(store_path)
+        late = tmp_path / "late"
+        late.mkdir()
+        (late / "event_types.csv").write_text("id,description\net:late,late\n")
+        committed = []
+
+        def before_statement(sql):
+            if sql.startswith("BEGIN IMMEDIATE") and not committed:
+                dangling = Batch()
+                dangling.add("events", id="ev:dangling", event_type_id="et:ghost",
+                             timestamp="2024-03-02T08:00:00.000Z")
+                with open_store(store_path) as other:
+                    other.append_batch(dangling)
+                committed.append(sql)
+
+        def traced(path, create_if_missing):
+            store = open_store(path, create_if_missing)
+            store.connection().set_trace_callback(before_statement)
+            return store
+
+        monkeypatch.setattr(ochub.cli, "open_store", traced)
+        capsys.readouterr()
+        assert ingest(store_path, late) == EXIT_QUALITY
+        assert committed
+        out = capsys.readouterr().out
+        assert 'appended: {"event_types": 1}' in out and "et:ghost" in out
+        assert clean_mark(store_path) == marked
 
 
 class TestCheck:

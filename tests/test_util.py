@@ -1,3 +1,4 @@
+import random
 import re
 from datetime import datetime
 
@@ -72,6 +73,36 @@ class TestTimestamps:
         # text order stays time order across the 1000 boundary
         assert normalize_timestamp("0999-12-31T23:59:59Z") < \
             normalize_timestamp("1000-01-01T00:00:00Z")
+
+    def test_canonical_shaped_text_is_valid_as_the_full_parse_says(self):
+        """``is_valid_timestamp`` reads canonical-shaped text by its date
+        and time alone: seeded texts of that shape, with impossible dates,
+        hour 24, second 60, year 0000 and a trailing newline or space,
+        are valid exactly when ``parse_timestamp`` reads them."""
+        rng = random.Random(27)
+
+        def part(width, *edges):
+            return rng.choice([*edges, f"{rng.randrange(10 ** width):0{width}d}"])
+
+        texts = [
+            f"{part(4, '0000', '0001', '2024', '2023', '9999')}-"
+            f"{part(2, '00', '02', '12', '13')}-"
+            f"{part(2, '00', '28', '29', '30', '31', '32')}T{part(2, '23', '24')}:"
+            f"{part(2, '59', '60')}:{part(2, '59', '60')}.{part(3)}Z"
+            f"{rng.choice(['', '', '', chr(10), ' '])}"
+            for _ in range(400)
+        ]
+
+        def parses(text):
+            try:
+                parse_timestamp(text)
+            except TimestampError:
+                return False
+            return True
+
+        verdicts = [is_valid_timestamp(text) == parses(text) for text in texts]
+        assert all(verdicts), [t for t, ok in zip(texts, verdicts) if not ok]
+        assert 0 < sum(map(parses, texts)) < len(texts)
 
     def test_staging_flags_out_of_range_timestamp(self, store):
         b = Batch()
