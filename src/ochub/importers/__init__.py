@@ -32,8 +32,8 @@ the journal files SQLite reads with it) and
 ``mapped.MappingConfig.source_files`` (the source files a mapping's specs
 name). ``ROW_SCHEME`` is the version of the rows the importers make of
 given bytes: bump it when the same bytes would give other rows (a new id
-scheme, say), so that no input digest taken before the change matches one
-taken after it.
+scheme, or a timestamp grammar that reads other text), so that no input
+digest taken before the change matches one taken after it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ochub.schema import Batch
 from ochub.util import EPOCH_TS, ImportError_, lazy_names, not_utf8, read_csv
 
 
-ROW_SCHEME = 1  # bump when the same bytes would give other rows
+ROW_SCHEME = 2  # bump when the same bytes would give other rows
 
 
 def input_digest(fmt: str, files) -> str:

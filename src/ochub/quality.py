@@ -38,8 +38,8 @@ checkpoint passed is clean once appended, so ``HubStore.append_batch``
 moves the watermark over it in its own transaction when the watermark
 stood at every table's top (the handle's ``checked``), and the ingest's
 check then finds an empty window and writes nothing. A change that tightens
-a store check must drop the ``transform_clean`` key from ``hub_meta``, so
-the next ingest checks every row again under the new rule.
+a store check must bump ``store.CHECK_RULES``, which names the watermark's
+``hub_meta`` key, so the next ingest checks every row under the new rule.
 
 All three checkpoints record their checks' status and violations through
 one loop; ``cli`` and ``graph.export_graph_csv`` raise a failed report as

@@ -2,9 +2,9 @@
 
 Backed by a single SQLite file holding the twelve tables plus a small meta
 table, ``hub_meta``: the layout version, the batch clock and, once rows
-are known clean, ``transform_clean``, the per-table rowid up to which every
+are known clean, ``CLEAN_KEY``, the per-table rowid up to which every
 row passed the transform checks and the row count at that rowid (see
-``clean_watermark``); after an ingest, ``last_input``, the digest of the
+``clean_watermark``), under a key named by ``CHECK_RULES``; after an ingest, ``last_input``, the digest of the
 input it read and the source rows it skipped. An ingest's
 ``append_batch`` writes both beside its rows, in its one transaction: the
 store is append-only, so a batch that passed the staging checks against
@@ -40,7 +40,6 @@ from typing import Iterator, Optional
 
 from ochub.schema import TABLES, TABLE_COLUMNS, TIMESTAMP_COLUMN_OF
 from ochub.util import (
-    _CANONICAL_RE,
     TimestampError,
     is_valid_timestamp,
     normalize_timestamp,
@@ -48,7 +47,8 @@ from ochub.util import (
 )
 
 LAYOUT_VERSION = "1"
-CLEAN_KEY = "transform_clean"  # hub_meta key of the clean-row watermark
+CHECK_RULES = 2  # the store checks' rules: bump when one tightens (quality.py)
+CLEAN_KEY = f"transform_clean_v{CHECK_RULES}"  # hub_meta key of the watermark
 INPUT_KEY = "last_input"  # hub_meta key of the latest recorded ingest input
 UNKNOWN_OBJECT_TYPE_ID = "ot:unknown"  # the type of placeholder objects
 
@@ -127,12 +127,10 @@ class StagedBatch:
 
 
 def _staged_rows(rows, ts: int):
-    """The rows with the timestamp at index ``ts`` normalized unless it is
-    already canonical text; text that does not parse is kept verbatim."""
-    canonical = _CANONICAL_RE.match
+    """The rows, the timestamp at index ``ts`` normalized or, unparseable, verbatim."""
     for row in rows:
         value = row[ts]
-        if value is not None and not (isinstance(value, str) and canonical(value)):
+        if value is not None:
             try:
                 value = normalize_timestamp(value)
             except TimestampError:
@@ -333,12 +331,11 @@ class HubStore:
 
         Rows keep batch order (the staged rowid); a row of another width
         than its table's columns, or a value sqlite3 cannot bind, raises
-        StoreError naming the table and its column count. A timestamp in
-        canonical form is staged as is (``normalize_timestamp`` would
-        return it unchanged or raise); any other is normalized, and text
-        that does not parse is kept verbatim for the quality checks to
-        flag. Commits before returning, so a staged batch holds no lock on
-        the store file.
+        StoreError naming the table and its column count. Each timestamp
+        is staged as ``normalize_timestamp`` gives it (canonical text as it
+        is), and text that does not parse is kept verbatim for the quality
+        checks to flag. Commits before returning, so a staged batch holds
+        no lock on the store file.
         """
         self._staged = None  # an earlier handle goes stale, even on failure
         counts = {}
@@ -511,7 +508,7 @@ class HubStore:
     # -- transform-check watermark -----------------------------------------
 
     def _recorded_watermark(self) -> dict:
-        """{table: (rowid, row count)} as ``transform_clean`` records it;
+        """{table: (rowid, row count)} as ``CLEAN_KEY`` records it;
         (0, 0) for a table whose entry is missing or not two integers, and
         for every table when the value is missing or not a JSON object."""
         try:
@@ -532,7 +529,7 @@ class HubStore:
     def clean_watermark(self) -> dict:
         """{table: (rowid, row count)}: every row at or below the rowid
         passed the transform checks, and the count is how many rows that
-        was (``hub_meta`` key ``transform_clean``).
+        was (``hub_meta`` key ``CLEAN_KEY``).
 
         (0, 0), meaning check the whole table, when the key or the table's
         entry is missing or unreadable (a store never checked clean, or a

@@ -4,7 +4,8 @@ failure types and small helpers.
 All timestamps inside the hub are stored as RFC 3339 UTC text with
 millisecond precision ("2024-01-02T03:04:05.678Z"). The fixed-width format
 makes lexicographic order equal to chronological order, which the ordered
-queries rely on.
+queries rely on. ``normalize_timestamp`` is the hub's one timestamp reader,
+the same on every supported Python; ``is_valid_timestamp`` is whether it reads.
 
 Every CSV input (hub CSV, mapped sources, graph directories) is read by
 ``read_csv``, with one set of rules and errors (``ImportError_``). Every
@@ -23,11 +24,11 @@ from datetime import datetime, timezone
 
 EPOCH_TS = "1970-01-01T00:00:00.000Z"
 
-_CANONICAL_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z\Z")
-# a fraction of a second before the offset or the end: Python 3.10's
-# fromisoformat reads only "." and 3 or 6 digits there, 3.11 and later also
-# "," and any number of digits (cut to 6)
-_FRACTION_RE = re.compile(r"(?<=\d\d)([.,])(\d+)(?=[+-]|\Z)")
+_CANONICAL_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z\Z", re.ASCII)
+# the grammar of all other timestamp text (``parse_timestamp``)
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4}-\d{2}-\d{2})(?:[Tt ](\d{2}(?::\d{2}(?::\d{2})?)?)(?:[.,](\d+))?"
+    r"([Zz]|[+-]\d{2}:\d{2}(?::\d{2}(?:\.\d{6})?)?)?)?", re.ASCII)
 
 
 class TimestampError(ValueError):
@@ -114,63 +115,63 @@ def read_csv(path, name: str) -> tuple:
 
 
 def parse_timestamp(value) -> datetime:
-    """Parse a timestamp into an aware UTC datetime.
-
-    Accepts datetime objects and ISO-8601 / RFC 3339 text (with 'Z',
-    an explicit offset, or no offset at all, in which case UTC is assumed).
-    """
+    """Parse a timestamp into an aware UTC datetime: a datetime (naive is
+    UTC), or text of one grammar that every supported Python reads alike,
+    surrounding white space ignored: ``YYYY-MM-DD``, then optionally "T",
+    "t" or " " and ``HH[:MM[:SS]]``, a fraction ("." or "," and digits, cut
+    to microseconds) and a zone ("Z", "z" or ``±HH:MM[:SS[.ffffff]]``; none
+    is UTC)."""
     if isinstance(value, datetime):
-        dt = value
+        dt = value.replace(tzinfo=timezone.utc) if value.tzinfo is None else value
     elif isinstance(value, str):
         text = value.strip()
-        if not text:
-            raise TimestampError("empty timestamp")
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        fraction = _FRACTION_RE.search(text)
-        if fraction and (fraction[1] == "," or len(fraction[2]) not in (3, 6)):
-            # six digits, read as the same instant on every Python version
-            text = (f"{text[:fraction.start()]}.{fraction[2][:6]:0<6}"
-                    f"{text[fraction.end():]}")
-        try:
-            dt = datetime.fromisoformat(text)
+        match = _TIMESTAMP_RE.fullmatch(text)
+        if match is None:
+            raise TimestampError(f"unparseable timestamp: {value!r}" if text
+                                 else "empty timestamp")
+        date, time, fraction, zone = match.groups()
+        time = f"{time or '00'}:00:00"[:8]
+        zone = "+00:00" if zone in (None, "Z", "z") else zone
+        try:  # the one form fromisoformat reads alike on every version
+            dt = datetime.fromisoformat(f"{date}T{time}.{fraction or '':0<6.6}{zone}")
         except ValueError as exc:
             raise TimestampError(f"unparseable timestamp: {value!r}") from exc
     else:
-        raise TimestampError(
-            f"unsupported timestamp type: {type(value).__name__}"
-        )
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
+        raise TimestampError(f"unsupported timestamp type: {type(value).__name__}")
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError as exc:  # the UTC instant falls outside years 1-9999
         raise TimestampError(f"timestamp out of range: {value!r}") from exc
 
 
+def _read_timestamp(value):
+    """``value`` itself if it is canonical text (UTC already: reading its
+    date and time is the whole parse), else ``parse_timestamp(value)``."""
+    if isinstance(value, str) and _CANONICAL_RE.match(value):
+        try:
+            datetime.fromisoformat(value[:-1])
+            return value
+        except ValueError:
+            pass  # parse_timestamp raises for it
+    return parse_timestamp(value)
+
+
 def normalize_timestamp(value) -> str:
     """Render a timestamp as canonical RFC 3339 UTC text (ms precision,
-    four-digit year). Canonical-looking text is still checked to parse."""
-    dt = parse_timestamp(value)
-    if isinstance(value, str) and _CANONICAL_RE.match(value):
-        return value
-    return dt.isoformat(timespec="milliseconds").replace("+00:00", "Z")
+    four-digit year); canonical text is returned as it is."""
+    read = _read_timestamp(value)
+    if isinstance(read, str):
+        return read
+    return read.isoformat(timespec="milliseconds").replace("+00:00", "Z")
 
 
 def is_valid_timestamp(value) -> bool:
-    """Whether ``parse_timestamp`` reads ``value``. Canonical text is UTC
-    already, with no offset and no fraction to rewrite, so reading its date
-    and time is the whole test."""
+    """Whether ``normalize_timestamp`` reads the text ``value``, without
+    formatting what it reads."""
     if not isinstance(value, str):
         return False
-    if _CANONICAL_RE.match(value):
-        try:
-            datetime.fromisoformat(value[:-1])
-        except ValueError:
-            return False
-        return True
     try:
-        parse_timestamp(value)
+        _read_timestamp(value)
     except TimestampError:
         return False
     return True

@@ -27,7 +27,7 @@ from ochub.cli import (
 )
 from ochub.exporters import export_hub_csv
 from ochub.schema import Batch, TABLES
-from ochub.store import HubStore, open_store
+from ochub.store import CLEAN_KEY, HubStore, open_store
 from conftest import build_ocel2_sqlite, clean_fixture_batch, rows_of
 from test_acceptance import tiny_log
 from test_importers import (
@@ -680,7 +680,7 @@ def meta(store_path, key, value=...):
 
 def clean_mark(store_path):
     """The store's clean-row watermark as recorded, or None."""
-    value = meta(store_path, "transform_clean")
+    value = meta(store_path, CLEAN_KEY)
     return None if value is None else json.loads(value)
 
 
@@ -900,11 +900,11 @@ class TestCleanWatermark:
         '{"events": [true, 1]}', '{"events": [1.5, 2]}', "null"])
     def test_corrupt_watermark_checks_every_row(self, store_path, batch_dir,
                                                 value, monkeypatch):
-        """A ``transform_clean`` value that is no JSON object of [rowid,
+        """A ``CLEAN_KEY`` value that is no JSON object of [rowid,
         count] integer pairs is no watermark: the ingest (a re-send here)
         checks every row and records the watermark afresh."""
         assert ingest(store_path, batch_dir) == EXIT_OK
-        meta(store_path, "transform_clean", value)
+        meta(store_path, CLEAN_KEY, value)
         reports = []
         check = ochub.cli.run_checkpoint
         monkeypatch.setattr(ochub.cli, "run_checkpoint", lambda *a, **k: (
@@ -913,6 +913,23 @@ class TestCleanWatermark:
         marks = tops(store_path)
         assert reports[-1].scanned == {t: count for t, (_, count) in marks.items()}
         assert clean_mark(store_path) == marks
+
+    def test_watermark_of_looser_rules_is_not_read(self, store_path,
+                                                   batch_dir, capsys):
+        """A store whose watermark, recorded under the key of the looser
+        timestamp rules (``transform_clean``), covers a legacy event
+        stamped ``+0530``, which those rules read on Python 3.11 and later:
+        the next ingest checks every row again, exits 1 and names it."""
+        with open_store(store_path) as store, store.connection() as conn:
+            conn.execute("INSERT INTO event_types VALUES ('et:old', 'old')")
+            conn.execute("INSERT INTO events VALUES "
+                         "('ev:old', 'et:old', '2024-01-01T07:00:00+0530', NULL)")
+        meta(store_path, "transform_clean", json.dumps(tops(store_path)))
+        capsys.readouterr()
+        assert ingest(store_path, batch_dir) == EXIT_QUALITY
+        out = capsys.readouterr().out
+        assert "timestamp_validity" in out and "ev:old" in out
+        assert clean_mark(store_path) is None
 
     def test_row_committed_before_the_append_lock_is_checked(
             self, store_path, batch_dir, tmp_path, monkeypatch, capsys):

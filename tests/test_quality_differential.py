@@ -8,7 +8,7 @@ import pytest
 
 from ochub.quality import run_checkpoint
 from ochub.schema import FOREIGN_KEYS, TABLE_COLUMNS, TABLES, TIMESTAMP_COLUMNS, Batch
-from ochub.store import AppendConflictError, StoreError, open_store
+from ochub.store import CLEAN_KEY, AppendConflictError, StoreError, open_store
 from oracles import brute_append, brute_checkpoint
 from conftest import clean_fixture_batch
 
@@ -237,7 +237,7 @@ def renumber(store):
 
 def recorded_mark(store):
     row = store.connection().execute(
-        "SELECT value FROM hub_meta WHERE key = 'transform_clean'").fetchone()
+        "SELECT value FROM hub_meta WHERE key = ?", (CLEAN_KEY,)).fetchone()
     return None if row is None else json.loads(row[0])
 
 

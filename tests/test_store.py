@@ -126,8 +126,11 @@ class TestOpenStore:
             ("idx_late", "events", "no_such_column"),))
         with pytest.raises(sqlite3.OperationalError, match="no_such_column"):
             open_store(path)
-        with sqlite3.connect(path) as conn:
+        conn = sqlite3.connect(path)  # a with block would commit, not close
+        try:
             assert conn.execute("SELECT count(*) FROM sqlite_master").fetchone() == (0,)
+        finally:
+            conn.close()
         monkeypatch.undo()
         with pytest.raises(StoreLayoutError, match="not a hub store"):
             open_store(path, create_if_missing=False)

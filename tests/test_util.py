@@ -29,14 +29,51 @@ FRACTIONS = [
 ]
 
 
+# each form of timestamp text and its canonical text, or TimestampError:
+# one grammar, read the same on every supported Python
+FORMS = [
+    ("2024-01-01T07:00:00.000Z", "2024-01-01T07:00:00.000Z"),
+    ("2024-01-01", "2024-01-01T00:00:00.000Z"),
+    ("2024-01-01T07", "2024-01-01T07:00:00.000Z"),
+    ("2024-01-01 07:00", "2024-01-01T07:00:00.000Z"),
+    ("2024-01-01t07:00:00z", "2024-01-01T07:00:00.000Z"),
+    ("2024-01-01T07.5", "2024-01-01T07:00:00.500Z"),
+    ("2024-01-01T07:00,25Z", "2024-01-01T07:00:00.250Z"),
+    ("2024-01-01T07:00:00,5Z", "2024-01-01T07:00:00.500Z"),
+    ("2024-01-01T07:00:00.123456789Z", "2024-01-01T07:00:00.123Z"),
+    ("2024-01-01T07:00:00.5+05:30", "2024-01-01T01:30:00.500Z"),
+    ("2024-01-01T07:00:00-03:30", "2024-01-01T10:30:00.000Z"),
+    ("2024-01-01T07:00:00+05:30:15", "2024-01-01T01:29:45.000Z"),
+    ("2024-01-01T07:00:00+05:30:15.500000", "2024-01-01T01:29:44.500Z"),
+    (" 2024-01-01T07:00:00Z\t\n", "2024-01-01T07:00:00.000Z"),
+    # basic format, week dates and offsets without a colon, which only
+    # Python 3.11 and later's fromisoformat reads
+    ("20240101", TimestampError),
+    ("20240101T070000Z", TimestampError),
+    ("2024-W01-1", TimestampError),
+    ("2024-W01-1T07:00Z", TimestampError),
+    ("2024-01-01T07:00:00+05", TimestampError),
+    ("2024-01-01T07:00:00+0530", TimestampError),
+    # a zone needs a time, which follows T, t or a space
+    ("2024-01-01+05:00", TimestampError),
+    ("2024-01-01-03:30", TimestampError),
+    ("2024-01-01x07:00", TimestampError),
+    ("2024-01-01T07:00:00 Z", TimestampError),
+    ("2024-01-01T07:00:00.Z", TimestampError),
+    ("2024-01-01T07:00:00+05:30:15.5", TimestampError),
+    ("2024-01-01T24:00:00", TimestampError),
+    ("", TimestampError),
+]
+
+
 class _Python310Datetime(datetime):
-    """A datetime whose fromisoformat reads a fraction of a second as
-    Python 3.10's does: "." and then 3 or 6 digits."""
+    """A datetime whose fromisoformat reads only what Python 3.10's
+    documents: ``YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]``."""
 
     @classmethod
     def fromisoformat(cls, text):
-        fraction = re.search(r"[.,](\d*)(?=[+-]|\Z)", text)
-        if fraction and (fraction[0][0] == "," or len(fraction[1]) not in (3, 6)):
+        if not re.fullmatch(r"\d{4}-\d\d-\d\d(.\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?"
+                            r"([+-]\d\d:\d\d(:\d\d(\.\d{6})?)?)?)?", text):
             raise ValueError(f"Invalid isoformat string: {text!r}")
         return datetime.fromisoformat(text)
 
@@ -57,6 +94,17 @@ class TestTimestamps:
         # and read so under Python 3.10's fromisoformat too
         monkeypatch.setattr(util, "datetime", _Python310Datetime)
         assert parse_timestamp(text) == instant
+
+    @pytest.mark.parametrize("text, canonical", FORMS)
+    def test_one_grammar_on_every_python(self, monkeypatch, text, canonical):
+        for reader in (datetime, _Python310Datetime):
+            monkeypatch.setattr(util, "datetime", reader)
+            if canonical is TimestampError:
+                with pytest.raises(TimestampError):
+                    normalize_timestamp(text)
+            else:
+                assert normalize_timestamp(text) == canonical
+            assert is_valid_timestamp(text) is (canonical is not TimestampError)
 
     def test_canonical_looking_invalid_text_is_rejected(self):
         with pytest.raises(TimestampError):
