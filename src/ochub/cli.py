@@ -10,22 +10,24 @@ checks and append, prints what they would have printed ("nothing new" and
 the recorded count of skipped source rows) and runs the transform
 checkpoint alone, for rows other writers added. Otherwise the append
 records the digest, in its transaction, if the input read the same after
-the import as before it. ``check --checkpoint
+the import as before it; a mapped ingest records the source names its
+mapping gives too, so a mapped re-send lists its files from them and does
+not parse the mapping. ``check --checkpoint
 transform`` is the full, read-only audit of the rows present when it
 starts; ``--report`` replaces the report file, never rewriting it in place.
 A failed checkpoint (ingest, check or a graph export) raises
 ``util.QualityFailure``, and ``run`` prints its summary once, on stdout,
 and exits 1.
 
-Each command imports only the modules it runs: the standard library, ochub's
-own and, for ``--format mapped``, PyYAML. ``argparse`` parses the command
-line and ochub's records are plain classes or named tuples, so no command
-pays for importing ``inspect``. The importers, exporters and
-``run_checkpoint`` are names of this module imported on first use
-(``__getattr__``), and the commands call them through the module, so a name
-rebound here is the one called; the graph exports import ``ochub.graph``.
-Each output line is flushed as it is written, so stdout and stderr keep
-their order in one log.
+Each command imports only the modules it runs: the standard library,
+ochub's own and, for a ``--format mapped`` import, PyYAML. ``argparse``
+parses the command line and ochub's records are plain classes or named
+tuples, so no command pays for importing ``inspect``. The importers,
+exporters and ``run_checkpoint`` are names of this module imported on first
+use (``__getattr__``), and the commands call them through the module, so a
+name rebound here is the one called; the graph exports import
+``ochub.graph``. Each output line is flushed as it is written, so stdout
+and stderr keep their order in one log.
 
 Exit codes: 0 success, 1 quality-check failure, 2 usage error or interrupt,
 3 I/O error (including an unreadable, corrupt or locked store file, and an
@@ -35,6 +37,7 @@ input that cannot be read, named), 4 append conflict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sqlite3
@@ -99,30 +102,39 @@ def cmd_init(path):
 
 
 def _importer(fmt, input_path, mapping) -> tuple:
-    """(load, files): ``load()`` imports INPUT in ``fmt``, and ``files()``
-    lists the files that import reads as (name, path or bytes) pairs, for
-    ``input_digest``. A mapping is read and parsed here, once, so its
-    digest covers the bytes parsed."""
+    """(load, files): ``load()`` imports INPUT in ``fmt``, and
+    ``files(sources)`` lists the files that import reads as (name, path or
+    bytes) pairs, for ``input_digest``. A mapping is read here, once, so its
+    digest covers the bytes parsed, and parsed on first use. Given
+    ``sources``, the source names recorded with the store's last input,
+    ``files`` lists those in place of parsing: the same mapping bytes always
+    name the same files, so that digest equals the recorded one only for
+    the input recorded, and a mapped re-send needs no YAML."""
     if fmt == "hubcsv":
         return (lambda: _this.import_hub_csv(input_path),
-                lambda: _this.hub_csv_files(input_path))
+                lambda sources=None: _this.hub_csv_files(input_path))
     if fmt == "ocel2":
         return (lambda: _this.import_ocel2(input_path),
-                lambda: _this.log_files(input_path))
+                lambda sources=None: _this.log_files(input_path))
     if not mapping:  # --format mapped
         raise UsageError("--mapping is required for --format mapped")
     data = Path(mapping).read_bytes()
-    config = _this.MappingConfig.from_yaml(data, mapping)
-    return (lambda: _this.import_mapped_csv(config, input_path),
-            lambda: [("--mapping", data), *config.source_files(input_path)])
+    config = functools.cache(lambda: _this.MappingConfig.from_yaml(data, mapping))
+
+    def files(sources=None):
+        listed = config().source_files(input_path) if sources is None else [
+            (name, Path(input_path, name)) for name in sources]
+        return [("--mapping", data), *listed]
+
+    return lambda: _this.import_mapped_csv(config(), input_path), files
 
 
-def _digest(fmt, files):
-    """The input digest of the files ``files()`` lists, or None if they
-    cannot be listed or read: the import then reports why."""
+def _digest(fmt, files, sources=None):
+    """The input digest of the files ``files(sources)`` lists, or None if
+    they cannot be listed or read: the import then reports why."""
     try:
-        return _this.input_digest(fmt, files())
-    except (FormatError, OSError):
+        return _this.input_digest(fmt, files(sources))
+    except (FormatError, OSError, TypeError):  # TypeError: a name not text
         return None
 
 
@@ -131,12 +143,15 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
     store = open_store(store_path, create_if_missing=False)
     try:
         load, files = _importer(fmt, input_path, mapping)
-        digest = _digest(fmt, files)
         last = store.last_input() or {}
+        sources = last.get("sources") if fmt == "mapped" else None
+        digest = _digest(fmt, files, sources)
         if digest is not None and last.get("digest") == digest \
                 and type(last.get("skipped")) is int:  # a re-send
             added, skipped = {}, last["skipped"]
         else:
+            if sources is not None:  # another input: its mapping names its files
+                digest = _digest(fmt, files)
             imported = load()
             # staged once: the staging checkpoint, the repair and the append
             # all work on the same TEMP tables
@@ -156,6 +171,8 @@ def cmd_ingest(store_path, fmt, input_path, mapping, repair_missing_objects):
             # recorded only if the input read the same before and after
             if digest is not None and _digest(fmt, files) == digest:
                 staged.last_input = {"digest": digest, "skipped": skipped}
+                if fmt == "mapped":  # the names after the mapping's own
+                    staged.last_input["sources"] = [name for name, _ in files()[1:]]
             summary = store.append_batch(staged)
             added = {t: n for t, n in summary.items() if n}
         echo(f"appended: {json.dumps(added) if added else 'nothing new'}")

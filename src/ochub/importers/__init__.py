@@ -5,9 +5,12 @@ same inputs always produce the same rows, and row ids are deterministic and
 namespaced so re-importing (and re-appending) is a no-op.
 
 Every row of the mapped CSV and OCEL 2.0 importers comes from the emitter
-below that holds its part of the id scheme. An event's or object's key is
-``<type>:<source id>`` in a mapped CSV import and its ``ocel_id`` in an
-OCEL 2.0 import; ``<ts>`` is a normalized timestamp, ``<q>`` a qualifier.
+below that holds its part of the id scheme. ``add_event`` … ``add_o2o``
+append their row's tuple, in ``TABLE_COLUMNS`` order, straight to
+``batch.rows``; the few type and qualifier rows go through ``Batch.add``.
+An event's or object's key is ``<type>:<source id>`` in a mapped CSV
+import and its ``ocel_id`` in an OCEL 2.0 import; ``<ts>`` is a
+normalized timestamp, ``<q>`` a qualifier.
 
   add_type          ``et:<type>``, ``ot:<type>``; attributes ``ea:<type>.<attr>``,
                     ``oa:<type>.<attr>``
@@ -113,20 +116,18 @@ def add_qualifiers(batch: Batch, names) -> None:
 
 def add_event(batch: Batch, key: str, type_name: str, timestamp,
               description=None) -> None:
-    batch.add("events", id=f"ev:{key}", event_type_id=f"et:{type_name}",
-              timestamp=timestamp, description=description)
+    batch.rows["events"].append(
+        (f"ev:{key}", f"et:{type_name}", timestamp, description))
 
 
 def add_object(batch: Batch, key: str, type_name: str, description=None) -> None:
-    batch.add("objects", id=f"obj:{key}", object_type_id=f"ot:{type_name}",
-              description=description)
+    batch.rows["objects"].append((f"obj:{key}", f"ot:{type_name}", description))
 
 
 def add_event_value(batch: Batch, key: str, type_name: str, attribute: str,
                     value) -> None:
-    batch.add("event_attribute_values", id=f"eav:{key}:{attribute}",
-              event_id=f"ev:{key}", event_attribute_id=f"ea:{type_name}.{attribute}",
-              attribute_value=value)
+    batch.rows["event_attribute_values"].append(
+        (f"eav:{key}:{attribute}", f"ev:{key}", f"ea:{type_name}.{attribute}", value))
 
 
 def object_value_id(key: str, attribute: str, timestamp: str) -> str:
@@ -135,22 +136,21 @@ def object_value_id(key: str, attribute: str, timestamp: str) -> str:
 
 def add_object_value(batch: Batch, key: str, type_name: str, attribute: str,
                      timestamp: str, value) -> None:
-    batch.add("object_attribute_values", id=object_value_id(key, attribute, timestamp),
-              object_id=f"obj:{key}", object_attribute_id=f"oa:{type_name}.{attribute}",
-              timestamp=timestamp, attribute_value=value)
+    batch.rows["object_attribute_values"].append(
+        (object_value_id(key, attribute, timestamp), f"obj:{key}",
+         f"oa:{type_name}.{attribute}", timestamp, value))
 
 
 def add_e2o(batch: Batch, event_key: str, object_key: str, qualifier) -> None:
-    batch.add("event_to_object", id=f"e2o:{event_key}:{object_key}:{qualifier}",
-              event_id=f"ev:{event_key}", object_id=f"obj:{object_key}",
-              qualifier_id=_qualifier_id(qualifier), qualifier_value=qualifier)
+    batch.rows["event_to_object"].append(
+        (f"e2o:{event_key}:{object_key}:{qualifier}", f"ev:{event_key}",
+         f"obj:{object_key}", _qualifier_id(qualifier), qualifier))
 
 
 def add_e2oav(batch: Batch, event_key: str, value_id: str, qualifier) -> None:
-    batch.add("event_to_object_attribute_value",
-              id=f"e2oav:{event_key}:{value_id}:{qualifier}",
-              event_id=f"ev:{event_key}", object_attribute_value_id=value_id,
-              qualifier_id=_qualifier_id(qualifier), qualifier_value=qualifier)
+    batch.rows["event_to_object_attribute_value"].append(
+        (f"e2oav:{event_key}:{value_id}:{qualifier}", f"ev:{event_key}", value_id,
+         _qualifier_id(qualifier), qualifier))
 
 
 def add_o2o(batch: Batch, source_key: str, target_key: str, qualifier, value,
@@ -160,9 +160,9 @@ def add_o2o(batch: Batch, source_key: str, target_key: str, qualifier, value,
         timestamp = EPOCH_TS
     else:
         row_id = f"{row_id}:{timestamp}"
-    batch.add("object_to_object", id=row_id, source_object_id=f"obj:{source_key}",
-              target_object_id=f"obj:{target_key}", timestamp=timestamp,
-              qualifier_id=_qualifier_id(qualifier), qualifier_value=value)
+    batch.rows["object_to_object"].append(
+        (row_id, f"obj:{source_key}", f"obj:{target_key}", timestamp,
+         _qualifier_id(qualifier), value))
 
 
 __getattr__ = lazy_names(__name__, {

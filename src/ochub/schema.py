@@ -6,7 +6,7 @@ changes row counts only. Every table has a text primary key ``id``; foreign
 keys are ``<referenced table singular>_id`` columns. Attribute and qualifier
 values are stored as text, with the declared datatype kept as metadata.
 A Batch row is a tuple of its table's values in ``TABLE_COLUMNS`` order,
-built by ``Batch.add``.
+built by ``Batch.add`` or by an ``ochub.importers`` emitter.
 """
 
 from __future__ import annotations

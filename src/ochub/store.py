@@ -1,24 +1,26 @@
 """Durable hub store: append-only ingestion and the ordered queries.
 
-Backed by a single SQLite file holding the twelve tables plus a small meta
-table, ``hub_meta``: the layout version, the batch clock and, once rows
-are known clean, ``CLEAN_KEY``, the per-table rowid up to which every
-row passed the transform checks and the row count at that rowid (see
-``clean_watermark``), under a key named by ``CHECK_RULES``; after an ingest, ``last_input``, the digest of the
-input it read and the source rows it skipped. An ingest's
-``append_batch`` writes both beside its rows, in its one transaction: the
-store is append-only, so a batch that passed the staging checks against
-staged union store passes the transform checks once appended, and the
-watermark moves over it if it stood at every table's top. All columns are
-text; referential integrity is deliberately NOT enforced at write time so
-that tables can be ingested in any order across batches. Rows are never updated or deleted.
+Backed by a single SQLite file holding the twelve tables plus a small
+meta table, ``hub_meta``: the layout version, the batch clock and, once
+rows are known clean, ``CLEAN_KEY``, the per-table rowid up to which
+every row passed the transform checks and the row count at that rowid
+(see ``clean_watermark``), under a key named by ``CHECK_RULES``; after
+an ingest, ``last_input``, the digest of the input it read and the
+source rows it skipped. An ingest's ``append_batch`` writes both beside
+its rows, in its one transaction: the store is append-only, so a batch
+that passed the staging checks against staged union store passes the
+transform checks once appended, and the watermark moves over it if it
+stood at every table's top. All columns are text; referential integrity
+is deliberately NOT enforced at write time so that tables can be
+ingested in any order across batches. Rows are never updated or deleted.
 A batch is staged once in TEMP tables of the same layout
-(``temp.staged_<table>``); the quality checks and append_batch's conflict
-detection are SQL over those tables and the store. ``stage`` returns a
-``StagedBatch`` handle that the staging checkpoint and append_batch take in
-place of the batch, so an ingest stages it only once;
-``stage_placeholder_objects`` adds the repair of missing objects to that
-stage, in place. Object histories come
+(``temp.staged_<table>``); the quality checks and append_batch's
+conflict detection are SQL over those tables and the store, and its
+insert is one upsert per table that skips what those checks left:
+identical repeats of an id. ``stage`` returns a ``StagedBatch`` handle
+that the staging checkpoint and append_batch take in place of the batch,
+so an ingest stages it only once; ``stage_placeholder_objects`` adds the
+repair of missing objects to that stage, in place. Object histories come
 from one ordered scan, ``timelines``, which both ``object_timeline`` and the
 case graph read; event order (timestamp, event_type_id, id) is SQL's. Each
 point read is one indexed statement: ``object_timeline`` is that scan for
@@ -127,16 +129,15 @@ class StagedBatch:
 
 
 def _staged_rows(rows, ts: int):
-    """The rows, the timestamp at index ``ts`` normalized or, unparseable, verbatim."""
+    """The rows, the timestamp at index ``ts`` normalized or, where it does
+    not read (None too), verbatim; a row is rebuilt only if that changed it."""
     for row in rows:
         value = row[ts]
-        if value is not None:
-            try:
-                value = normalize_timestamp(value)
-            except TimestampError:
-                pass  # kept verbatim; the quality checkpoint flags it
-            row = row[:ts] + (value,) + row[ts + 1:]
-        yield row
+        try:
+            value = normalize_timestamp(value)
+        except TimestampError:
+            pass  # kept verbatim; the quality checkpoint flags it
+        yield row if value is row[ts] else row[:ts] + (value,) + row[ts + 1:]
 
 
 # One step in an object's history: an event participation (kind "event")
@@ -462,13 +463,12 @@ class HubStore:
             summary = {}
             for table in TABLES:
                 cols = ", ".join(TABLE_COLUMNS[table])
-                # the first of each id's (identical) rows, unless stored
+                # the checks left only identical repeats, in the batch or
+                # stored: the first in staged order goes in, the rest skip
                 summary[table] = self._conn.execute(
                     f"INSERT INTO main.{table} ({cols}) SELECT {cols} "
-                    f"FROM temp.staged_{table} s WHERE rowid IN "
-                    f"(SELECT MIN(rowid) FROM temp.staged_{table} GROUP BY id) "
-                    f"AND NOT EXISTS (SELECT 1 FROM main.{table} m WHERE m.id = s.id) "
-                    "ORDER BY rowid"
+                    f"FROM temp.staged_{table} WHERE true ORDER BY rowid "
+                    "ON CONFLICT (id) DO NOTHING"
                 ).rowcount
             self._conn.execute(
                 "UPDATE hub_meta SET value = CAST(value AS INTEGER) + 1 "
@@ -651,14 +651,15 @@ class HubStore:
             instant, bad_instant = None, exc  # no row is at or before NULL
         # one statement: the three existence flags and the latest row's value
         *found, value = self._conn.execute(
-            "SELECT EXISTS (SELECT 1 FROM objects WHERE id = ?1), "
-            "EXISTS (SELECT 1 FROM objects WHERE id = ?2), "
-            "EXISTS (SELECT 1 FROM relation_qualifiers WHERE id = ?3), "
+            "SELECT EXISTS (SELECT 1 FROM objects WHERE id = :source), "
+            "EXISTS (SELECT 1 FROM objects WHERE id = :target), "
+            "EXISTS (SELECT 1 FROM relation_qualifiers WHERE id = :qualifier), "
             "(SELECT qualifier_value FROM object_to_object "
-            "WHERE source_object_id = ?1 AND target_object_id = ?2 "
-            "AND qualifier_id = ?3 AND timestamp <= ?4 "
+            "WHERE source_object_id = :source AND target_object_id = :target "
+            "AND qualifier_id = :qualifier AND timestamp <= :at "
             "ORDER BY timestamp DESC, id DESC LIMIT 1)",
-            (source_object_id, target_object_id, qualifier_id, instant),
+            {"source": source_object_id, "target": target_object_id,
+             "qualifier": qualifier_id, "at": instant},
         ).fetchone()
         for exists, (table, row_id) in zip(found, (
             ("objects", source_object_id),

@@ -26,6 +26,7 @@ from ochub.cli import (
     run,
 )
 from ochub.exporters import export_hub_csv
+from ochub.importers.mapped import MappingConfig
 from ochub.schema import Batch, TABLES
 from ochub.store import CLEAN_KEY, HubStore, open_store
 from conftest import build_ocel2_sqlite, clean_fixture_batch, rows_of
@@ -94,17 +95,25 @@ def export_args(fmt, *extra):
     return ["export", "--store", "{store}", "--format", fmt, *extra]
 
 
+MAPPED = ["--format", "mapped", "--input", "{tmp}/mapped", "--mapping",
+          "{tmp}/mapping.yml"]
+
 # command line -> modules it must leave unimported beside click, dataclasses
-# and inspect; {store} holds the clean fixture, {empty} is an empty store and
-# {tmp} holds the inputs: batch/ (the fixture as hub CSV), log.sqlite,
-# mapped/ with mapping.yml, and an empty graph in case/
+# and inspect; {store} holds the clean fixture, {empty} is an empty store,
+# {resent} a store the mapped input was ingested into, and {tmp} holds the
+# inputs: batch/ (the fixture as hub CSV), log.sqlite, mapped/ with
+# mapping.yml, and an empty graph in case/
 IMPORT_GUARD = {
     "init": (["init", "{tmp}/new.db"], []),
     **{f"ingest-{fmt}": (["ingest", "--store", "{empty}", "--format", fmt,
-                          "--input", source, *extra], ["ochub.exporters"])
-       for fmt, source, *extra in (
-           ("hubcsv", "{tmp}/batch"), ("ocel2", "{tmp}/log.sqlite"),
-           ("mapped", "{tmp}/mapped", "--mapping", "{tmp}/mapping.yml"))},
+                          "--input", source], ["ochub.exporters"])
+       for fmt, source in (("hubcsv", "{tmp}/batch"),
+                           ("ocel2", "{tmp}/log.sqlite"))},
+    "ingest-mapped": (["ingest", "--store", "{empty}", *MAPPED],
+                      ["ochub.exporters"]),
+    # the recorded source names list the files: the mapping is not parsed
+    "ingest-mapped-resend": (["ingest", "--store", "{resent}", *MAPPED],
+                             ["ochub.exporters", "ochub.importers.mapped", "yaml"]),
     "check-staging": (["check", "--store", "{store}", "--checkpoint", "staging",
                        "--input", "{tmp}/batch"], ["ochub.exporters"]),
     "check-transform": (["check", "--store", "{store}", "--checkpoint",
@@ -234,6 +243,10 @@ class TestBasics:
         (tmp_path / "mapped").mkdir()
         shop_sources(tmp_path / "mapped")
         (tmp_path / "mapping.yml").write_text(yaml.safe_dump(shop_mapping()))
+        if "{resent}" in command:
+            open_store(tmp_path / "resent.db").close()
+            assert run(["ingest", "--store", tmp_path / "resent.db",
+                        *[arg.format(tmp=tmp_path) for arg in MAPPED]]) == EXIT_OK
         (tmp_path / "case").mkdir()
         for name, header in (("nodes.csv", "id:ID"), ("edges.csv", ":START_ID,:END_ID")):
             (tmp_path / "case" / name).write_text(header + "\n")
@@ -242,7 +255,8 @@ class TestBasics:
             [sys.executable, "-c",
              "import sys\nfrom ochub.cli import run\ncode = run(sys.argv[1:])\n"
              "print(*sorted(sys.modules))\nsys.exit(code)",
-             *[arg.format(tmp=tmp_path, store=store, empty=tmp_path / "empty.db")
+             *[arg.format(tmp=tmp_path, store=store, empty=tmp_path / "empty.db",
+                          resent=tmp_path / "resent.db")
                for arg in command]],
             env=env, capture_output=True, text=True,
         )
@@ -758,6 +772,42 @@ class TestResend:
             # no append, so no tick of the batch clock
             assert (store.dump(), store.batch_clock()) == \
                 (again.dump(), again.batch_clock() - 1)
+
+    def test_mapped_resend_parses_no_mapping(self, store_path, tmp_path,
+                                             monkeypatch, capsys):
+        """A mapped ingest records the source names its mapping gives, and a
+        re-send lists its files from them without parsing the mapping. A
+        mapping of other bytes, or recorded names that list no files, take
+        the full path, which records the names again."""
+        src, mapping = tmp_path / "src", tmp_path / "shop.yml"
+        golden.shop_sources(src, orders=40)
+        golden.write(mapping, golden.SHOP_MAPPING)
+        args = ["--format", "mapped", "--mapping", str(mapping), "--input", str(src)]
+        assert send(store_path, args) == EXIT_OK
+        recorded = json.loads(meta(store_path, "last_input"))
+        assert recorded["sources"] == [
+            name for name, _ in MappingConfig.from_file(mapping).source_files(src)]
+        parses = []
+        from_yaml = MappingConfig.from_yaml
+        monkeypatch.setattr(MappingConfig, "from_yaml", classmethod(
+            lambda cls, data, path: parses.append(path) or from_yaml(data, path)))
+        assert send(store_path, args) == EXIT_OK
+        assert parses == []
+        for sources in (5, [5], "x", ["missing.csv"]):
+            meta(store_path, "last_input", json.dumps({**recorded, "sources": sources}))
+            assert send(store_path, args) == EXIT_OK
+            assert json.loads(meta(store_path, "last_input")) == recorded
+        assert len(parses) == 4
+        with mapping.open("a") as handle:
+            handle.write("# the same specs, other bytes\n")
+        assert send(store_path, args) == EXIT_OK
+        again = json.loads(meta(store_path, "last_input"))
+        assert again["digest"] != recorded["digest"]
+        assert again["sources"] == recorded["sources"]
+        capsys.readouterr()
+        assert send(store_path, args) == EXIT_OK
+        assert len(parses) == 5
+        assert "appended: nothing new" in capsys.readouterr().out
 
     def test_changed_byte_takes_the_full_path(self, store_path, sent, capsys,
                                               monkeypatch):

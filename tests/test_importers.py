@@ -969,6 +969,50 @@ def test_emitter_rows(emitter, args, rows):
             if batch.rows[table]} == rows
 
 
+# emitter, its arguments (None for each description or value) -> the table
+# and the named columns of the one row it appends
+EMITTER_SHAPES = {
+    "event": (add_event, ("p:o1", "p", TS, None), "events", dict(
+        id="ev:p:o1", event_type_id="et:p", timestamp=TS, description=None)),
+    "object": (add_object, ("o:o1", "o", None), "objects", dict(
+        id="obj:o:o1", object_type_id="ot:o", description=None)),
+    "event_value": (add_event_value, ("p:o1", "p", "a", None),
+                    "event_attribute_values", dict(
+        id="eav:p:o1:a", event_id="ev:p:o1", event_attribute_id="ea:p.a",
+        attribute_value=None)),
+    "object_value": (add_object_value, ("o:o1", "o", "a", TS, None),
+                     "object_attribute_values", dict(
+        id=f"oav:o:o1:a:{TS}", object_id="obj:o:o1", object_attribute_id="oa:o.a",
+        timestamp=TS, attribute_value=None)),
+    "e2o": (add_e2o, ("p:o1", "o:o1", "q"), "event_to_object", dict(
+        id="e2o:p:o1:o:o1:q", event_id="ev:p:o1", object_id="obj:o:o1",
+        qualifier_id="q:q", qualifier_value="q")),
+    "e2oav": (add_e2oav, ("p:o1", OAV, "q"), "event_to_object_attribute_value", dict(
+        id=f"e2oav:p:o1:{OAV}:q", event_id="ev:p:o1", object_attribute_value_id=OAV,
+        qualifier_id="q:q", qualifier_value="q")),
+    "o2o_timed": (add_o2o, ("o:o1", "s:s1", "q", None, TS), "object_to_object", dict(
+        id=f"o2o:o:o1:s:s1:q:{TS}", source_object_id="obj:o:o1",
+        target_object_id="obj:s:s1", timestamp=TS, qualifier_id="q:q",
+        qualifier_value=None)),
+    "o2o_untimed": (add_o2o, ("o:o1", "s:s1", "q", None), "object_to_object", dict(
+        id="o2o:o:o1:s:s1:q", source_object_id="obj:o:o1",
+        target_object_id="obj:s:s1", timestamp=EPOCH_TS, qualifier_id="q:q",
+        qualifier_value=None)),
+}
+
+
+@pytest.mark.parametrize("emitter, args, table, columns",
+                         EMITTER_SHAPES.values(), ids=EMITTER_SHAPES)
+def test_emitter_row_is_the_row_batch_add_builds(emitter, args, table, columns):
+    """Each emitter appends to its table's list the tuple that ``Batch.add``
+    builds from the same values, named: every column in ``TABLE_COLUMNS``
+    order, a None kept in its place."""
+    batch = Batch()
+    emitter(batch, *args)
+    assert batch.rows[table] == [Batch().add(table, **columns)]
+    assert batch.total_rows() == 1
+
+
 def test_object_value_id_and_shared_qualifier_id():
     """The value id of an e2oav link is the one its value row carries, and
     every row of one qualifier holds the same qualifier id string."""

@@ -151,6 +151,30 @@ class TestAppendBatch:
         assert summary["events"] == 0
         assert store.row_count("events") == 2
 
+    def test_first_of_each_id_goes_in_in_staged_order(self, store):
+        """Identical repeats interleaved in a batch, ids stored with the
+        same content and new ids: each new id goes in once, at the place of
+        its first row in staged order, and the counts are the rows added.
+        A re-append adds nothing and moves no rowid."""
+        stored = Batch()
+        for name in ("b", "d"):
+            stored.add("event_types", id=f"et:{name}", description=name)
+        store.append_batch(stored)
+        batch = Batch()
+        for name in ("c", "b", "a", "e", "c", "d", "a"):
+            batch.add("event_types", id=f"et:{name}", description=name)
+
+        def rows():
+            return store.connection().execute(
+                "SELECT rowid, id FROM event_types ORDER BY rowid").fetchall()
+
+        added = {**dict.fromkeys(TABLES, 0), "event_types": 3}
+        assert store.append_batch(batch) == added
+        order = [(1, "et:b"), (2, "et:d"), (3, "et:c"), (4, "et:a"), (5, "et:e")]
+        assert rows() == order
+        assert store.append_batch(batch) == dict.fromkeys(TABLES, 0)
+        assert rows() == order
+
     def test_conflict_leaves_store_unchanged(self, store):
         store.append_batch(two_events_batch())
         before = store.dump()
