@@ -108,9 +108,6 @@ TIMESTAMP_COLUMN_OF = dict(TIMESTAMP_COLUMNS)  # table -> its timestamp column
 DATATYPES = ("string", "integer", "float", "boolean", "timestamp")
 
 
-_COLUMN_SETS = {table: frozenset(cols) for table, cols in TABLE_COLUMNS.items()}
-
-
 def _row_id(row) -> str:
     return row[0] or ""
 
@@ -137,11 +134,9 @@ class Batch:
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
             raise KeyError(f"unknown table: {table}")
-        if not _COLUMN_SETS[table].issuperset(columns):
-            unknown = set(columns) - set(cols)
-            raise KeyError(
-                f"unknown columns for {table}: {', '.join(sorted(unknown))}"
-            )
+        unknown = columns.keys() - set(cols)
+        if unknown:
+            raise KeyError(f"unknown columns for {table}: {', '.join(sorted(unknown))}")
         row = tuple(map(columns.get, cols))
         self.rows[table].append(row)
         return row

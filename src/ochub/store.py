@@ -128,16 +128,23 @@ class StagedBatch:
         return sum(self.counts.values())
 
 
-def _staged_rows(rows, ts: int):
-    """The rows, the timestamp at index ``ts`` normalized or, where it does
-    not read (None too), verbatim; a row is rebuilt only if that changed it."""
-    for row in rows:
-        value = row[ts]
-        try:
-            value = normalize_timestamp(value)
-        except TimestampError:
-            pass  # kept verbatim; the quality checkpoint flags it
-        yield row if value is row[ts] else row[:ts] + (value,) + row[ts + 1:]
+def _staged_value(value):
+    """``value`` normalized or, where it does not read (None too), verbatim."""
+    try:
+        return normalize_timestamp(value)
+    except TimestampError:
+        return value  # kept verbatim; the quality checkpoint flags it
+
+
+def _staged_rows(rows, ts: int) -> list:
+    """The rows, each distinct timestamp at index ``ts`` read once by
+    ``_staged_value``; a row is rebuilt only if that changed its value."""
+    try:
+        read = {v: _staged_value(v) for v in {row[ts] for row in rows}}.__getitem__
+    except TypeError:  # an unhashable value, such as a bytearray (a BLOB)
+        read = _staged_value
+    return [row if (value := read(row[ts])) is row[ts] else
+            row[:ts] + (value,) + row[ts + 1:] for row in rows]
 
 
 # One step in an object's history: an event participation (kind "event")
@@ -334,9 +341,9 @@ class HubStore:
         than its table's columns, or a value sqlite3 cannot bind, raises
         StoreError naming the table and its column count. Each timestamp
         is staged as ``normalize_timestamp`` gives it (canonical text as it
-        is), and text that does not parse is kept verbatim for the quality
-        checks to flag. Commits before returning, so a staged batch holds
-        no lock on the store file.
+        is, each distinct value read once), and text that does not parse is
+        kept verbatim for the quality checks to flag. Commits before
+        returning, so a staged batch holds no lock on the store file.
         """
         self._staged = None  # an earlier handle goes stale, even on failure
         counts = {}
@@ -649,17 +656,17 @@ class HubStore:
             instant, bad_instant = normalize_timestamp(at), None
         except TimestampError as exc:
             instant, bad_instant = None, exc  # no row is at or before NULL
+        ids = (source_object_id, target_object_id, qualifier_id)
         # one statement: the three existence flags and the latest row's value
         *found, value = self._conn.execute(
-            "SELECT EXISTS (SELECT 1 FROM objects WHERE id = :source), "
-            "EXISTS (SELECT 1 FROM objects WHERE id = :target), "
-            "EXISTS (SELECT 1 FROM relation_qualifiers WHERE id = :qualifier), "
+            "SELECT EXISTS (SELECT 1 FROM objects WHERE id = ?), "
+            "EXISTS (SELECT 1 FROM objects WHERE id = ?), "
+            "EXISTS (SELECT 1 FROM relation_qualifiers WHERE id = ?), "
             "(SELECT qualifier_value FROM object_to_object "
-            "WHERE source_object_id = :source AND target_object_id = :target "
-            "AND qualifier_id = :qualifier AND timestamp <= :at "
+            "WHERE source_object_id = ? AND target_object_id = ? "
+            "AND qualifier_id = ? AND timestamp <= ? "
             "ORDER BY timestamp DESC, id DESC LIMIT 1)",
-            {"source": source_object_id, "target": target_object_id,
-             "qualifier": qualifier_id, "at": instant},
+            (*ids, *ids, instant),
         ).fetchone()
         for exists, (table, row_id) in zip(found, (
             ("objects", source_object_id),

@@ -399,6 +399,25 @@ class TestStagedBatch:
         store.stage(timestamps_batch(values))
         assert staged_timestamps(store) == as_stored(values)
 
+    def test_each_distinct_timestamp_is_read_once(self, store, monkeypatch):
+        """Repeated values, equal copies among them, stage as each one
+        alone would; each distinct value is read once. A bytearray (a BLOB,
+        and unhashable) does not stop the text beside it being normalized."""
+        import ochub.store as store_mod
+
+        read = []
+        monkeypatch.setattr(store_mod, "normalize_timestamp",
+                            lambda value: read.append(value) or normalize_timestamp(value))
+        naive = "2024-01-01T10:00:00"
+        values = [naive, "2024-01-01T10:00:00.000Z", "".join(naive), None, naive,
+                  "x", "2024-01-01T10:00:00.000Z", None]
+        store.stage(timestamps_batch(values))
+        assert staged_timestamps(store) == as_stored(values)
+        assert sorted(read, key=str) == [naive, "2024-01-01T10:00:00.000Z", None, "x"]
+        values.append(bytearray(b"2024"))
+        store.stage(timestamps_batch(values))
+        assert staged_timestamps(store) == as_stored(values)
+
     def test_appended_timestamp_is_canonical_text(self, store):
         store.append_batch(timestamps_batch(["2024-01-01T10:00:00.000Z\n"]))
         assert store.get_row("events", "e0")["timestamp"] == \
